@@ -34,7 +34,6 @@ from .padic import (
     PrimePowerModulus,
     carries,
     factorial_order,
-    frac_residue,
     is_prime,
     padic_order,
     weisman_bound,
@@ -99,7 +98,6 @@ __all__ = [
     "fleck_normalized_sum",
     "fleck_sum_value",
     "floor_order_bound",
-    "frac_residue",
     "integer_valued_order_bound",
     "is_prime",
     "normalized_binomial_sum",

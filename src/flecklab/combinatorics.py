@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError
-from .padic import NEG_INFINITY, PrimePowerModulus, frac_residue, padic_order
+from .padic import NEG_INFINITY, PrimePowerModulus, padic_order
 
 __all__ = [
     "Polynomial",
@@ -45,6 +45,25 @@ FACTORIAL_MEMO_CEILING = 10**4
 @lru_cache(maxsize=FACTORIAL_MEMO_CEILING)
 def _factorial(n: int) -> int:
     return math.factorial(n)
+
+
+# Term lists of this many (n, class, modulus) keys are kept; a sweep over a
+# residue window revisits the same few hundred classes for every weight.
+CLASS_TERMS_MEMO = 1 << 10
+
+
+@lru_cache(maxsize=CLASS_TERMS_MEMO)
+def _class_binomials(n: int, c: int, m: int) -> tuple[int, ...]:
+    """The signed binomials (-1)**k * binomial(n, k) for k = c, c+m, ... <= n.
+
+    This is the one class-sum kernel: every alternating sum over a residue
+    class multiplies these terms by its weights.  Callers pass c = r % m; term
+    i then has k = c + i*m, so its weight index (k - r) / m is i - r // m.
+    """
+    terms = []
+    for k in range(c, n + 1, m):
+        terms.append(-math.comb(n, k) if k % 2 else math.comb(n, k))
+    return tuple(terms)
 
 
 def binomial(x: "int | Fraction", k: int) -> "int | Fraction":
@@ -228,9 +247,8 @@ def binomial_inversion(seq: Sequence["int | Fraction"]) -> list:
     out = []
     for n in range(len(seq)):
         acc = 0
-        for k in range(n + 1):
-            term = math.comb(n, k) * seq[k]
-            acc = acc + term if k % 2 == 0 else acc - term
+        for t, b in zip(_class_binomials(n, 0, 1), seq):
+            acc += t * b
         out.append(acc)
     return out
 
@@ -264,13 +282,14 @@ def weighted_inverse_sequence(
     l = f.degree
     scale = p**l
     out: list[Fraction] = []
+    rh = r % h
     for n in range(n_max + 1):
         acc = 0
-        for k in range(r % m, n + 1, m):
-            term = math.comb(n, k) * f((k - r) // m)
-            acc = acc + term if k % 2 == 0 else acc - term
-        rh, nrh = frac_residue(r, h), frac_residue(n - r, h)
-        mult = _factorial(n // h) * math.comb(rh + nrh, rh)
+        j = -(r // m)
+        for t in _class_binomials(n, r % m, m):
+            acc += t * f(j)
+            j += 1
+        mult = _factorial(n // h) * math.comb(rh + (n - r) % h, rh)
         a = Fraction(scale * acc, mult)
         if padic_order(p, a) < 0:
             raise InternalInvariantError(

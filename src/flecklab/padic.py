@@ -25,9 +25,9 @@ __all__ = [
     "PrimePowerModulus",
     "carries",
     "factorial_order",
-    "frac_residue",
     "is_prime",
     "padic_order",
+    "prime_power_modulus",
     "scaled_floor",
     "scaled_residue",
     "weisman_bound",
@@ -88,28 +88,25 @@ def padic_order(p: int, x: "int | Fraction") -> "int | float":
     """
     _require_prime(p)
     if isinstance(x, Fraction):
-        if x.numerator == 0:
-            return INFINITY
         return _int_order(p, x.numerator) - _int_order(p, x.denominator)
-    if x == 0:
-        return INFINITY
     return _int_order(p, x)
 
 
-def _int_order(p: int, n: int) -> int:
+# The unchecked primitives below (leading underscore) trust their caller to
+# have validated p, as the public functions and prime_power_modulus do; the
+# sweep adapters call them once the instance's p has passed that check.
+
+
+def _int_order(p: int, n: int) -> Order:
+    """Order of the integer n at p; INFINITY at n == 0."""
+    if n == 0:
+        return INFINITY
     n = abs(n)
     k = 0
     while n % p == 0:
         n //= p
         k += 1
     return k
-
-
-def frac_residue(a: int, m: int) -> int:
-    """Euclidean residue: the unique b in [0, m) with a == b (mod m)."""
-    if m < 1:
-        raise InvalidParameterError(f"modulus must be positive, got {m}")
-    return a % m
 
 
 def carries(p: int, a: int, b: int) -> int:
@@ -122,6 +119,10 @@ def carries(p: int, a: int, b: int) -> int:
     _require_prime(p)
     if a < 0 or b < 0:
         raise InvalidParameterError("carry counts need nonnegative addends")
+    return _carries(p, a, b)
+
+
+def _carries(p: int, a: int, b: int) -> int:
     count = 0
     carry = 0
     while a or b or carry:
@@ -138,6 +139,10 @@ def factorial_order(p: int, n: int) -> int:
     _require_prime(p)
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
+    return _factorial_order(p, n)
+
+
+def _factorial_order(p: int, n: int) -> int:
     total = 0
     while n:
         n //= p
@@ -191,6 +196,16 @@ class PrimePowerModulus:
         if self.alpha < 1:
             raise InvalidParameterError("totient of a trivial modulus is not used here")
         return self.p ** (self.alpha - 1) * (self.p - 1)
+
+
+@lru_cache(maxsize=1 << 10, typed=True)
+def prime_power_modulus(p: int, alpha: int) -> PrimePowerModulus:
+    """The validated PrimePowerModulus(p, alpha), built once per pair.
+
+    Sweeps call this per instance: it checks p and alpha at the cost of a
+    cache lookup, after which the instance may use the unchecked primitives.
+    """
+    return PrimePowerModulus(p, alpha)
 
 
 def weisman_bound(pm: PrimePowerModulus, n: int) -> int:

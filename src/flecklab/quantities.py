@@ -32,11 +32,11 @@ from .errors import InternalInvariantError, InvalidParameterError
 from .padic import (
     INFINITY,
     Order,
-    PrimePowerModulus,
-    carries,
+    _factorial_order,
+    _int_order,
     padic_order,
+    prime_power_modulus,
     scaled_floor,
-    scaled_residue,
 )
 from .sums import alt_sum_binom, alt_sum_power, degree_order_bound, plain_alt_sum
 
@@ -72,27 +72,30 @@ class FleckNormalizedSum:
 
 
 @lru_cache(maxsize=1 << 18)
-def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:
-    pm = PrimePowerModulus(p, alpha)
+def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
+    """The normalized sum in integer form: num = l! * p**l * S, whose value
+    is num / d! with d = scaled_floor(n, p, alpha - 1), i.e. floor(n/h).
+
+    Sweeps compare these by cross-multiplying and take orders as
+    ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  d
+    depends on (p, alpha, n) alone and is not stored: the cache holds up to
+    2**18 values, and a tuple per entry would cost several MB.
+    """
+    pm = prime_power_modulus(p, alpha)
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
-    s = alt_sum_binom(n, r, pm.m, l)
-    denom = math.factorial(scaled_floor(n, p, alpha - 1))
-    value = Fraction(math.factorial(l) * p**l * s, denom)
-    if alpha == 0:
-        closed = Fraction(
-            math.factorial(l) * p**l * (-1) ** n * binomial(-r, l - n),
-            math.factorial(p * n),
+    scale = math.factorial(l) * p**l
+    num = scale * alt_sum_binom(n, r, pm.m, l)
+    # At alpha == 0 the closed form has the same denominator (p*n)! as num.
+    if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
+        raise InternalInvariantError(
+            f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
         )
-        if value != closed:
-            raise InternalInvariantError(
-                f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
-            )
-    if padic_order(p, value) < 0:
+    if _int_order(p, num) < _factorial_order(p, scaled_floor(n, p, alpha - 1)):
         raise InternalInvariantError(
             f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
         )
-    return value
+    return num
 
 
 def normalized_binomial_sum(p: int, alpha: int, l: int, n: int, r: int) -> NormalizedBinomialSum:
@@ -101,17 +104,18 @@ def normalized_binomial_sum(p: int, alpha: int, l: int, n: int, r: int) -> Norma
     p-integrality is asserted at construction: a negative order is an
     internal error, never a caller error.
     """
-    return NormalizedBinomialSum(p, alpha, l, n, r, _norm_sum_value(p, alpha, l, n, r))
+    return NormalizedBinomialSum(p, alpha, l, n, r, normalized_sum_value(p, alpha, l, n, r))
 
 
 def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:
-    """Bare cached value of normalized_binomial_sum, for tight loops."""
-    return _norm_sum_value(p, alpha, l, n, r)
+    """Value of normalized_binomial_sum, built from the cached integer form."""
+    num = _norm_sum_value(p, alpha, l, n, r)
+    return Fraction(num, math.factorial(scaled_floor(n, p, alpha - 1)))
 
 
 @lru_cache(maxsize=1 << 16)
 def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
-    pm = PrimePowerModulus(p, alpha)
+    pm = prime_power_modulus(p, alpha)
     if alpha < 1:
         raise InvalidParameterError("the Fleck normalization needs alpha >= 1")
     if n < 0:
@@ -144,7 +148,7 @@ def convolution_weight(p: int, alpha: int, n: int, j: int) -> Fraction:
 
     At alpha == 1 every weight is exactly 1.
     """
-    PrimePowerModulus(p, alpha)
+    prime_power_modulus(p, alpha)
     if alpha < 1:
         raise InvalidParameterError("convolution weights need alpha >= 1")
     if not 0 <= j <= n:
@@ -159,7 +163,7 @@ def convolution_weight(p: int, alpha: int, n: int, j: int) -> Fraction:
 def order_gap(p: int, alpha: int, n: int, r: int, l: int) -> Order:
     """Observed order of the power-weighted class sum minus its degree
     bound; INFINITY when the sum vanishes."""
-    pm = PrimePowerModulus(p, alpha)
+    pm = prime_power_modulus(p, alpha)
     value = alt_sum_power(n, r, pm.m, l)
     if value == 0:
         return INFINITY

@@ -22,6 +22,8 @@ from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
     Polynomial,
+    _class_binomials,
+    _factorial,
     bernoulli_polynomial,
     binomial,
     binomial_inversion,
@@ -30,17 +32,18 @@ from .combinatorics import (
 )
 from .errors import InternalInvariantError, InvalidParameterError
 from .padic import (
-    INFINITY,
-    PrimePowerModulus,
+    _factorial_order,
+    _int_order,
     carries,
     factorial_order,
-    frac_residue,
     padic_order,
+    prime_power_modulus,
     scaled_floor,
     scaled_residue,
 )
-from .quantities import convolution_weight, fleck_sum_value, normalized_sum_value
+from .quantities import _norm_sum_value, convolution_weight, fleck_sum_value
 from .sums import (
+    _bound_terms,
     alt_sum_binom,
     alt_sum_power,
     convolution_identity_holds,
@@ -119,6 +122,30 @@ def _normalize(x: int, p: int, w: int) -> Fraction:
     return Fraction(x, p**w) if w >= 0 else Fraction(x * p**-w)
 
 
+# Normalized sums are carried in integer form as (num, d), worth num / d!:
+# num is quantities._norm_sum_value and d = scaled_floor(n, p, alpha - 1).
+# Checks compare them by cross-multiplying and build a Fraction only to
+# describe a failure.
+
+
+def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int]:
+    return _norm_sum_value(p, alpha, l, n, r), scaled_floor(n, p, alpha - 1)
+
+
+def _norm_difference_order(p: int, x: tuple[int, int], c: int, y: tuple[int, int]) -> "int | float":
+    """ord_p(x - c*y) for normalized sums x and y in integer form."""
+    (a, da), (b, db) = x, y
+    diff = a * _factorial(db) - c * b * _factorial(da)
+    return _int_order(p, diff) - _factorial_order(p, da) - _factorial_order(p, db)
+
+
+def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int | float":
+    """ord_p of V(alpha+1; l, n, r) - (-1)**{r}_p binomial({n}_p, {r}_p) V(alpha; l, n//p, r//p)."""
+    lhs = _norm_parts(p, alpha + 1, l, n, r)
+    rhs = _norm_parts(p, alpha, l, n // p, r // p)
+    return _norm_difference_order(p, lhs, (-1) ** (r % p) * math.comb(n % p, r % p), rhs)
+
+
 # ---------------------------------------------------------------------------
 # named boolean checks
 # ---------------------------------------------------------------------------
@@ -135,11 +162,7 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int) -> bool:
     """
     if alpha < 2:
         raise InvalidParameterError("the digit reduction needs alpha >= 2")
-    lhs = normalized_sum_value(p, alpha + 1, l, n, r)
-    rhs = (-1) ** (r % p) * math.comb(n % p, r % p) * normalized_sum_value(
-        p, alpha, l, n // p, r // p
-    )
-    return padic_order(p, lhs - rhs) >= 1
+    return _lucas_difference_order(p, alpha, l, n, r) >= 1
 
 
 def check_digit_product_congruence(
@@ -152,24 +175,20 @@ def check_digit_product_congruence(
              (mod p)
 
     with m = p**alpha, h = p**(alpha-1), 0 <= s, t < p, alpha >= 2.
+
+    Both sides are class sums with weight (p*(k-r)/m)**l: with K = pk+t the
+    left one runs over K == pr+t (mod pm), and (-1)**(pk) = (-1)**(K+t).
     """
     if alpha < 2:
         raise InvalidParameterError("needs alpha >= 2")
     if not (0 <= s < p and 0 <= t < p):
         raise InvalidParameterError("digits s, t must lie in [0, p)")
-    m = p**alpha
-    h = p ** (alpha - 1)
-    big_n = p * n + s
-    lh = 0
-    for k in range(r % m, n + 1, m):
-        term = math.comb(big_n, p * k + t) * ((k - r) // h) ** l
-        lh = lh + term if (p * k) % 2 == 0 else lh - term
-    cst = math.comb(s, t)
-    rh = 0
-    for k in range(r % m, n + 1, m):
-        term = math.comb(n, k) * cst * ((k - r) // h) ** l
-        rh = rh + term if k % 2 == 0 else rh - term
-    return padic_order(p, Fraction(lh - rh, math.factorial(n // h))) >= 1
+    if n < 0:
+        raise InvalidParameterError(f"n must be nonnegative, got {n}")
+    m = prime_power_modulus(p, alpha).m
+    lh = (-1) ** t * alt_sum_power(p * n + s, p * r + t, p * m, l)
+    rh = math.comb(s, t) * alt_sum_power(n, r, m, l)
+    return l + _int_order(p, lh - rh) - _factorial_order(p, n // (m // p)) >= 1
 
 
 def check_normalized_refinement(p: int, alpha: int, n: int, r: int, s: int, t: int) -> bool:
@@ -313,8 +332,9 @@ def check_parity_delta(alpha: int, c: int, d: int, e: int, l: int) -> bool:
         raise InvalidParameterError("needs 0 <= d < 2**e")
     if not 0 <= l <= d:
         raise InvalidParameterError("needs 0 <= l <= d")
-    v = normalized_sum_value(2, alpha + 1, l, 2**alpha * (2**e + d), 2**alpha * c)
-    return padic_order(2, v - (1 if l == d else 0)) >= 1
+    num, dv = _norm_parts(2, alpha + 1, l, 2**alpha * (2**e + d), 2**alpha * c)
+    delta = 1 if l == d else 0
+    return _int_order(2, num - delta * _factorial(dv)) - _factorial_order(2, dv) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +347,8 @@ def _fail(observed: str, expected: str) -> tuple[str, str]:
 
 
 def _t11(p, alpha, n, r, l):
-    pm = PrimePowerModulus(p, alpha)
-    o = padic_order(p, alt_sum_power(n, r, pm.m, l))
+    pm = prime_power_modulus(p, alpha)
+    o = _int_order(p, alt_sum_power(n, r, pm.m, l))
     b1 = degree_order_bound(pm, n, r, l)
     b2 = floor_order_bound(pm, n, r)
     if o >= b1 and o >= b2:
@@ -337,18 +357,18 @@ def _t11(p, alpha, n, r, l):
 
 
 def _t12(p, alpha, n, r, l):
-    pm = PrimePowerModulus(p, alpha)
-    o = padic_order(p, alt_sum_binom(n, r, pm.m, l))
+    pm = prime_power_modulus(p, alpha)
+    o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
     b = integer_valued_order_bound(pm, n, r, l)
     return True if o >= b else _fail(f"order {o}", f">= {b}")
 
 
 def _t13(p, alpha, n, r, l):
-    pm = PrimePowerModulus(p, alpha)
+    pm = prime_power_modulus(p, alpha)
     if r < 0 or r <= n - (l + 1) * pm.m:
         return SKIP
     coeff = series_coefficient(pm, n, l, r)
-    o = padic_order(p, coeff)
+    o = _int_order(p, coeff)
     b = integer_valued_order_bound(pm, n, r, l)
     if o < b:
         return _fail(f"coefficient order {o}", f">= {b}")
@@ -362,16 +382,16 @@ _ROUNDTRIP_N = 32
 
 
 def _t14(p, alpha, r, l):
-    pm = PrimePowerModulus(p, alpha)
+    pm = prime_power_modulus(p, alpha)
     f = Polynomial.monomial(l)
     try:
         seq = weighted_inverse_sequence(pm, r, f, _ROUNDTRIP_N)
     except InternalInvariantError as exc:
         return _fail(str(exc), "a p-integral sequence")
     h = p ** (alpha - 1)
-    rh = frac_residue(r, h)
+    rh = r % h
     weighted = [
-        math.factorial(k // h) * math.comb(rh + frac_residue(k - r, h), rh) * seq[k]
+        math.factorial(k // h) * math.comb(rh + (k - r) % h, rh) * seq[k]
         for k in range(_ROUNDTRIP_N + 1)
     ]
     transform = binomial_inversion(weighted)
@@ -388,13 +408,13 @@ def _t15(p, alpha, l, n, r):
     return _fail("digit-reduction congruence fails mod p", "difference order >= 1")
 
 
-def _t16(p, alpha, l, n, r, s, t):
+def _t16(p, alpha, l, n, s, t, r):
     if check_digit_product_congruence(p, alpha, l, n, r, s, t):
         return True
     return _fail("digit-product congruence fails mod p", "difference order >= 1")
 
 
-def _t17(p, alpha, n, r, s, t):
+def _t17(p, alpha, n, s, t, r):
     if check_normalized_refinement(p, alpha, n, r, s, t):
         return True
     return _fail("normalized refinement fails mod p", "difference order >= 1")
@@ -412,13 +432,15 @@ def _t18(alpha, n, l):
 
 
 def _c11cor(p, alpha, m, n, r):
-    bp = bernoulli_polynomial(m)
     ma = p**alpha
-    acc = Fraction(0)
-    for k in range(n + 1):
-        term = math.comb(n, k) * bp((k - r) // ma)
-        acc = acc + term if k % 2 == 0 else acc - term
-    val = Fraction(p ** (m - 1), m) * acc
+    # The weight B_m(floor((k-r)/ma)) is constant on runs of ma consecutive
+    # k, so the signed binomials of the full row are summed per run first.
+    runs: dict[int, int] = {}
+    for k, t in enumerate(_class_binomials(n, 0, 1)):
+        q = (k - r) // ma
+        runs[q] = runs.get(q, 0) + t
+    bp = bernoulli_polynomial(m)
+    val = Fraction(p ** (m - 1), m) * sum(bp(q) * t for q, t in runs.items())
     bound = factorial_order(p, scaled_floor(n - 1, p, alpha - 1)) + carries(
         p, scaled_residue(r - 1, p, alpha - 1), scaled_residue(n - r, p, alpha - 1)
     )
@@ -448,20 +470,29 @@ def _l21(p, n, r, l):
 
 
 def _l22(p, alpha, l, n, r):
+    if alpha < 1:
+        raise InvalidParameterError("the contiguous recurrences need alpha >= 1")
     h = p ** (alpha - 1)
     m = p**alpha
-    lhs = normalized_sum_value(p, alpha, l, n - 1, r) - normalized_sum_value(
-        p, alpha, l, n - 1, r - 1
-    )
-    step = normalized_sum_value(p, alpha, l, n, r)
-    rhs = Fraction(n, h) * step if n % h == 0 else step
-    if lhs != rhs:
-        return _fail(f"first recurrence: {lhs}", f"{rhs}")
+    # With V = num / d! the recurrences read, V' taken at l - 1,
+    #   V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),          t/s = n/h or 1,
+    #   V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1), t/s = 1 or n/h,
+    # and each is compared with both sides multiplied out to integers.
+    a = _norm_sum_value(p, alpha, l, n - 1, r)
+    b = _norm_sum_value(p, alpha, l, n - 1, r - 1)
+    c = _norm_sum_value(p, alpha, l, n, r)
+    d1, d0 = (n - 1) // h, n // h
+    t, s = (n, h) if n % h == 0 else (1, 1)
+    if (a - b) * s * _factorial(d0) != t * c * _factorial(d1):
+        lhs = Fraction(a - b, _factorial(d1))
+        return _fail(f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, _factorial(d0))}")
     if l > 0:
-        lhs2 = step + Fraction(r, h) * normalized_sum_value(p, alpha, l - 1, n, r + m)
-        base = normalized_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
-        rhs2 = -base if n % h == 0 else -Fraction(n, h) * base
-        if lhs2 != rhs2:
+        e = _norm_sum_value(p, alpha, l - 1, n, r + m)
+        f = _norm_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
+        t, s = (1, 1) if n % h == 0 else (n, h)
+        if (h * c + r * e) * s * _factorial(d1) != -t * f * h * _factorial(d0):
+            lhs2 = Fraction(h * c + r * e, h * _factorial(d0))
+            rhs2 = -Fraction(t, s) * Fraction(f, _factorial(d1))
             return _fail(f"second recurrence: {lhs2}", f"{rhs2}")
     return True
 
@@ -474,15 +505,25 @@ def _l23(d, m, n, r, fdeg):
 
 def _l24(p, alpha, l, n, r):
     m = p**alpha
-    lhs = normalized_sum_value(p, alpha, l, n, r)
-    rhs = Fraction(0)
+    lhs = _norm_sum_value(p, alpha, l, n, r)
+    if alpha < 1:
+        raise InvalidParameterError("convolution weights need alpha >= 1")
+    h = p ** (alpha - 1)
+    # Term j is binomial(n,j) floor(j/h)! floor((n-j)/h)! / floor(n/h)!
+    # times V(0; j, r) = t0 / floor(j/h)! times a sum of V(l; n-j, .), each
+    # over floor((n-j)/h)!: the weight's factorials cancel both denominators
+    # and leave floor(n/h)!, the denominator of the left side.
+    rhs = 0
     for j in range(n + 1):
-        t0 = normalized_sum_value(p, alpha, 0, j, r)
+        t0 = _norm_sum_value(p, alpha, 0, j, r)
         if t0 == 0:
             continue
-        inner = sum(normalized_sum_value(p, alpha, l, n - j, r + i - j) for i in range(m))
-        rhs += convolution_weight(p, alpha, n, j) * t0 * inner
-    return True if lhs == rhs else _fail(f"{lhs}", f"self-convolution value {rhs}")
+        inner = sum(_norm_sum_value(p, alpha, l, n - j, r + i - j) for i in range(m))
+        rhs += math.comb(n, j) * t0 * inner
+    if lhs == rhs:
+        return True
+    lhs_v, rhs_v = Fraction(lhs, _factorial(n // h)), Fraction(rhs, _factorial(n // h))
+    return _fail(f"{lhs_v}", f"self-convolution value {rhs_v}")
 
 
 def _l25(p, alpha, n, j):
@@ -491,8 +532,10 @@ def _l25(p, alpha, n, j):
 
 
 def _t21(p, alpha, l, n, r):
-    o = padic_order(p, normalized_sum_value(p, alpha, l, n, r))
-    tau = carries(p, scaled_residue(r, p, alpha - 1), scaled_residue(n - r, p, alpha - 1))
+    num = _norm_sum_value(p, alpha, l, n, r)
+    # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
+    fo, tau = _bound_terms(p, alpha - 1, n, r)
+    o = _int_order(p, num) - fo
     return True if o >= tau else _fail(f"order {o}", f">= carry count {tau}")
 
 
@@ -529,10 +572,10 @@ def _l42(alpha, n, r):
     c = 2**alpha
     if n < 1 or n % c or r % c:
         return SKIP
-    v = normalized_sum_value(2, alpha + 1, 0, n, r)
-    if (padic_order(2, v) == 0) == (n & (n - 1) == 0):
+    num, d = _norm_parts(2, alpha + 1, 0, n, r)
+    if (_int_order(2, num) == _factorial_order(2, d)) == (n & (n - 1) == 0):
         return True
-    return _fail(f"value {v}", "odd exactly when n is a power of two")
+    return _fail(f"value {Fraction(num, _factorial(d))}", "odd exactly when n is a power of two")
 
 
 def _t41(alpha, c, e, d, l):
@@ -554,10 +597,9 @@ def _r16(n, l):
 
 def _conj11(p, alpha, l, n, r):
     need = 2 if p == 3 else 3
-    d = normalized_sum_value(p, alpha + 1, l, p * n, p * r) - normalized_sum_value(
-        p, alpha, l, n, r
+    o = _norm_difference_order(
+        p, _norm_parts(p, alpha + 1, l, p * n, p * r), 1, _norm_parts(p, alpha, l, n, r)
     )
-    o = padic_order(p, d)
     return True if o >= need else _fail(f"difference order {o}", f">= {need}")
 
 
@@ -597,7 +639,7 @@ def _conj12(p, n, s):
 
 
 def _conj13(p, alpha, n, r, j):
-    ma = p**alpha
+    ma = prime_power_modulus(p, alpha).m
     if n < 2 * ma - 1:
         return SKIP
     n0 = n // ma
@@ -625,11 +667,7 @@ def _conj31(p, alpha, n, r):
 
 
 def _t15_alpha1(p, l, n, r):
-    lhs = normalized_sum_value(p, 2, l, n, r)
-    rhs = (-1) ** (r % p) * math.comb(n % p, r % p) * normalized_sum_value(
-        p, 1, l, n // p, r // p
-    )
-    o = padic_order(p, lhs - rhs)
+    o = _lucas_difference_order(p, 1, l, n, r)
     return True if o >= 1 else _fail(f"difference order {o}", ">= 1")
 
 

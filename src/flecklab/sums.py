@@ -28,16 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
-from .combinatorics import Polynomial, binomial
+from .combinatorics import Polynomial, _class_binomials
 from .errors import InvalidParameterError
 from .padic import (
-    INFINITY,
     Order,
     PrimePowerModulus,
-    carries,
-    factorial_order,
+    _carries,
+    _factorial_order,
+    _require_prime,
     padic_order,
     scaled_floor,
     scaled_residue,
@@ -80,38 +81,44 @@ class RestrictedSumSpec:
 def alt_sum_f(n: int, r: int, m: int, f_at: Callable[[int], "int | Fraction"]):
     """sum over k == r (mod m), 0 <= k <= n of binomial(n,k) * (-1)**k * f_at((k-r)/m)."""
     acc: "int | Fraction" = 0
-    for k in range(r % m, n + 1, m):
-        term = math.comb(n, k) * f_at((k - r) // m)
-        acc = acc + term if k % 2 == 0 else acc - term
+    j = -(r // m)
+    for t in _class_binomials(n, r % m, m):
+        acc += t * f_at(j)
+        j += 1
     return acc
 
 
 def alt_sum_power(n: int, r: int, m: int, l: int) -> int:
     """Weight ((k-r)/m)**l; pure integer arithmetic."""
     acc = 0
-    for k in range(r % m, n + 1, m):
-        term = math.comb(n, k) * ((k - r) // m) ** l
-        acc = acc + term if k % 2 == 0 else acc - term
+    j = -(r // m)
+    for t in _class_binomials(n, r % m, m):
+        acc += t * j**l
+        j += 1
     return acc
 
 
 def alt_sum_binom(n: int, r: int, m: int, l: int) -> int:
     """Weight binomial((k-r)/m, l); pure integer arithmetic."""
+    if l < 0:
+        return 0
     acc = 0
-    for k in range(r % m, n + 1, m):
-        term = math.comb(n, k) * binomial((k - r) // m, l)
-        acc = acc + term if k % 2 == 0 else acc - term
+    j = -(r // m)
+    for t in _class_binomials(n, r % m, m):
+        # binomial(j, l), as combinatorics.binomial extends it to j < 0
+        acc += t * (math.comb(j, l) if j >= 0 else (-1) ** l * math.comb(l - j - 1, l))
+        j += 1
     return acc
 
 
 def plain_alt_sum(n: int, r: int, m: int) -> int:
     """Unweighted alternating class sum."""
-    return alt_sum_power(n, r, m, 0)
+    return sum(_class_binomials(n, r % m, m))
 
 
 def unsigned_class_sum(n: int, r: int, m: int) -> int:
     """sum of binomial(n, k) over k == r (mod m) with no signs."""
-    return sum(math.comb(n, k) for k in range(r % m, n + 1, m))
+    return sum(map(abs, _class_binomials(n, r % m, m)))
 
 
 def restricted_sum(spec: RestrictedSumSpec) -> "int | Fraction":
@@ -125,6 +132,7 @@ def restricted_sum_order(spec: RestrictedSumSpec, p: int) -> Order:
 
     The modulus must be a power of p.
     """
+    _require_prime(p)
     _modulus_exponent(spec.modulus, p)
     return padic_order(p, Fraction(restricted_sum(spec)))
 
@@ -139,32 +147,42 @@ def _modulus_exponent(m: int, p: int) -> int:
     return a
 
 
+@lru_cache(maxsize=1 << 8)
+def _bound_terms(p: int, e: int, n: int, r: int) -> tuple[int, int]:
+    """ord_p(floor(n/p**e)!) and carries_p({r}_{p**e}, {n-r}_{p**e}), in the
+    scaled_* conventions at e == -1: the terms every order bound adds up.
+    Sweeps whose innermost axis is the weight degree ask for the same terms
+    several times in a row, so a small cache serves them.  The caller has
+    checked that p is prime and n >= 0."""
+    return (
+        _factorial_order(p, scaled_floor(n, p, e)),
+        _carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e)),
+    )
+
+
 def degree_order_bound(pm: PrimePowerModulus, n: int, r: int, deg_f: "int | float") -> Order:
     """Order bound from the weight's degree; INFINITY when f is zero
     (deg_f == NEG_INFINITY)."""
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
-    p, e = pm.p, pm.alpha - 1
-    tau = carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e))
-    return factorial_order(p, scaled_floor(n, p, e)) - deg_f + tau
+    fo, tau = _bound_terms(pm.p, pm.alpha - 1, n, r)
+    return fo - deg_f + tau
 
 
 def integer_valued_order_bound(pm: PrimePowerModulus, n: int, r: int, l: int) -> Order:
     """Order bound for integer-valued weights of degree at most l."""
     if n < 0 or l < 0:
         raise InvalidParameterError("n and l must be nonnegative")
-    p, e = pm.p, pm.alpha - 1
-    tau = carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e))
-    return factorial_order(p, scaled_floor(n, p, e)) - l - factorial_order(p, l) + tau
+    fo, tau = _bound_terms(pm.p, pm.alpha - 1, n, r)
+    return fo - l - _factorial_order(pm.p, l) + tau
 
 
 def floor_order_bound(pm: PrimePowerModulus, n: int, r: int) -> int:
     """Degree-free order bound at the full modulus level."""
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
-    p, a = pm.p, pm.alpha
-    tau = carries(p, scaled_residue(r, p, a), scaled_residue(n - r, p, a))
-    return factorial_order(p, scaled_floor(n, p, a)) + tau
+    fo, tau = _bound_terms(pm.p, pm.alpha, n, r)
+    return fo + tau
 
 
 def series_coefficient(pm: PrimePowerModulus, n: int, l: int, r: int) -> int:
@@ -177,10 +195,10 @@ def series_coefficient(pm: PrimePowerModulus, n: int, l: int, r: int) -> int:
     if n < 0 or l < 0 or r < 0:
         raise InvalidParameterError("series coefficients need n, l, r >= 0")
     m = pm.m
+    q = r // m  # term i of the class has k = r - (q - i)*m <= r
     acc = 0
-    for k in range(r % m, min(r, n) + 1, m):
-        term = math.comb(n, k) * math.comb(l + (r - k) // m, l)
-        acc = acc + term if k % 2 == 0 else acc - term
+    for i, t in enumerate(_class_binomials(n, r % m, m)[: q + 1]):
+        acc += t * math.comb(l + q - i, l)
     return acc
 
 
@@ -200,9 +218,10 @@ def convolution_identity_holds(d: int, m: int, n: int, r: int, f: Polynomial) ->
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
     lhs: "int | Fraction" = 0
-    for k in range(r % d, n + 1, d):
-        term = math.comb(n, k) * f((k - r) // m)
-        lhs = lhs + term if k % 2 == 0 else lhs - term
+    k = r % d
+    for t in _class_binomials(n, k, d):
+        lhs += t * f((k - r) // m)
+        k += d
     rhs: "int | Fraction" = 0
     for j in range(n + 1):
         a_j = plain_alt_sum(j, r, d)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import EmptyGridError, InvalidParameterError, UnknownStatementError
 from .statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
@@ -61,27 +62,38 @@ def iter_instances(
     st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None" = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield parameter tuples (in st.axes order) in lexicographic sweep order."""
-    overrides = dict(overrides or {})
+    overrides = overrides or {}
     axes = st.axes
+    specs = [overrides[axis] if axis in overrides else st.defaults[axis] for axis in axes]
+    # From the last derived axis on, every axis has fixed values: that tail is
+    # one product, shared by every prefix.
+    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
+    tail = tuple(itertools.product(*specs[split:]))
+    if split == 0:
+        yield from tail
+        return
+    ctx: dict[str, int] = {}
+    head = [0] * split
+    # One iterator per prefix axis, deepest last; an exhausted one is popped.
+    stack = [iter(_axis_values(specs[0], ctx))]
+    while stack:
+        depth = len(stack) - 1
+        try:
+            v = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+            continue
+        head[depth] = ctx[axes[depth]] = v
+        if depth + 1 < split:
+            stack.append(iter(_axis_values(specs[depth + 1], ctx)))
+            continue
+        prefix = tuple(head)
+        for rest in tail:
+            yield prefix + rest
 
-    def rec(i: int, ctx: dict, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == len(axes):
-            yield tuple(acc)
-            return
-        axis = axes[i]
-        if axis in overrides:
-            values: Sequence[int] = overrides[axis]
-        else:
-            spec = st.defaults[axis]
-            values = spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
-        for v in values:
-            ctx[axis] = v
-            acc.append(v)
-            yield from rec(i + 1, ctx, acc)
-            acc.pop()
-            del ctx[axis]
 
-    return rec(0, {}, [])
+def _axis_values(spec: "Sequence[int] | DerivedAxis", ctx: dict[str, int]) -> Sequence[int]:
+    return spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
 
 
 def grid_description(
@@ -100,10 +112,6 @@ def grid_description(
     return desc
 
 
-def _evaluate(st: Statement, values: tuple[int, ...]) -> object:
-    return st.check(**dict(zip(st.axes, values)))
-
-
 def _as_failure(st: Statement, values: tuple[int, ...], res: object) -> dict[str, object]:
     if isinstance(res, tuple) and len(res) == 2:
         observed, expected = res
@@ -116,19 +124,25 @@ def _as_failure(st: Statement, values: tuple[int, ...], res: object) -> dict[str
     }
 
 
-def _run_chunk(payload: tuple[str, list[tuple[int, ...]], int]) -> tuple[int, int, list[dict]]:
+def _run_chunk(
+    payload: "tuple[str, Iterable[tuple[int, ...]], int]",
+) -> tuple[int, int, list[dict]]:
     statement_id, chunk, cap = payload
     st = _lookup(statement_id)
+    # A check's parameters are its axes, in order, so values go positionally.
+    check = st.check
     checked = skipped = 0
     failures: list[dict] = []
     for values in chunk:
-        res = _evaluate(st, values)
-        if res == SKIP:
+        res = check(*values)
+        if res is True:
+            checked += 1
+        elif res == SKIP:
             skipped += 1
-            continue
-        checked += 1
-        if res is not True and len(failures) < cap:
-            failures.append(_as_failure(st, values, res))
+        else:
+            checked += 1
+            if len(failures) < cap:
+                failures.append(_as_failure(st, values, res))
     return checked, skipped, failures
 
 
@@ -139,7 +153,7 @@ def _sweep(
     cap: int,
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
-        return _run_chunk((st.id, list(iter_instances(st, overrides)), cap))
+        return _run_chunk((st.id, iter_instances(st, overrides), cap))
     instances = list(iter_instances(st, overrides))
     if not instances:
         return 0, 0, []

@@ -14,9 +14,9 @@ from flecklab.padic import (
     PrimePowerModulus,
     carries,
     factorial_order,
-    frac_residue,
     is_prime,
     padic_order,
+    prime_power_modulus,
     scaled_floor,
     scaled_residue,
     weisman_bound,
@@ -91,24 +91,6 @@ class TestPadicOrder:
         assert INFINITY > 10**100
         assert INFINITY + 5 == INFINITY
         assert NEG_INFINITY < -(10**100)
-
-
-class TestFracResidue:
-    def test_euclidean(self):
-        assert frac_residue(7, 5) == 2
-        assert frac_residue(-7, 5) == 3
-        assert frac_residue(-1, 9) == 8
-        assert frac_residue(0, 1) == 0
-
-    def test_bad_modulus(self):
-        with pytest.raises(InvalidParameterError):
-            frac_residue(3, 0)
-
-    @given(st.integers(-10**9, 10**9), st.integers(1, 10**6))
-    def test_range_and_congruence(self, a, m):
-        b = frac_residue(a, m)
-        assert 0 <= b < m
-        assert (a - b) % m == 0
 
 
 class TestCarries:
@@ -215,6 +197,13 @@ class TestPrimePowerModulus:
         pm = PrimePowerModulus(2, 3)
         with pytest.raises(Exception):
             pm.p = 5  # type: ignore[misc]
+
+    def test_cached_factory_validates_and_shares(self):
+        assert prime_power_modulus(3, 2) == PrimePowerModulus(3, 2)
+        assert prime_power_modulus(3, 2) is prime_power_modulus(3, 2)
+        for bad in ((6, 2), (1, 1), (3, -1), (2.0, 1)):
+            with pytest.raises(InvalidParameterError):
+                prime_power_modulus(*bad)
 
 
 class TestWeismanBound:

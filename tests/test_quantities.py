@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flecklab.combinatorics import binomial
 from flecklab.errors import InvalidParameterError
-from flecklab.padic import INFINITY, carries, padic_order, scaled_residue
+from flecklab.padic import INFINITY, carries, factorial_order, padic_order, scaled_residue
 from flecklab.quantities import (
+    _norm_sum_value,
     FleckNormalizedSum,
     NormalizedBinomialSum,
     convolution_weight,
@@ -51,6 +54,23 @@ class TestNormalizedBinomialSum:
             p, scaled_residue(r, p, alpha - 1), scaled_residue(n - r, p, alpha - 1)
         )
         assert padic_order(p, value) >= tau
+
+    @given(prime_power, st.integers(0, 6), st.integers(0, 40), st.integers(-10, 30))
+    def test_integer_form_matches_the_definition(self, pa, l, n, r):
+        # Oracle: the class sum term by term over all k, then the Fraction.
+        p, alpha = pa
+        m = p**alpha
+        s = sum(
+            (-1) ** k * math.comb(n, k) * binomial((k - r) // m, l)
+            for k in range(n + 1)
+            if k % m == r % m
+        )
+        d = n * p if alpha == 0 else n // p ** (alpha - 1)
+        num = math.factorial(l) * p**l * s
+        assert _norm_sum_value(p, alpha, l, n, r) == num
+        value = Fraction(num, math.factorial(d))
+        assert normalized_sum_value(p, alpha, l, n, r) == value
+        assert padic_order(p, num) - factorial_order(p, d) == padic_order(p, value)
 
     def test_wrapper_dataclass(self):
         wrapped = normalized_binomial_sum(2, 1, 1, 5, 0)

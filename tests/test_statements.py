@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
 from flecklab.cli import _AXIS_FLAGS
 from flecklab.errors import InvalidParameterError
@@ -68,6 +71,12 @@ class TestRegistry:
             assert SEARCHES[sid] is STATEMENTS[sid]
         assert "T1.5-alpha1" not in STATEMENTS
 
+    def test_check_parameters_are_the_axes_in_order(self):
+        # Sweeps pass each instance's values positionally, in axes order.
+        for st in list(STATEMENTS.values()) + list(SEARCHES.values()):
+            params = tuple(inspect.signature(st.check).parameters)
+            assert params == st.axes, st.id
+
     def test_axes_match_cli_flags_and_defaults(self):
         for st in list(STATEMENTS.values()) + [SEARCHES["T1.5-alpha1"]]:
             assert len(set(st.axes)) == len(st.axes), st.id
@@ -128,6 +137,27 @@ class TestDigitProductCongruence:
         assert padic_order(2, Fraction(lh - rh, math.factorial(3))) == 2
         assert check_digit_product_congruence(2, 2, 1, 6, 2, 1, 0)
 
+    @given(
+        hst.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]),
+        hst.integers(0, 3),
+        hst.integers(0, 24),
+        hst.integers(-30, 40),
+        hst.data(),
+    )
+    def test_matches_the_definition(self, pa, l, n, r, data):
+        # Both class sums written out over k == r (mod p**alpha), as stated.
+        p, alpha = pa
+        s = data.draw(hst.integers(0, p - 1))
+        t = data.draw(hst.integers(0, p - 1))
+        m, h = p**alpha, p ** (alpha - 1)
+        lh = rh = 0
+        for k in range(n + 1):
+            if k % m == r % m:
+                lh += math.comb(p * n + s, p * k + t) * (-1) ** (p * k) * ((k - r) // h) ** l
+                rh += math.comb(s, t) * math.comb(n, k) * (-1) ** k * ((k - r) // h) ** l
+        expected = padic_order(p, Fraction(lh - rh, math.factorial(n // h))) >= 1
+        assert check_digit_product_congruence(p, alpha, l, n, r, s, t) == expected
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             check_digit_product_congruence(2, 1, 0, 6, 2, 1, 0)
@@ -135,6 +165,8 @@ class TestDigitProductCongruence:
             check_digit_product_congruence(2, 2, 0, 6, 2, 2, 0)
         with pytest.raises(InvalidParameterError):
             check_digit_product_congruence(2, 2, 0, 6, 2, 0, -1)
+        with pytest.raises(InvalidParameterError):
+            check_digit_product_congruence(2, 2, 0, -1, 2, 0, 0)
 
 
 class TestNormalizedRefinement:
@@ -302,6 +334,29 @@ class TestAdapterSkips:
     def test_unit_value_adapter_skips_small_n(self):
         check = SEARCHES["CONJ1.3"].check
         assert check(p=2, alpha=2, n=5, r=0, j=0) == SKIP
+
+
+class TestAdapterValidation:
+    def test_recurrence_adapter_needs_alpha_at_least_one(self):
+        with pytest.raises(InvalidParameterError, match="alpha >= 1"):
+            STATEMENTS["L2.2"].check(p=2, alpha=0, l=1, n=3, r=0)
+
+    def test_convolution_adapter_needs_alpha_at_least_one(self):
+        with pytest.raises(InvalidParameterError, match="alpha >= 1"):
+            STATEMENTS["L2.4"].check(p=2, alpha=0, l=1, n=3, r=0)
+
+    def test_non_prime_p_is_rejected(self):
+        for sid in ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1"):
+            st = STATEMENTS[sid]
+            values = dict(p=4, alpha=1, l=1, n=3, r=0)
+            with pytest.raises(InvalidParameterError, match="prime"):
+                st.check(*(values[a] for a in st.axes))
+
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    def test_unit_value_adapter_rejects_p_without_looping(self, p):
+        # Its weight window grows p**k past n, which never happens for |p| <= 1.
+        with pytest.raises(InvalidParameterError, match="prime"):
+            SEARCHES["CONJ1.3"].check(p, 1, 5, 0, 0)
 
 
 class TestDigitSearchResidues:

@@ -28,7 +28,8 @@ from flecklab.sums import (
 
 
 def brute_sum(n: int, r: int, m: int, f) -> "int | Fraction":
-    """Completely naive reference: iterate all k in [0, n]."""
+    """Completely naive reference: iterate all k in [0, n].  Independent of
+    the cached class-sum kernel every evaluator under test is built on."""
     acc = 0
     for k in range(n + 1):
         if (k - r) % m == 0:
@@ -47,19 +48,19 @@ class TestSumEvaluators:
         assert unsigned_class_sum(4, 0, 2) == 8
 
     @given(
-        st.integers(0, 40),
-        st.integers(-15, 25),
-        st.integers(1, 8),
-        st.integers(0, 4),
+        st.integers(0, 60),
+        st.integers(-40, 40),
+        st.integers(1, 30),
+        st.integers(0, 6),
     )
     def test_power_weight_matches_brute_force(self, n, r, m, l):
         assert alt_sum_power(n, r, m, l) == brute_sum(n, r, m, lambda x: x**l)
 
     @given(
-        st.integers(0, 40),
-        st.integers(-15, 25),
-        st.integers(1, 8),
-        st.integers(0, 4),
+        st.integers(0, 60),
+        st.integers(-40, 40),
+        st.integers(1, 30),
+        st.integers(-3, 6),
     )
     def test_binomial_weight_matches_brute_force(self, n, r, m, l):
         assert alt_sum_binom(n, r, m, l) == brute_sum(n, r, m, lambda x: binomial(x, l))
@@ -68,11 +69,25 @@ class TestSumEvaluators:
         st.integers(0, 30),
         st.integers(-10, 20),
         st.integers(1, 6),
-        st.lists(st.integers(-5, 5), max_size=4),
+        st.lists(st.integers(-5, 5) | st.fractions(max_denominator=6), max_size=4),
     )
     def test_alt_sum_f_matches_brute_force(self, n, r, m, coeffs):
         f = Polynomial(coeffs)
         assert alt_sum_f(n, r, m, f) == brute_sum(n, r, m, f)
+
+    @given(st.integers(0, 60), st.integers(-40, 40), st.integers(1, 30))
+    def test_plain_and_unsigned_sums_match_brute_force(self, n, r, m):
+        assert plain_alt_sum(n, r, m) == brute_sum(n, r, m, lambda x: 1)
+        unsigned = sum(math.comb(n, k) for k in range(n + 1) if k % m == r % m)
+        assert unsigned_class_sum(n, r, m) == unsigned
+
+    def test_offsets_sharing_a_class_keep_their_own_weights(self):
+        # r, r + m and r - m share one cached term list; every weight index
+        # must still be taken relative to its own r.
+        n, m = 30, 7
+        for r in (-11, -4, 3, 10, 17, 24):
+            for l in range(5):
+                assert alt_sum_power(n, r, m, l) == brute_sum(n, r, m, lambda x: x**l)
 
     def test_shifting_r_by_modulus_changes_the_weight(self):
         # Same summation set, different weight argument.
@@ -96,6 +111,14 @@ class TestRestrictedSumSpec:
         spec = RestrictedSumSpec(n=5, r=0, modulus=6, f=Polynomial((1,)))
         with pytest.raises(InvalidParameterError):
             restricted_sum_order(spec, 2)
+
+    @pytest.mark.parametrize("p", [1, 0, -2, 4])
+    def test_order_rejects_a_non_prime_base(self, p):
+        # p = 1 used to loop forever splitting powers of 1 off the modulus,
+        # and p = 0 divided by zero.
+        spec = RestrictedSumSpec(n=5, r=0, modulus=1, f=Polynomial((1,)))
+        with pytest.raises(InvalidParameterError, match="prime"):
+            restricted_sum_order(spec, p)
 
     def test_vanishing_sum_has_infinite_order(self):
         spec = RestrictedSumSpec(n=2, r=0, modulus=1, f=Polynomial((0, 1)))
@@ -146,6 +169,21 @@ class TestSeriesCoefficient:
                         assert series_coefficient(pm, n, l, r) == series_coefficient_oracle(
                             n, pm.m, l, r
                         ), (p, alpha, n, l, r)
+
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (2, 0)]),
+        st.integers(0, 40),
+        st.integers(0, 4),
+        st.integers(0, 60),
+    )
+    def test_closed_form_matches_brute_force(self, pa, n, l, r):
+        pm = PrimePowerModulus(*pa)
+        expected = sum(
+            (-1) ** k * math.comb(n, k) * math.comb(l + (r - k) // pm.m, l)
+            for k in range(min(n, r) + 1)
+            if k % pm.m == r % pm.m
+        )
+        assert series_coefficient(pm, n, l, r) == expected
 
     def test_geometric_series_base_case(self):
         # n=0, l=0: 1/(1-x**m) has coefficient 1 exactly at multiples of m.

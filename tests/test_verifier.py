@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from flecklab.errors import (
     InvalidParameterError,
     UnknownStatementError,
 )
-from flecklab.statements import SEARCHES, SKIP, STATEMENTS, Statement
+from flecklab.statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
 from flecklab.verifier import (
     DEFAULT_FAILURE_CAP,
     VerificationReport,
@@ -58,6 +59,57 @@ class TestIterInstances:
         instances = list(iter_instances(STATEMENTS["L4.1"]))
         assert instances[0] == (2, 0, 0, 1)
         assert len([v for v in instances if v[0] == 2]) == 4 * 9
+
+
+def recursive_instances(st: Statement, overrides=None):
+    """The recursive enumerator iter_instances replaced, kept as its oracle."""
+    overrides = dict(overrides or {})
+    axes = st.axes
+
+    def rec(i, ctx, acc):
+        if i == len(axes):
+            yield tuple(acc)
+            return
+        axis = axes[i]
+        if axis in overrides:
+            values = overrides[axis]
+        else:
+            spec = st.defaults[axis]
+            values = spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
+        for v in values:
+            ctx[axis] = v
+            acc.append(v)
+            yield from rec(i + 1, ctx, acc)
+            acc.pop()
+            del ctx[axis]
+
+    return rec(0, {}, [])
+
+
+ALL_STATEMENTS = {**STATEMENTS, **SEARCHES}
+
+
+def same_sequence(a, b) -> bool:
+    marker = object()
+    return all(x == y for x, y in itertools.zip_longest(a, b, fillvalue=marker))
+
+
+class TestIterInstancesOracle:
+    @pytest.mark.parametrize("sid", list(ALL_STATEMENTS))
+    def test_default_grid_matches_recursive_enumeration(self, sid):
+        st = ALL_STATEMENTS[sid]
+        assert same_sequence(iter_instances(st), recursive_instances(st))
+
+    def test_overridden_grid_matches_recursive_enumeration(self):
+        # Overriding the derived r axis makes the whole grid a plain product;
+        # overriding alpha changes what the derived axes of T1.6 see.
+        for sid, grid in (
+            ("T1.1", {"p": (3, 2), "alpha": (2, 0), "r": (5, -1, 0), "l": (1,)}),
+            ("T1.6", {"alpha": (3,), "n": (4, 0), "t": (1,)}),
+        ):
+            st = STATEMENTS[sid]
+            got = list(iter_instances(st, grid))
+            assert got and got == list(recursive_instances(st, grid))
 
 
 class TestGridDescription:
