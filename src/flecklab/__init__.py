@@ -39,12 +39,8 @@ from .padic import (
     weisman_bound,
 )
 from .quantities import (
-    FleckNormalizedSum,
-    NormalizedBinomialSum,
     convolution_weight,
-    fleck_normalized_sum,
     fleck_sum_value,
-    normalized_binomial_sum,
     normalized_sum_value,
     order_gap,
 )
@@ -69,12 +65,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EmptyGridError",
-    "FleckNormalizedSum",
     "FlecklabError",
     "INFINITY",
     "InternalInvariantError",
     "InvalidParameterError",
-    "NormalizedBinomialSum",
     "Polynomial",
     "PrimePowerModulus",
     "RestrictedSumSpec",
@@ -95,12 +89,10 @@ __all__ = [
     "degree_order_bound",
     "factorial_order",
     "falling_factorial",
-    "fleck_normalized_sum",
     "fleck_sum_value",
     "floor_order_bound",
     "integer_valued_order_bound",
     "is_prime",
-    "normalized_binomial_sum",
     "normalized_sum_value",
     "order_gap",
     "padic_order",

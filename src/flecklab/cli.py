@@ -7,11 +7,12 @@ Subcommands:
   example13   orders vs. bounds for the fixed demonstration row (p=2, alpha=1)
   verify      sweep one cataloged statement over a grid
   conjecture  sweep one conjectural statement looking for counterexamples
+  suite       sweep many ids over their default grids, one summary line each
 
 Axis flags accept single values, comma lists, and inclusive ranges written
 a..b (use --flag=-2..5 when the first value is negative).  Exit codes:
 0 pass, 1 a proven statement failed, 2 usage or parameter error,
-3 a conjecture sweep found a counterexample.
+3 a conjecture sweep found a counterexample (and no proven statement failed).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ import argparse
 import json
 import os
 import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 from .combinatorics import Polynomial
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, UnknownStatementError
 from .padic import PrimePowerModulus, padic_order
 from .quantities import order_gap
 from .sums import (
@@ -33,6 +36,7 @@ from .sums import (
     floor_order_bound,
     restricted_sum,
 )
+from .statements import SEARCH_IDS, SEARCHES, STATEMENTS
 from .verifier import DEFAULT_FAILURE_CAP, run_statement, search_conjecture
 
 __all__ = ["main", "main_entry"]
@@ -225,9 +229,13 @@ def _report_command(args: argparse.Namespace, runner) -> int:
         f"failures reported {len(report.failures)})",
         file=sys.stderr,
     )
-    if report.status == "pass":
-        return 0
-    return 3 if report.status == "counterexample-found" else 1
+    return _exit_code({report.status})
+
+
+def _exit_code(statuses: "set[str]") -> int:
+    if "fail" in statuses:
+        return 1
+    return 3 if "counterexample-found" in statuses else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -236,6 +244,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     return _report_command(args, search_conjecture)
+
+
+# Every id in catalog order: the proven statements, then the searches.
+_SUITE_IDS = (
+    *(sid for sid, st in STATEMENTS.items() if st.kind == "theorem"),
+    *SEARCH_IDS,
+)
+
+
+def _cmd_suite(args: argparse.Namespace) -> int:
+    ids = args.ids.split(",") if args.ids else _SUITE_IDS
+    unknown = [sid for sid in ids if sid not in STATEMENTS and sid not in SEARCHES]
+    if unknown:
+        raise UnknownStatementError(f"unknown statement ids: {', '.join(unknown)}")
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    statuses = set()
+    for sid in ids:
+        runner = search_conjecture if sid in SEARCHES else run_statement
+        start = time.perf_counter()
+        report = runner(sid, jobs=args.jobs, failure_cap=args.failure_cap)
+        elapsed = time.perf_counter() - start
+        print(
+            f"{sid:<12} {report.status:<21} checked={report.checked:<8} "
+            f"skipped={report.skipped:<8} failures={len(report.failures):<3} "
+            f"{elapsed:7.2f}s"
+        )
+        if out_dir:
+            (out_dir / f"{sid}.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        statuses.add(report.status)
+    return _exit_code(statuses)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +293,7 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
-def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
+def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs",
         type=int,
@@ -267,13 +307,10 @@ def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
         default=DEFAULT_FAILURE_CAP,
         help=f"maximum failures to record (default {DEFAULT_FAILURE_CAP})",
     )
-    sub.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted for interface stability; sweeps are exhaustive and "
-        "deterministic, so the seed has no effect",
-    )
+
+
+def _add_sweep_flags(sub: argparse.ArgumentParser) -> None:
+    _add_run_flags(sub)
     for name in _AXIS_FLAGS:
         sub.add_argument(
             f"--{name}",
@@ -333,6 +370,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_conj)
     _add_sweep_flags(p_conj)
     p_conj.set_defaults(handler=_cmd_conjecture)
+
+    p_suite = subs.add_parser(
+        "suite", help="sweep many ids over their default grids (default: all of them)"
+    )
+    p_suite.add_argument(
+        "--ids",
+        default=None,
+        help="comma-separated ids (default: every proven statement, then every search)",
+    )
+    _add_run_flags(p_suite)
+    p_suite.add_argument(
+        "--out-dir", default=None, help="write one <id>.json report per id here"
+    )
+    p_suite.set_defaults(handler=_cmd_suite)
 
     return parser
 

@@ -3,13 +3,13 @@
 Two normalizations recur in every congruence this package checks.  For a
 modulus p**alpha (alpha >= 0 for the first, alpha >= 1 for the second):
 
-  normalized_binomial_sum, value
+  normalized_sum_value
       (l! * p**l / floor(n/p**(alpha-1))!)
         * sum_{k == r (mod p**alpha)} binomial(n,k) * (-1)**k * binomial((k-r)/p**alpha, l)
       a p-adic integer for every (l, n, r); its order is bounded below by
       the carry count carries_p({r}_h, {n-r}_h) with h = p**(alpha-1).
 
-  fleck_normalized_sum, value
+  fleck_sum_value
       p**(-floor((n-1)/(p-1)))
         * sum_{k == r (mod p**alpha)} binomial(p**(alpha-1) * n, k) * (-1)**k
       always an exact integer.
@@ -23,7 +23,6 @@ every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,34 +40,11 @@ from .padic import (
 from .sums import alt_sum_binom, alt_sum_power, degree_order_bound, plain_alt_sum
 
 __all__ = [
-    "FleckNormalizedSum",
-    "NormalizedBinomialSum",
     "convolution_weight",
-    "fleck_normalized_sum",
     "fleck_sum_value",
-    "normalized_binomial_sum",
     "normalized_sum_value",
     "order_gap",
 ]
-
-
-@dataclass(frozen=True)
-class NormalizedBinomialSum:
-    p: int
-    alpha: int
-    l: int
-    n: int
-    r: int
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class FleckNormalizedSum:
-    p: int
-    alpha: int
-    n: int
-    r: int
-    value: int
 
 
 @lru_cache(maxsize=1 << 18)
@@ -98,17 +74,13 @@ def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
     return num
 
 
-def normalized_binomial_sum(p: int, alpha: int, l: int, n: int, r: int) -> NormalizedBinomialSum:
-    """Exact value of the factorial-normalized, binomial-weighted class sum.
+def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:
+    """Exact value of the factorial-normalized, binomial-weighted class sum,
+    built from the cached integer form.
 
-    p-integrality is asserted at construction: a negative order is an
+    p-integrality is asserted on evaluation: a negative order is an
     internal error, never a caller error.
     """
-    return NormalizedBinomialSum(p, alpha, l, n, r, normalized_sum_value(p, alpha, l, n, r))
-
-
-def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:
-    """Value of normalized_binomial_sum, built from the cached integer form."""
     num = _norm_sum_value(p, alpha, l, n, r)
     return Fraction(num, math.factorial(scaled_floor(n, p, alpha - 1)))
 
@@ -132,13 +104,9 @@ def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
     return q
 
 
-def fleck_normalized_sum(p: int, alpha: int, n: int, r: int) -> FleckNormalizedSum:
-    """Exact integer value of the Fleck-normalized alternating class sum."""
-    return FleckNormalizedSum(p, alpha, n, r, _fleck_sum_value(p, alpha, n, r))
-
-
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
-    """Bare cached value of fleck_normalized_sum, for tight loops."""
+    """Exact integer value of the Fleck-normalized alternating class sum
+    (cached)."""
     return _fleck_sum_value(p, alpha, n, r)
 
 

@@ -30,7 +30,7 @@ from .combinatorics import (
     stirling2,
     weighted_inverse_sequence,
 )
-from .errors import InternalInvariantError, InvalidParameterError
+from .errors import InternalInvariantError
 from .padic import (
     _factorial_order,
     _int_order,
@@ -147,51 +147,54 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 
 
 # ---------------------------------------------------------------------------
-# named boolean checks
+# checks
 # ---------------------------------------------------------------------------
+#
+# Preconditions follow one rule.  p and alpha define the modulus: an invalid
+# pair raises InvalidParameterError from prime_power_modulus, whether a
+# derived window or the check meets it first.  Every other hypothesis of a
+# statement (a lower bound on alpha, a digit range, a coprimality) makes the
+# check return SKIP.
 
 
-def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int) -> bool:
+def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
     """One digit-reduction step for normalized sums at level alpha + 1:
 
         V(alpha+1; l, n, r) == (-1)**{r}_p * binomial({n}_p, {r}_p)
                                * V(alpha; l, n//p, r//p)   (mod p)
 
-    Proven for alpha >= 2; smaller alpha is rejected (the alpha = 1 case is
+    Proven for alpha >= 2; smaller alpha is skipped (the alpha = 1 case is
     conjectural and lives under the search ids).
     """
+    prime_power_modulus(p, alpha)
     if alpha < 2:
-        raise InvalidParameterError("the digit reduction needs alpha >= 2")
-    return _lucas_difference_order(p, alpha, l, n, r) >= 1
+        return SKIP
+    o = _lucas_difference_order(p, alpha, l, n, r)
+    return True if o >= 1 else (f"difference order {o}", ">= 1")
 
 
-def check_digit_product_congruence(
-    p: int, alpha: int, l: int, n: int, r: int, s: int, t: int
-) -> bool:
+def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t: int, r: int):
     """Splitting the top digit out of both binomial arguments:
 
         (1/floor(n/h)!) * sum_{k == r (m)} binomial(pn+s, pk+t) (-1)**(pk) ((k-r)/h)**l
           == (1/floor(n/h)!) * binomial(s,t) * sum_{k == r (m)} binomial(n,k) (-1)**k ((k-r)/h)**l
              (mod p)
 
-    with m = p**alpha, h = p**(alpha-1), 0 <= s, t < p, alpha >= 2.
+    with m = p**alpha, h = p**(alpha-1), 0 <= s, t < p, alpha >= 2, n >= 0.
 
     Both sides are class sums with weight (p*(k-r)/m)**l: with K = pk+t the
     left one runs over K == pr+t (mod pm), and (-1)**(pk) = (-1)**(K+t).
     """
-    if alpha < 2:
-        raise InvalidParameterError("needs alpha >= 2")
-    if not (0 <= s < p and 0 <= t < p):
-        raise InvalidParameterError("digits s, t must lie in [0, p)")
-    if n < 0:
-        raise InvalidParameterError(f"n must be nonnegative, got {n}")
     m = prime_power_modulus(p, alpha).m
+    if alpha < 2 or not (0 <= s < p and 0 <= t < p) or n < 0:
+        return SKIP
     lh = (-1) ** t * alt_sum_power(p * n + s, p * r + t, p * m, l)
     rh = math.comb(s, t) * alt_sum_power(n, r, m, l)
-    return l + _int_order(p, lh - rh) - _factorial_order(p, n // (m // p)) >= 1
+    o = l + _int_order(p, lh - rh) - _factorial_order(p, n // (m // p))
+    return True if o >= 1 else (f"difference order {o}", ">= 1")
 
 
-def check_normalized_refinement(p: int, alpha: int, n: int, r: int, s: int, t: int) -> bool:
+def check_normalized_refinement(p: int, alpha: int, n: int, s: int, t: int, r: int):
     """Digit refinement of the normalized unweighted sums, alpha >= 2,
     0 <= s, t < p**(alpha-2):
 
@@ -201,149 +204,154 @@ def check_normalized_refinement(p: int, alpha: int, n: int, r: int, s: int, t: i
              * p**-floor((n-p)/phi(p*p)) * sum_{k == r (mod p*p)} binomial(n, k) (-1)**k
              (mod p),   c = p**(alpha-2).
     """
+    m = prime_power_modulus(p, alpha).m
     if alpha < 2:
-        raise InvalidParameterError("needs alpha >= 2")
-    c = p ** (alpha - 2)
+        return SKIP
+    c = m // (p * p)
     if not (0 <= s < c and 0 <= t < c):
-        raise InvalidParameterError("digits s, t must lie in [0, p**(alpha-2))")
+        return SKIP
     big_n = c * n + s
-    w1 = (big_n - p ** (alpha - 1)) // (p ** (alpha - 1) * (p - 1))
-    lhs = _normalize(plain_alt_sum(big_n, c * r + t, p**alpha), p, w1)
+    w1 = (big_n - m // p) // (m // p * (p - 1))
+    lhs = _normalize(plain_alt_sum(big_n, c * r + t, m), p, w1)
     w2 = (n - p) // (p * (p - 1))
     rhs = (-1) ** t * math.comb(s, t) * _normalize(plain_alt_sum(n, r, p * p), p, w2)
-    return padic_order(p, lhs - rhs) >= 1
+    o = padic_order(p, lhs - rhs)
+    return True if o >= 1 else (f"difference order {o}", ">= 1")
 
 
-def check_parity_criterion(alpha: int, n: int, r: int) -> bool:
+def check_parity_criterion(alpha: int, n: int, r: int):
     """p = 2: the normalized unsigned class sum
     2**-floor((n - 2**(alpha-1)) / 2**(alpha-1)) * sum_{k == r (mod 2**alpha)} binomial(n, k)
     is an odd integer exactly when binomial({n}_c, {r}_c) is odd and, with
     n* = floor(n/c), r* = floor(r/c), c = 2**(alpha-2): either n* > 2 and
-    n* != 2 r* + 2 (mod 4), or n* == 2 and r* is even."""
+    n* != 2 r* + 2 (mod 4), or n* == 2 and r* is even.  Needs alpha >= 2."""
+    m = prime_power_modulus(2, alpha).m
     if alpha < 2:
-        raise InvalidParameterError("needs alpha >= 2")
-    w = (n - 2 ** (alpha - 1)) // 2 ** (alpha - 1)
-    total = unsigned_class_sum(n, r, 2**alpha)
-    lhs_odd = total != 0 and padic_order(2, total) == w
-    c = 2 ** (alpha - 2)
+        return SKIP
+    w = (n - m // 2) // (m // 2)
+    lhs_odd = _int_order(2, unsigned_class_sum(n, r, m)) == w
+    c = m // 4
     n_star, r_star = n // c, r // c
     cond = math.comb(n % c, r % c) % 2 == 1 and (
         (n_star > 2 and (n_star - 2 * r_star - 2) % 4 != 0)
         or (n_star == 2 and r_star % 2 == 0)
     )
-    return lhs_odd == cond
+    if lhs_odd == cond:
+        return True
+    parity = {True: "odd", False: "not odd"}
+    return (f"normalized sum {parity[lhs_odd]}", f"{parity[cond]} by the digit criterion")
 
 
-def check_exact_attainment(alpha: int, n: int, l: int) -> "bool | None":
+def check_exact_attainment(alpha: int, n: int, l: int):
     """p = 2, zero class: for l >= floor(n/2**alpha) >= 1 with
     l == floor(n/2**alpha) (mod 2**floor(log2(n/2**alpha))), the order of
     sum binomial(n,k) (-1)**k (k/2**alpha)**l over k == 0 (mod 2**alpha)
     EQUALS the order of floor(n/2**alpha)!.
-
-    Returns None (not an error) when (alpha, n, l) violates the
-    precondition, so sweeps count it as a skip.
     """
-    if alpha < 0 or n < 0 or l < 0:
-        raise InvalidParameterError("alpha, n, l must be nonnegative")
-    n0 = n >> alpha
-    if n0 < 1 or l < n0:
-        return None
-    if (l - n0) % 2 ** (n0.bit_length() - 1) != 0:
-        return None
-    v = alt_sum_power(n, 0, 2**alpha, l)
-    return v != 0 and padic_order(2, v) == factorial_order(2, n0)
+    m = prime_power_modulus(2, alpha).m
+    n0 = n // m
+    if n0 < 1 or l < n0 or (l - n0) % 2 ** (n0.bit_length() - 1) != 0:
+        return SKIP
+    o = _int_order(2, alt_sum_power(n, 0, m, l))
+    want = _factorial_order(2, n0)
+    return True if o == want else (f"order {o}", f"exactly {want}")
 
 
-def check_fleck_reduction(p: int, alpha: int, n: int, r: int) -> bool:
+def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
     """Level reduction for Fleck-normalized sums, alpha >= 2: when p | r,
     F(alpha; n, r) == F(alpha-1; n, r/p) mod p**((2 - [p==2])(alpha-2));
     otherwise F(alpha; n, r) == 0 mod p**(alpha-2)."""
+    prime_power_modulus(p, alpha)
     if alpha < 2:
-        raise InvalidParameterError("needs alpha >= 2")
+        return SKIP
     sa = fleck_sum_value(p, alpha, n, r)
     if r % p == 0:
         sb = fleck_sum_value(p, alpha - 1, n, r // p)
-        return padic_order(p, sa - sb) >= (2 - (p == 2)) * (alpha - 2)
-    return padic_order(p, sa) >= alpha - 2
+        o, need = _int_order(p, sa - sb), (2 - (p == 2)) * (alpha - 2)
+        return True if o >= need else (f"difference order {o}", f">= {need}")
+    o = _int_order(p, sa)
+    return True if o >= alpha - 2 else (f"order {o}", f">= {alpha - 2}")
 
 
-def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int) -> bool:
+def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
     """Iterated reduction, alpha > beta >= 0:
     F(alpha; n, p**beta * r) == F(alpha-beta; n, r) mod
     p**((2 - [p==2])(alpha-beta-1)); and when p does not divide r the order
     of F(alpha; n, p**beta r) is at least alpha - beta - 2."""
+    prime_power_modulus(p, alpha)
     if not alpha > beta >= 0:
-        raise InvalidParameterError("needs alpha > beta >= 0")
+        return SKIP
     lhs = fleck_sum_value(p, alpha, n, p**beta * r)
     rhs = fleck_sum_value(p, alpha - beta, n, r)
-    if padic_order(p, lhs - rhs) < (2 - (p == 2)) * (alpha - beta - 1):
-        return False
-    if r % p != 0 and padic_order(p, lhs) < alpha - beta - 2:
-        return False
+    o, need = _int_order(p, lhs - rhs), (2 - (p == 2)) * (alpha - beta - 1)
+    if o < need:
+        return (f"difference order {o}", f">= {need}")
+    if r % p != 0:
+        o, need = _int_order(p, lhs), alpha - beta - 2
+        if o < need:
+            return (f"order {o}", f">= {need}")
     return True
 
 
-def check_harmonic_congruence(m: int, n: int, r: int) -> bool:
+def check_harmonic_congruence(m: int, n: int, r: int):
     """(1/n) * sum_{k<n} 1/(km + r) == 1/r + (m/2)[n even]  (mod m), for
-    gcd(r, m) = 1.  The congruence between rationals means: for every prime
-    q dividing m, the q-order of the difference is at least the q-order of m."""
-    if m < 1 or n < 1:
-        raise InvalidParameterError("m and n must be positive")
-    if math.gcd(m, r) != 1:
-        raise InvalidParameterError("r must be coprime to m")
+    m, n >= 1 and gcd(r, m) = 1 (r >= 1 when m = 1, so no term is 1/0).  The
+    congruence between rationals means: for every prime q dividing m, the
+    q-order of the difference is at least the q-order of m."""
+    if m < 1 or n < 1 or math.gcd(m, r) != 1 or (m == 1 and r < 1):
+        return SKIP
     acc = Fraction(0)
     for k in range(n):
         acc += Fraction(1, k * m + r)
     diff = acc / n - Fraction(1, r) - (Fraction(m, 2) if n % 2 == 0 else 0)
-    return all(padic_order(q, diff) >= padic_order(q, m) for q in _prime_factors(m))
+    for q in _prime_factors(m):
+        o, need = padic_order(q, diff), padic_order(q, m)
+        if o < need:
+            return (f"{q}-adic order {o} of the difference", f">= {need}")
+    return True
 
 
-def check_scaled_binomial_congruence(p: int, n: int, k: int) -> bool:
-    """binomial(pn, pk) == binomial(n, k) mod p**(2 ord_p(n) + 2) for odd p;
-    for p = 2 the right side carries a (-1)**k and the exponent drops to
-    2 ord_2(n) + 1."""
+def check_scaled_binomial_congruence(p: int, n: int, k: int):
+    """binomial(pn, pk) == binomial(n, k) mod p**(2 ord_p(n) + 2) for odd p,
+    n >= 1, k >= 0; for p = 2 the right side carries a (-1)**k and the
+    exponent drops to 2 ord_2(n) + 1."""
+    prime_power_modulus(p, 1)
     if n < 1 or k < 0:
-        raise InvalidParameterError("needs n >= 1 and k >= 0")
+        return SKIP
     if p == 2:
         diff = math.comb(2 * n, 2 * k) - (-1) ** k * math.comb(n, k)
-        need = 2 * padic_order(2, n) + 1
+        need = 2 * _int_order(2, n) + 1
     else:
         diff = math.comb(p * n, p * k) - math.comb(n, k)
-        need = 2 * padic_order(p, n) + 2
-    return padic_order(p, diff) >= need
+        need = 2 * _int_order(p, n) + 2
+    o = _int_order(p, diff)
+    return True if o >= need else (f"difference order {o}", f">= {need}")
 
 
-def check_factorial_ceiling(p: int, beta: int, q: int, r: int) -> bool:
-    """With n = p**beta (pq + r) and {-q}_(p-1) < r < p: the order of n! at
-    p attains its ceiling floor((n-1)/(p-1)) exactly when q == 0."""
-    if beta < 0 or q < 0:
-        raise InvalidParameterError("beta and q must be nonnegative")
-    low = (-q) % (p - 1) if p > 2 else 0
-    if not low < r < p:
-        raise InvalidParameterError("r outside the admissible window")
+def check_factorial_ceiling(p: int, beta: int, q: int, r: int):
+    """With n = p**beta (pq + r), beta, q >= 0 and {-q}_(p-1) < r < p: the
+    order of n! at p attains its ceiling floor((n-1)/(p-1)) exactly when
+    q == 0."""
+    prime_power_modulus(p, 1)
+    if beta < 0 or q < 0 or not (-q) % (p - 1) < r < p:
+        return SKIP
     n = p**beta * (p * q + r)
-    return (factorial_order(p, n) == (n - 1) // (p - 1)) == (q == 0)
+    o, ceiling = _factorial_order(p, n), (n - 1) // (p - 1)
+    if (o == ceiling) == (q == 0):
+        return True
+    return (f"order {o} of n!, ceiling {ceiling}, q={q}", "the ceiling exactly when q == 0")
 
 
-def check_parity_delta(alpha: int, c: int, d: int, e: int, l: int) -> bool:
-    """p = 2 split arguments: for d < 2**e and 0 <= l <= d,
+def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
+    """p = 2 split arguments: for 0 <= l <= d < 2**e,
     V(alpha+1; l, 2**alpha (2**e + d), 2**alpha c) == [l == d]  (mod 2)."""
-    if not 0 <= d < 2**e:
-        raise InvalidParameterError("needs 0 <= d < 2**e")
-    if not 0 <= l <= d:
-        raise InvalidParameterError("needs 0 <= l <= d")
-    num, dv = _norm_parts(2, alpha + 1, l, 2**alpha * (2**e + d), 2**alpha * c)
+    m = prime_power_modulus(2, alpha).m
+    if e < 0 or not 0 <= l <= d < 2**e:
+        return SKIP
+    num, dv = _norm_parts(2, alpha + 1, l, m * (2**e + d), m * c)
     delta = 1 if l == d else 0
-    return _int_order(2, num - delta * _factorial(dv)) - _factorial_order(2, dv) >= 1
-
-
-# ---------------------------------------------------------------------------
-# grid adapters
-# ---------------------------------------------------------------------------
-
-
-def _fail(observed: str, expected: str) -> tuple[str, str]:
-    return (observed, expected)
+    o = _int_order(2, num - delta * _factorial(dv)) - _factorial_order(2, dv)
+    return True if o >= 1 else (f"order {o} of the value minus {delta}", ">= 1")
 
 
 def _t11(p, alpha, n, r, l):
@@ -353,14 +361,14 @@ def _t11(p, alpha, n, r, l):
     b2 = floor_order_bound(pm, n, r)
     if o >= b1 and o >= b2:
         return True
-    return _fail(f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)")
+    return (f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)")
 
 
 def _t12(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
     o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
     b = integer_valued_order_bound(pm, n, r, l)
-    return True if o >= b else _fail(f"order {o}", f">= {b}")
+    return True if o >= b else (f"order {o}", f">= {b}")
 
 
 def _t13(p, alpha, n, r, l):
@@ -371,10 +379,10 @@ def _t13(p, alpha, n, r, l):
     o = _int_order(p, coeff)
     b = integer_valued_order_bound(pm, n, r, l)
     if o < b:
-        return _fail(f"coefficient order {o}", f">= {b}")
+        return (f"coefficient order {o}", f">= {b}")
     alt = (-1) ** l * alt_sum_binom(n, r + pm.m, pm.m, l)
     if coeff != alt:
-        return _fail(f"coefficient {coeff}", f"shifted class sum {alt}")
+        return (f"coefficient {coeff}", f"shifted class sum {alt}")
     return True
 
 
@@ -387,7 +395,7 @@ def _t14(p, alpha, r, l):
     try:
         seq = weighted_inverse_sequence(pm, r, f, _ROUNDTRIP_N)
     except InternalInvariantError as exc:
-        return _fail(str(exc), "a p-integral sequence")
+        return (str(exc), "a p-integral sequence")
     h = p ** (alpha - 1)
     rh = r % h
     weighted = [
@@ -398,41 +406,12 @@ def _t14(p, alpha, r, l):
     for n in range(_ROUNDTRIP_N + 1):
         want = p**l * f((n - r) // pm.m) if (n - r) % pm.m == 0 else 0
         if transform[n] != want:
-            return _fail(f"transform value {transform[n]} at n={n}", f"{want}")
+            return (f"transform value {transform[n]} at n={n}", f"{want}")
     return True
 
 
-def _t15(p, alpha, l, n, r):
-    if check_lucas_reduction(p, alpha, l, n, r):
-        return True
-    return _fail("digit-reduction congruence fails mod p", "difference order >= 1")
-
-
-def _t16(p, alpha, l, n, s, t, r):
-    if check_digit_product_congruence(p, alpha, l, n, r, s, t):
-        return True
-    return _fail("digit-product congruence fails mod p", "difference order >= 1")
-
-
-def _t17(p, alpha, n, s, t, r):
-    if check_normalized_refinement(p, alpha, n, r, s, t):
-        return True
-    return _fail("normalized refinement fails mod p", "difference order >= 1")
-
-
-def _t18(alpha, n, l):
-    res = check_exact_attainment(alpha, n, l)
-    if res is None:
-        return SKIP
-    if res:
-        return True
-    n0 = n >> alpha
-    o = padic_order(2, alt_sum_power(n, 0, 2**alpha, l))
-    return _fail(f"order {o}", f"exactly {factorial_order(2, n0)}")
-
-
 def _c11cor(p, alpha, m, n, r):
-    ma = p**alpha
+    ma = prime_power_modulus(p, alpha).m
     # The weight B_m(floor((k-r)/ma)) is constant on runs of ma consecutive
     # k, so the signed binomials of the full row are summed per run first.
     runs: dict[int, int] = {}
@@ -445,35 +424,24 @@ def _c11cor(p, alpha, m, n, r):
         p, scaled_residue(r - 1, p, alpha - 1), scaled_residue(n - r, p, alpha - 1)
     )
     o = padic_order(p, val)
-    return True if o >= bound else _fail(f"order {o}", f">= {bound}")
-
-
-def _c12cor(alpha, n, r):
-    if check_parity_criterion(alpha, n, r):
-        return True
-    return _fail("parity of normalized sum disagrees with the digit criterion", "agreement")
-
-
-def _c31cor(p, alpha, beta, n, r):
-    if check_fleck_shift_chain(p, alpha, beta, n, r):
-        return True
-    return _fail("shift-chain congruence or order floor fails", "both hold")
+    return True if o >= bound else (f"order {o}", f">= {bound}")
 
 
 def _l21(p, n, r, l):
+    m = prime_power_modulus(p, 0).m
     denom = math.factorial(p * n)
-    direct = Fraction(math.factorial(l) * p**l * alt_sum_binom(n, r, 1, l), denom)
+    direct = Fraction(math.factorial(l) * p**l * alt_sum_binom(n, r, m, l), denom)
     closed = Fraction(math.factorial(l) * p**l * (-1) ** n * binomial(-r, l - n), denom)
     if direct == closed and padic_order(p, direct) >= 0:
         return True
-    return _fail(f"direct value {direct}", f"closed form {closed}, p-integral")
+    return (f"direct value {direct}", f"closed form {closed}, p-integral")
 
 
 def _l22(p, alpha, l, n, r):
+    m = prime_power_modulus(p, alpha).m
     if alpha < 1:
-        raise InvalidParameterError("the contiguous recurrences need alpha >= 1")
-    h = p ** (alpha - 1)
-    m = p**alpha
+        return SKIP
+    h = m // p
     # With V = num / d! the recurrences read, V' taken at l - 1,
     #   V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),          t/s = n/h or 1,
     #   V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1), t/s = 1 or n/h,
@@ -485,7 +453,7 @@ def _l22(p, alpha, l, n, r):
     t, s = (n, h) if n % h == 0 else (1, 1)
     if (a - b) * s * _factorial(d0) != t * c * _factorial(d1):
         lhs = Fraction(a - b, _factorial(d1))
-        return _fail(f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, _factorial(d0))}")
+        return (f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, _factorial(d0))}")
     if l > 0:
         e = _norm_sum_value(p, alpha, l - 1, n, r + m)
         f = _norm_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
@@ -493,22 +461,22 @@ def _l22(p, alpha, l, n, r):
         if (h * c + r * e) * s * _factorial(d1) != -t * f * h * _factorial(d0):
             lhs2 = Fraction(h * c + r * e, h * _factorial(d0))
             rhs2 = -Fraction(t, s) * Fraction(f, _factorial(d1))
-            return _fail(f"second recurrence: {lhs2}", f"{rhs2}")
+            return (f"second recurrence: {lhs2}", f"{rhs2}")
     return True
 
 
 def _l23(d, m, n, r, fdeg):
     if convolution_identity_holds(d, m, n, r, Polynomial.monomial(fdeg)):
         return True
-    return _fail("splitting identity fails", "exact equality")
+    return ("splitting identity fails", "exact equality")
 
 
 def _l24(p, alpha, l, n, r):
-    m = p**alpha
-    lhs = _norm_sum_value(p, alpha, l, n, r)
+    m = prime_power_modulus(p, alpha).m
     if alpha < 1:
-        raise InvalidParameterError("convolution weights need alpha >= 1")
-    h = p ** (alpha - 1)
+        return SKIP
+    h = m // p
+    lhs = _norm_sum_value(p, alpha, l, n, r)
     # Term j is binomial(n,j) floor(j/h)! floor((n-j)/h)! / floor(n/h)!
     # times V(0; j, r) = t0 / floor(j/h)! times a sum of V(l; n-j, .), each
     # over floor((n-j)/h)!: the weight's factorials cancel both denominators
@@ -523,12 +491,15 @@ def _l24(p, alpha, l, n, r):
     if lhs == rhs:
         return True
     lhs_v, rhs_v = Fraction(lhs, _factorial(n // h)), Fraction(rhs, _factorial(n // h))
-    return _fail(f"{lhs_v}", f"self-convolution value {rhs_v}")
+    return (f"{lhs_v}", f"self-convolution value {rhs_v}")
 
 
 def _l25(p, alpha, n, j):
+    prime_power_modulus(p, alpha)
+    if alpha < 1 or not 0 <= j <= n:
+        return SKIP
     o = padic_order(p, convolution_weight(p, alpha, n, j))
-    return True if o >= 0 else _fail(f"weight order {o}", ">= 0")
+    return True if o >= 0 else (f"weight order {o}", ">= 0")
 
 
 def _t21(p, alpha, l, n, r):
@@ -536,62 +507,27 @@ def _t21(p, alpha, l, n, r):
     # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     o = _int_order(p, num) - fo
-    return True if o >= tau else _fail(f"order {o}", f">= carry count {tau}")
-
-
-def _l31(m, n, r):
-    if math.gcd(m, r) != 1 or (m == 1 and r < 1):
-        return SKIP
-    if check_harmonic_congruence(m, n, r):
-        return True
-    return _fail("averaged harmonic sum congruence fails", "difference divisible by m")
-
-
-def _l32(p, n, k):
-    if check_scaled_binomial_congruence(p, n, k):
-        return True
-    return _fail("scaled binomial congruence fails", "stated p-power modulus")
-
-
-def _t31(p, alpha, n, r):
-    if check_fleck_reduction(p, alpha, n, r):
-        return True
-    return _fail("level-reduction congruence fails", "stated p-power modulus")
-
-
-def _l41(p, beta, q, r):
-    low = (-q) % (p - 1) if p > 2 else 0
-    if not low < r < p:
-        return SKIP
-    if check_factorial_ceiling(p, beta, q, r):
-        return True
-    return _fail("ceiling attainment disagrees with q == 0", "equivalence")
+    return True if o >= tau else (f"order {o}", f">= carry count {tau}")
 
 
 def _l42(alpha, n, r):
-    c = 2**alpha
+    c = prime_power_modulus(2, alpha).m
     if n < 1 or n % c or r % c:
         return SKIP
     num, d = _norm_parts(2, alpha + 1, 0, n, r)
     if (_int_order(2, num) == _factorial_order(2, d)) == (n & (n - 1) == 0):
         return True
-    return _fail(f"value {Fraction(num, _factorial(d))}", "odd exactly when n is a power of two")
-
-
-def _t41(alpha, c, e, d, l):
-    if check_parity_delta(alpha, c, d, e, l):
-        return True
-    return _fail("parity differs from the Kronecker delta", "agreement mod 2")
+    return (f"value {Fraction(num, _factorial(d))}", "odd exactly when n is a power of two")
 
 
 def _r16(n, l):
     lhs = alt_sum_power(n, 0, 1, l)
     rhs = (-1) ** n * math.factorial(n) * stirling2(l, n)
     if lhs != rhs:
-        return _fail(f"alternating power sum {lhs}", f"{rhs}")
+        return (f"alternating power sum {lhs}", f"{rhs}")
     if n >= 1 and l >= n and (l - n) % 2 ** (n.bit_length() - 1) == 0:
         if stirling2(l, n) % 2 != 1:
-            return _fail(f"stirling2({l},{n}) is even", "odd")
+            return (f"stirling2({l},{n}) is even", "odd")
     return True
 
 
@@ -600,10 +536,11 @@ def _conj11(p, alpha, l, n, r):
     o = _norm_difference_order(
         p, _norm_parts(p, alpha + 1, l, p * n, p * r), 1, _norm_parts(p, alpha, l, n, r)
     )
-    return True if o >= need else _fail(f"difference order {o}", f">= {need}")
+    return True if o >= need else (f"difference order {o}", f">= {need}")
 
 
 def _conj12(p, n, s):
+    prime_power_modulus(p, 2)
     w1 = (p * n + s - p) // (p * (p - 1))
 
     def lhs_val(t: int, r: int) -> Fraction:
@@ -616,7 +553,7 @@ def _conj12(p, n, s):
             for t in range(p):
                 d = lhs_val(t, r) - (-1) ** t * math.comb(s, t) * rhs
                 if padic_order(p, d) < 1:
-                    return _fail(f"t={t} r={r}: difference order {padic_order(p, d)}", ">= 1")
+                    return (f"t={t} r={r}: difference order {padic_order(p, d)}", ">= 1")
         return True
     if s == p - 1:
         return SKIP
@@ -626,15 +563,15 @@ def _conj12(p, n, s):
         for r in range(p):
             v = lhs_val(t, r)
             if padic_order(p, v) < 0:
-                return _fail(f"t={t} r={r}: value {v} not p-integral", "p-integral value")
+                return (f"t={t} r={r}: value {v} not p-integral", "p-integral value")
             seen.add(_rational_residue(v, p))
         if len(seen) != 1:
-            return _fail(f"t={t}: residues {sorted(seen)} vary with r", "one residue for all r")
+            return (f"t={t}: residues {sorted(seen)} vary with r", "one residue for all r")
         residues[t] = seen.pop()
     if s == 0 and n != 1:
         got = sorted(residues[t] for t in range(1, p))
         if got != list(range(1, p)):
-            return _fail(f"residues {got}", f"a permutation of 1..{p - 1}")
+            return (f"residues {got}", f"a permutation of 1..{p - 1}")
     return True
 
 
@@ -656,19 +593,22 @@ def _conj13(p, alpha, n, r, j):
     )
     if padic_order(p, v - 1) >= 1 or padic_order(p, v + 1) >= 1:
         return True
-    return _fail(f"normalized value {v}", "congruent to +1 or -1 mod p")
+    return (f"normalized value {v}", "congruent to +1 or -1 mod p")
 
 
 def _conj31(p, alpha, n, r):
+    prime_power_modulus(p, alpha)
+    if alpha < 2:
+        return SKIP
     need = 2 * alpha - 2 - (p == 3)
     d = fleck_sum_value(p, alpha, n, p * r) - fleck_sum_value(p, alpha - 1, n, r)
     o = padic_order(p, d)
-    return True if o >= need else _fail(f"difference order {o}", f">= {need}")
+    return True if o >= need else (f"difference order {o}", f">= {need}")
 
 
 def _t15_alpha1(p, l, n, r):
     o = _lucas_difference_order(p, 1, l, n, r)
-    return True if o >= 1 else _fail(f"difference order {o}", ">= 1")
+    return True if o >= 1 else (f"difference order {o}", ">= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +616,16 @@ def _t15_alpha1(p, l, n, r):
 # ---------------------------------------------------------------------------
 
 
+# Windows that depend on the modulus take it from prime_power_modulus, so an
+# invalid (p, alpha) in an overridden grid raises InvalidParameterError here.
+
+
+def _modulus(ctx: dict) -> int:
+    return prime_power_modulus(ctx["p"], ctx["alpha"]).m
+
+
 def _r_window(ctx: dict) -> tuple[int, ...]:
-    m = ctx["p"] ** ctx["alpha"]
+    m = _modulus(ctx)
     return tuple(range(-m, 2 * m))
 
 
@@ -685,12 +633,12 @@ _R_WINDOW = DerivedAxis("-m .. 2m-1 with m = p**alpha", _r_window)
 
 
 def _r_window_lifted(ctx: dict) -> tuple[int, ...]:
-    hi = min(ctx["p"] ** (ctx["alpha"] + 1), ctx["n"] + ctx["p"] + 2)
+    hi = min(_modulus(ctx) * ctx["p"], ctx["n"] + ctx["p"] + 2)
     return tuple(range(-2, hi))
 
 
 def _r_window_capped(ctx: dict) -> tuple[int, ...]:
-    hi = min(ctx["p"] ** ctx["alpha"], ctx["n"] + 3)
+    hi = min(_modulus(ctx), ctx["n"] + 3)
     return tuple(range(-1, hi))
 
 
@@ -700,11 +648,11 @@ def _r_window_refinement(ctx: dict) -> tuple[int, ...]:
 
 
 def _r_residues(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(ctx["p"] ** ctx["alpha"]))
+    return tuple(range(_modulus(ctx)))
 
 
 def _t18_l_values(ctx: dict) -> tuple[int, ...]:
-    n0 = ctx["n"] >> ctx["alpha"]
+    n0 = ctx["n"] // prime_power_modulus(2, ctx["alpha"]).m
     if n0 < 1:
         return ()
     e = n0.bit_length() - 1
@@ -712,11 +660,15 @@ def _t18_l_values(ctx: dict) -> tuple[int, ...]:
 
 
 def _digits(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(ctx["p"]))
+    p = ctx["p"]
+    prime_power_modulus(p, 1)
+    return tuple(range(p))
 
 
 def _refinement_digits(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(ctx["p"] ** (ctx["alpha"] - 2)))
+    # alpha < 2 keeps the single digit 0, so the check sees and skips it.
+    _modulus(ctx)
+    return tuple(range(ctx["p"] ** max(ctx["alpha"] - 2, 0)))
 
 
 def _refinement_alpha(ctx: dict) -> tuple[int, ...]:
@@ -724,6 +676,7 @@ def _refinement_alpha(ctx: dict) -> tuple[int, ...]:
 
 
 def _beta_below_alpha(ctx: dict) -> tuple[int, ...]:
+    _modulus(ctx)
     return tuple(range(ctx["alpha"]))
 
 
@@ -744,27 +697,28 @@ def _k_upto_n(ctx: dict) -> tuple[int, ...]:
 
 
 def _fleck_r_window(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(-2, ctx["p"] ** ctx["alpha"]))
+    return tuple(range(-2, _modulus(ctx)))
 
 
 def _l41_r_window(ctx: dict) -> tuple[int, ...]:
-    p, q = ctx["p"], ctx["q"]
-    low = (-q) % (p - 1) if p > 2 else 0
-    return tuple(range(low + 1, p))
+    p = ctx["p"]
+    prime_power_modulus(p, 1)
+    return tuple(range((-ctx["q"]) % (p - 1) + 1, p))
 
 
 def _l42_n_values(ctx: dict) -> tuple[int, ...]:
-    c = 2 ** ctx["alpha"]
+    c = prime_power_modulus(2, ctx["alpha"]).m
     return tuple(range(c, 65, c))
 
 
 def _l42_r_values(ctx: dict) -> tuple[int, ...]:
-    c = 2 ** ctx["alpha"]
+    c = prime_power_modulus(2, ctx["alpha"]).m
     return tuple(c * j for j in range(-2, 4))
 
 
 def _t41_d_values(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(2 ** ctx["e"]))
+    # e < 0 keeps the single value 0, so the check sees and skips it.
+    return tuple(range(2 ** max(ctx["e"], 0)))
 
 
 def _t41_l_values(ctx: dict) -> tuple[int, ...]:
@@ -772,7 +726,7 @@ def _t41_l_values(ctx: dict) -> tuple[int, ...]:
 
 
 def _conj13_n_values(ctx: dict) -> tuple[int, ...]:
-    return tuple(range(2 * ctx["p"] ** ctx["alpha"] - 1, 41))
+    return tuple(range(2 * _modulus(ctx) - 1, 41))
 
 
 def _t15a1_r_window(ctx: dict) -> tuple[int, ...]:
@@ -833,7 +787,7 @@ STATEMENTS: dict[str, Statement] = {
                 "alpha": (1, 2),
                 "r": DerivedAxis(
                     "-1 .. m with m = p**alpha",
-                    lambda ctx: tuple(range(-1, ctx["p"] ** ctx["alpha"] + 1)),
+                    lambda ctx: tuple(range(-1, _modulus(ctx) + 1)),
                 ),
                 "l": (0, 1, 2),
             },
@@ -852,7 +806,7 @@ STATEMENTS: dict[str, Statement] = {
                 "n": tuple(range(31)),
                 "r": DerivedAxis("-2 .. min(p**(alpha+1), n+p+2)-1", _r_window_lifted),
             },
-            _t15,
+            check_lucas_reduction,
         ),
         _entry(
             "T1.6",
@@ -868,7 +822,7 @@ STATEMENTS: dict[str, Statement] = {
                 "t": DerivedAxis("0 .. p-1", _digits),
                 "r": DerivedAxis("-1 .. min(p**alpha, n+3)-1", _r_window_capped),
             },
-            _t16,
+            check_digit_product_congruence,
         ),
         _entry(
             "T1.7",
@@ -883,7 +837,7 @@ STATEMENTS: dict[str, Statement] = {
                 "t": DerivedAxis("0 .. p**(alpha-2)-1", _refinement_digits),
                 "r": DerivedAxis("-1 .. min(p**2, n+3)-1", _r_window_refinement),
             },
-            _t17,
+            check_normalized_refinement,
         ),
         _entry(
             "T1.8",
@@ -899,7 +853,7 @@ STATEMENTS: dict[str, Statement] = {
                     _t18_l_values,
                 ),
             },
-            _t18,
+            check_exact_attainment,
         ),
         _entry(
             "C1.1cor",
@@ -924,10 +878,11 @@ STATEMENTS: dict[str, Statement] = {
                 "alpha": (2, 3, 4, 5),
                 "n": tuple(range(49)),
                 "r": DerivedAxis(
-                    "-2 .. 2**alpha - 1", lambda ctx: tuple(range(-2, 2 ** ctx["alpha"]))
+                    "-2 .. 2**alpha - 1",
+                    lambda ctx: tuple(range(-2, prime_power_modulus(2, ctx["alpha"]).m)),
                 ),
             },
-            _c12cor,
+            check_parity_criterion,
         ),
         _entry(
             "C3.1cor",
@@ -941,7 +896,7 @@ STATEMENTS: dict[str, Statement] = {
                 "n": tuple(range(13)),
                 "r": tuple(range(-2, 10)),
             },
-            _c31cor,
+            check_fleck_shift_chain,
         ),
         _entry(
             "L2.1",
@@ -1035,7 +990,7 @@ STATEMENTS: dict[str, Statement] = {
                 "n": tuple(range(1, 49)),
                 "r": DerivedAxis("units mod m in -m .. m", _coprime_window),
             },
-            _l31,
+            check_harmonic_congruence,
         ),
         _entry(
             "L3.2",
@@ -1047,7 +1002,7 @@ STATEMENTS: dict[str, Statement] = {
                 "n": tuple(range(1, 31)),
                 "k": DerivedAxis("0 .. n+1", _k_upto_n),
             },
-            _l32,
+            check_scaled_binomial_congruence,
         ),
         _entry(
             "T3.1",
@@ -1060,7 +1015,7 @@ STATEMENTS: dict[str, Statement] = {
                 "n": tuple(range(17)),
                 "r": DerivedAxis("-2 .. p**alpha - 1", _fleck_r_window),
             },
-            _t31,
+            check_fleck_reduction,
         ),
         _entry(
             "L4.1",
@@ -1073,7 +1028,7 @@ STATEMENTS: dict[str, Statement] = {
                 "q": tuple(range(9)),
                 "r": DerivedAxis("({-q}_(p-1), p) window", _l41_r_window),
             },
-            _l41,
+            check_factorial_ceiling,
         ),
         _entry(
             "L4.2",
@@ -1099,7 +1054,7 @@ STATEMENTS: dict[str, Statement] = {
                 "d": DerivedAxis("0 .. 2**e - 1", _t41_d_values),
                 "l": DerivedAxis("0 .. d", _t41_l_values),
             },
-            _t41,
+            check_parity_delta,
         ),
         _entry(
             "R1.6",

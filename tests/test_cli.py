@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from flecklab.cli import _parse_values, build_parser, main
-from flecklab.statements import SEARCHES, SKIP, STATEMENTS, Statement
+from flecklab.cli import _SUITE_IDS, _parse_values, build_parser, main
+from flecklab.statements import SEARCH_IDS, SEARCHES, SKIP, STATEMENTS, Statement
+from flecklab.verifier import run_statement, search_conjecture
 
 # Gap table (observed order minus degree bound) for the fixed demonstration
 # grid p=3, alpha=2, r=2: frozen from an independent run of the exact
@@ -207,6 +208,40 @@ class TestConjectureCommand:
         assert "counterexample-found" in captured.err
 
 
+class TestSuiteCommand:
+    def test_default_ids_are_the_theorems_then_the_searches(self):
+        theorems = tuple(sid for sid, st in STATEMENTS.items() if st.kind == "theorem")
+        assert _SUITE_IDS == theorems + SEARCH_IDS
+        assert len(_SUITE_IDS) == 29
+
+    def test_writes_one_report_and_one_line_per_id(self, tmp_path, capsys):
+        ids = ("R1.6", "T1.8", "T1.5-alpha1")
+        assert main(["suite", "--ids", ",".join(ids), "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [[sid, "pass"] for sid in ids]
+        # T1.5-alpha1 is not in STATEMENTS, so it must go through the search.
+        assert (tmp_path / "R1.6.json").read_text() == run_statement("R1.6").to_json() + "\n"
+        assert (tmp_path / "T1.8.json").read_text() == run_statement("T1.8").to_json() + "\n"
+        assert (tmp_path / "T1.5-alpha1.json").read_text() == (
+            search_conjecture("T1.5-alpha1").to_json() + "\n"
+        )
+
+    def test_unknown_id_is_exit_2_before_any_sweep(self, capsys):
+        assert main(["suite", "--ids", "R1.6,NOPE"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NOPE" in captured.err
+
+    def test_exit_codes(self, monkeypatch, capsys):
+        monkeypatch.setitem(STATEMENTS, "FAKE.T", failing_statement("FAKE.T", "theorem"))
+        monkeypatch.setitem(SEARCHES, "FAKE.C", failing_statement("FAKE.C", "conjecture"))
+        assert main(["suite", "--ids", "R1.6"]) == 0
+        assert main(["suite", "--ids", "FAKE.C,R1.6"]) == 3
+        assert main(["suite", "--ids", "FAKE.T"]) == 1
+        assert main(["suite", "--ids", "FAKE.T,FAKE.C"]) == 1
+        assert main(["suite", "--ids", "FAKE.C,FAKE.T"]) == 1
+
+
 class TestOutputAndDeterminism:
     def test_out_flag_writes_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -221,12 +256,6 @@ class TestOutputAndDeterminism:
         assert main([*base, "--jobs", "1", "--out", str(one)]) == 0
         assert main([*base, "--jobs", "4", "--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
-
-    def test_seed_has_no_effect(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "R1.6", "--seed", "1", "--out", str(a)]) == 0
-        assert main(["verify", "R1.6", "--seed", "99", "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
 
     def test_jobs_default_comes_from_environment(self, monkeypatch):
         monkeypatch.setenv("FLECKLAB_JOBS", "3")

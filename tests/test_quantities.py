@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,12 +12,8 @@ from flecklab.errors import InvalidParameterError
 from flecklab.padic import INFINITY, carries, factorial_order, padic_order, scaled_residue
 from flecklab.quantities import (
     _norm_sum_value,
-    FleckNormalizedSum,
-    NormalizedBinomialSum,
     convolution_weight,
-    fleck_normalized_sum,
     fleck_sum_value,
-    normalized_binomial_sum,
     normalized_sum_value,
     order_gap,
 )
@@ -72,13 +67,6 @@ class TestNormalizedBinomialSum:
         assert normalized_sum_value(p, alpha, l, n, r) == value
         assert padic_order(p, num) - factorial_order(p, d) == padic_order(p, value)
 
-    def test_wrapper_dataclass(self):
-        wrapped = normalized_binomial_sum(2, 1, 1, 5, 0)
-        assert wrapped == NormalizedBinomialSum(2, 1, 1, 5, 0, Fraction(1, 3))
-        assert wrapped.value == normalized_sum_value(2, 1, 1, 5, 0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            wrapped.value = Fraction(0)
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             normalized_sum_value(2, 1, -1, 5, 0)
@@ -108,10 +96,6 @@ class TestFleckNormalizedSum:
         # remainder, so returning at all proves integrality.
         p, alpha = pa
         assert isinstance(fleck_sum_value(p, alpha, n, r), int)
-
-    def test_wrapper_dataclass(self):
-        wrapped = fleck_normalized_sum(2, 3, 3, 2)
-        assert wrapped == FleckNormalizedSum(2, 3, 3, 2, 33)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

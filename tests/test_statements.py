@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as hst
 
 from flecklab.cli import _AXIS_FLAGS
-from flecklab.errors import InvalidParameterError
+from flecklab.errors import EmptyGridError, InvalidParameterError
 from flecklab.padic import padic_order
 from flecklab.quantities import normalized_sum_value
 from flecklab.statements import (
@@ -34,7 +34,7 @@ from flecklab.statements import (
     check_scaled_binomial_congruence,
 )
 from flecklab.sums import alt_sum_power, plain_alt_sum
-from flecklab.verifier import iter_instances
+from flecklab.verifier import iter_instances, run_statement, search_conjecture
 
 EXPECTED_STATEMENT_IDS = (
     "T1.1", "T1.2", "T1.3", "T1.4", "T1.5", "T1.6", "T1.7", "T1.8",
@@ -77,6 +77,19 @@ class TestRegistry:
             params = tuple(inspect.signature(st.check).parameters)
             assert params == st.axes, st.id
 
+    def test_public_checks_are_the_catalog_checks(self):
+        assert STATEMENTS["T1.5"].check is check_lucas_reduction
+        assert STATEMENTS["T1.6"].check is check_digit_product_congruence
+        assert STATEMENTS["T1.7"].check is check_normalized_refinement
+        assert STATEMENTS["T1.8"].check is check_exact_attainment
+        assert STATEMENTS["C1.2cor"].check is check_parity_criterion
+        assert STATEMENTS["C3.1cor"].check is check_fleck_shift_chain
+        assert STATEMENTS["L3.1"].check is check_harmonic_congruence
+        assert STATEMENTS["L3.2"].check is check_scaled_binomial_congruence
+        assert STATEMENTS["T3.1"].check is check_fleck_reduction
+        assert STATEMENTS["L4.1"].check is check_factorial_ceiling
+        assert STATEMENTS["T4.1"].check is check_parity_delta
+
     def test_axes_match_cli_flags_and_defaults(self):
         for st in list(STATEMENTS.values()) + [SEARCHES["T1.5-alpha1"]]:
             assert len(set(st.axes)) == len(st.axes), st.id
@@ -102,8 +115,8 @@ class TestRegistry:
 
 class TestDigitReduction:
     def test_accepts_verified_instance(self):
-        assert check_lucas_reduction(2, 2, 0, 10, 2)
-        assert check_lucas_reduction(3, 2, 1, 12, 5)
+        assert check_lucas_reduction(2, 2, 0, 10, 2) is True
+        assert check_lucas_reduction(3, 2, 1, 12, 5) is True
 
     def test_relates_nonzero_values(self):
         # The congruence is not vacuous: instances exist where the reduced
@@ -115,13 +128,12 @@ class TestDigitReduction:
                     2, 2, 0, n // 2, r // 2
                 )
                 if rhs != 0 and frac_mod(rhs, 2) != 0:
-                    assert check_lucas_reduction(2, 2, 0, n, r)
+                    assert check_lucas_reduction(2, 2, 0, n, r) is True
                     found += 1
         assert found > 0
 
     def test_needs_alpha_at_least_two(self):
-        with pytest.raises(InvalidParameterError):
-            check_lucas_reduction(2, 1, 0, 10, 2)
+        assert check_lucas_reduction(2, 1, 0, 10, 2) == SKIP
 
 
 class TestDigitProductCongruence:
@@ -135,7 +147,7 @@ class TestDigitProductCongruence:
         rh = math.comb(6, 6) * math.comb(1, 0) * 2
         assert rh == 2
         assert padic_order(2, Fraction(lh - rh, math.factorial(3))) == 2
-        assert check_digit_product_congruence(2, 2, 1, 6, 2, 1, 0)
+        assert check_digit_product_congruence(2, 2, 1, 6, 1, 0, 2) is True
 
     @given(
         hst.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)]),
@@ -155,18 +167,15 @@ class TestDigitProductCongruence:
             if k % m == r % m:
                 lh += math.comb(p * n + s, p * k + t) * (-1) ** (p * k) * ((k - r) // h) ** l
                 rh += math.comb(s, t) * math.comb(n, k) * (-1) ** k * ((k - r) // h) ** l
-        expected = padic_order(p, Fraction(lh - rh, math.factorial(n // h))) >= 1
-        assert check_digit_product_congruence(p, alpha, l, n, r, s, t) == expected
+        o = padic_order(p, Fraction(lh - rh, math.factorial(n // h)))
+        expected = True if o >= 1 else (f"difference order {o}", ">= 1")
+        assert check_digit_product_congruence(p, alpha, l, n, s, t, r) == expected
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_digit_product_congruence(2, 1, 0, 6, 2, 1, 0)
-        with pytest.raises(InvalidParameterError):
-            check_digit_product_congruence(2, 2, 0, 6, 2, 2, 0)
-        with pytest.raises(InvalidParameterError):
-            check_digit_product_congruence(2, 2, 0, 6, 2, 0, -1)
-        with pytest.raises(InvalidParameterError):
-            check_digit_product_congruence(2, 2, 0, -1, 2, 0, 0)
+        assert check_digit_product_congruence(2, 1, 0, 6, 1, 0, 2) == SKIP
+        assert check_digit_product_congruence(2, 2, 0, 6, 2, 0, 2) == SKIP
+        assert check_digit_product_congruence(2, 2, 0, 6, 0, -1, 2) == SKIP
+        assert check_digit_product_congruence(2, 2, 0, -1, 0, 0, 2) == SKIP
 
 
 class TestNormalizedRefinement:
@@ -177,24 +186,21 @@ class TestNormalizedRefinement:
         assert plain_alt_sum(11, 2, 8) == 66
         assert plain_alt_sum(5, 1, 4) == -6
         assert padic_order(2, Fraction(66, 2) - Fraction(-6, 2)) == 2
-        assert check_normalized_refinement(2, 3, 5, 1, 1, 0)
+        assert check_normalized_refinement(2, 3, 5, 1, 0, 1) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_normalized_refinement(2, 1, 5, 1, 0, 0)
-        with pytest.raises(InvalidParameterError):
-            check_normalized_refinement(2, 3, 5, 1, 2, 0)
+        assert check_normalized_refinement(2, 1, 5, 0, 0, 1) == SKIP
+        assert check_normalized_refinement(2, 3, 5, 2, 0, 1) == SKIP
 
 
 class TestParityCriterion:
     def test_verified_instances(self):
-        assert check_parity_criterion(2, 12, 4)
-        assert check_parity_criterion(3, 16, 8)
-        assert check_parity_criterion(4, 33, 1)
+        assert check_parity_criterion(2, 12, 4) is True
+        assert check_parity_criterion(3, 16, 8) is True
+        assert check_parity_criterion(4, 33, 1) is True
 
     def test_needs_alpha_at_least_two(self):
-        with pytest.raises(InvalidParameterError):
-            check_parity_criterion(1, 12, 4)
+        assert check_parity_criterion(1, 12, 4) == SKIP
 
 
 class TestExactAttainment:
@@ -203,40 +209,37 @@ class TestExactAttainment:
         assert check_exact_attainment(1, 20, 18) is True
         assert check_exact_attainment(0, 3, 3) is True
 
-    def test_inadmissible_weights_return_none(self):
-        assert check_exact_attainment(1, 20, 11) is None  # 11 - 10 not == 0 mod 8
-        assert check_exact_attainment(1, 20, 9) is None  # below floor(n/2)
-        assert check_exact_attainment(3, 7, 5) is None  # floor(7/8) == 0
+    def test_inadmissible_weights_skip(self):
+        assert check_exact_attainment(1, 20, 11) == SKIP  # 11 - 10 not == 0 mod 8
+        assert check_exact_attainment(1, 20, 9) == SKIP  # below floor(n/2)
+        assert check_exact_attainment(3, 7, 5) == SKIP  # floor(7/8) == 0
 
     def test_validation(self):
+        # alpha is the modulus exponent, so a negative one is an error.
         with pytest.raises(InvalidParameterError):
             check_exact_attainment(-1, 20, 10)
-        with pytest.raises(InvalidParameterError):
-            check_exact_attainment(1, -1, 0)
+        assert check_exact_attainment(1, -1, 0) == SKIP
 
 
 class TestFleckReductions:
     def test_divisible_class_instance(self):
         # fleck(2,3,3,2) = 33 and fleck(2,2,3,1) = -3 differ by 36,
         # of 2-adic order 2 >= (2-1)*(3-2).
-        assert check_fleck_reduction(2, 3, 3, 2)
+        assert check_fleck_reduction(2, 3, 3, 2) is True
 
     def test_nondivisible_class_instance(self):
-        assert check_fleck_reduction(2, 3, 3, 1)
-        assert check_fleck_reduction(3, 3, 5, 2)
+        assert check_fleck_reduction(2, 3, 3, 1) is True
+        assert check_fleck_reduction(3, 3, 5, 2) is True
 
     def test_shift_chain_instance(self):
         # fleck(2,3,4,2) = 1016 vs fleck(2,2,4,1) = -8: difference 1024.
-        assert check_fleck_shift_chain(2, 3, 1, 4, 1)
-        assert check_fleck_shift_chain(3, 2, 0, 5, 1)
+        assert check_fleck_shift_chain(2, 3, 1, 4, 1) is True
+        assert check_fleck_shift_chain(3, 2, 0, 5, 1) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_fleck_reduction(2, 1, 3, 1)
-        with pytest.raises(InvalidParameterError):
-            check_fleck_shift_chain(2, 2, 2, 4, 1)
-        with pytest.raises(InvalidParameterError):
-            check_fleck_shift_chain(2, 2, -1, 4, 1)
+        assert check_fleck_reduction(2, 1, 3, 1) == SKIP
+        assert check_fleck_shift_chain(2, 2, 2, 4, 1) == SKIP
+        assert check_fleck_shift_chain(2, 2, -1, 4, 1) == SKIP
 
 
 class TestHarmonicCongruence:
@@ -245,67 +248,57 @@ class TestHarmonicCongruence:
         # leaves -12/5 of 2-adic order 2 = ord_2(4).
         lhs = Fraction(1, 2) * (Fraction(1, 1) + Fraction(1, 5))
         assert lhs - 1 - 2 == Fraction(-12, 5)
-        assert check_harmonic_congruence(4, 2, 1)
+        assert check_harmonic_congruence(4, 2, 1) is True
 
     def test_composite_modulus(self):
-        assert check_harmonic_congruence(6, 4, 5)
-        assert check_harmonic_congruence(12, 6, 7)
+        assert check_harmonic_congruence(6, 4, 5) is True
+        assert check_harmonic_congruence(12, 6, 7) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_harmonic_congruence(4, 2, 2)
-        with pytest.raises(InvalidParameterError):
-            check_harmonic_congruence(0, 2, 1)
-        with pytest.raises(InvalidParameterError):
-            check_harmonic_congruence(4, 0, 1)
+        assert check_harmonic_congruence(4, 2, 2) == SKIP
+        assert check_harmonic_congruence(0, 2, 1) == SKIP
+        assert check_harmonic_congruence(4, 0, 1) == SKIP
 
 
 class TestScaledBinomialCongruence:
     def test_instances(self):
         # binomial(9,3) - binomial(3,1) = 81 has 3-adic order 4 = 2*1 + 2.
         assert math.comb(9, 3) - math.comb(3, 1) == 81
-        assert check_scaled_binomial_congruence(3, 3, 1)
+        assert check_scaled_binomial_congruence(3, 3, 1) is True
         # p=2 sign flip: binomial(4,2) + binomial(2,1) = 8, order 3 = 2*1 + 1.
         assert math.comb(4, 2) + math.comb(2, 1) == 8
-        assert check_scaled_binomial_congruence(2, 2, 1)
+        assert check_scaled_binomial_congruence(2, 2, 1) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_scaled_binomial_congruence(2, 0, 1)
-        with pytest.raises(InvalidParameterError):
-            check_scaled_binomial_congruence(2, 3, -1)
+        assert check_scaled_binomial_congruence(2, 0, 1) == SKIP
+        assert check_scaled_binomial_congruence(2, 3, -1) == SKIP
 
 
 class TestFactorialCeiling:
     def test_attained_exactly_for_zero_quotient(self):
-        assert check_factorial_ceiling(3, 0, 0, 1)
-        assert check_factorial_ceiling(3, 0, 0, 2)
-        assert check_factorial_ceiling(3, 0, 2, 2)  # low = (-2) % 2 = 0 < 2 < 3
-        assert check_factorial_ceiling(2, 0, 0, 1)
-        assert check_factorial_ceiling(2, 3, 4, 1)
+        assert check_factorial_ceiling(3, 0, 0, 1) is True
+        assert check_factorial_ceiling(3, 0, 0, 2) is True
+        assert check_factorial_ceiling(3, 0, 2, 2) is True  # low = (-2) % 2 = 0 < 2 < 3
+        assert check_factorial_ceiling(2, 0, 0, 1) is True
+        assert check_factorial_ceiling(2, 3, 4, 1) is True
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_factorial_ceiling(3, 0, 1, 1)  # r == low
-        with pytest.raises(InvalidParameterError):
-            check_factorial_ceiling(3, 0, 0, 3)  # r == p
-        with pytest.raises(InvalidParameterError):
-            check_factorial_ceiling(3, -1, 0, 1)
-        with pytest.raises(InvalidParameterError):
-            check_factorial_ceiling(3, 0, -1, 2)
+        assert check_factorial_ceiling(3, 0, 1, 1) == SKIP  # r == low
+        assert check_factorial_ceiling(3, 0, 0, 3) == SKIP  # r == p
+        assert check_factorial_ceiling(3, -1, 0, 1) == SKIP
+        assert check_factorial_ceiling(3, 0, -1, 2) == SKIP
 
 
 class TestParityDelta:
     def test_instances(self):
-        assert check_parity_delta(1, 1, 0, 1, 0)
-        assert check_parity_delta(2, 3, 2, 2, 2)  # l == d: value must be odd
-        assert check_parity_delta(2, 3, 2, 2, 1)  # l < d: value must be even
+        # Arguments (alpha, c, e, d, l).
+        assert check_parity_delta(1, 1, 1, 0, 0) is True
+        assert check_parity_delta(2, 3, 2, 2, 2) is True  # l == d: value must be odd
+        assert check_parity_delta(2, 3, 2, 2, 1) is True  # l < d: value must be even
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            check_parity_delta(1, 1, 2, 1, 0)  # d >= 2**e
-        with pytest.raises(InvalidParameterError):
-            check_parity_delta(1, 1, 1, 1, 2)  # l > d
+        assert check_parity_delta(1, 1, 1, 2, 0) == SKIP  # d >= 2**e
+        assert check_parity_delta(1, 1, 1, 1, 2) == SKIP  # l > d
 
 
 class TestAdapterSkips:
@@ -338,12 +331,10 @@ class TestAdapterSkips:
 
 class TestAdapterValidation:
     def test_recurrence_adapter_needs_alpha_at_least_one(self):
-        with pytest.raises(InvalidParameterError, match="alpha >= 1"):
-            STATEMENTS["L2.2"].check(p=2, alpha=0, l=1, n=3, r=0)
+        assert STATEMENTS["L2.2"].check(p=2, alpha=0, l=1, n=3, r=0) == SKIP
 
     def test_convolution_adapter_needs_alpha_at_least_one(self):
-        with pytest.raises(InvalidParameterError, match="alpha >= 1"):
-            STATEMENTS["L2.4"].check(p=2, alpha=0, l=1, n=3, r=0)
+        assert STATEMENTS["L2.4"].check(p=2, alpha=0, l=1, n=3, r=0) == SKIP
 
     def test_non_prime_p_is_rejected(self):
         for sid in ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1"):
@@ -402,3 +393,74 @@ class TestUnitValueSigns:
             )
             seen.add(frac_mod(v, p))
         assert seen == {1, 2}
+
+
+# Every entry with a modulus axis, with an invalid value on that axis.
+MODULUS_CASES = [
+    (sid, axis, value)
+    for sid, st in {**STATEMENTS, **SEARCHES}.items()
+    for axis, value in (("alpha", -1), ("p", 1), ("p", 0))
+    if axis in st.axes
+]
+
+
+class TestPreconditionRule:
+    @pytest.mark.parametrize("sid, axis, value", MODULUS_CASES)
+    def test_invalid_modulus_raises_invalid_parameter_error(self, sid, axis, value):
+        # Raised by prime_power_modulus from a derived window or the check;
+        # any other exception type (TypeError from a float window, a
+        # ZeroDivisionError, ...) fails this test.
+        sweep = run_statement if sid in STATEMENTS else search_conjecture
+        with pytest.raises(InvalidParameterError) as info:
+            sweep(sid, grid={axis: (value,)})
+        assert not isinstance(info.value, EmptyGridError)
+
+    @pytest.mark.parametrize(
+        "sid, inside, widened, excluded",
+        [
+            # digits s >= p
+            (
+                "T1.6",
+                {"p": (2, 3), "alpha": (2,), "n": (3,)},
+                {"s": (0, 1, 2)},
+                lambda v: v["s"] >= v["p"],
+            ),
+            # alpha below the proven range
+            (
+                "T1.5",
+                {"p": (2, 3), "alpha": (2,), "l": (0, 1), "n": tuple(range(11))},
+                {"alpha": (1, 2)},
+                lambda v: v["alpha"] < 2,
+            ),
+            (
+                "T1.7",
+                {"p": (2, 3), "alpha": (2,), "n": tuple(range(9))},
+                {"alpha": (1, 2)},
+                lambda v: v["alpha"] < 2,
+            ),
+            (
+                "CONJ3.1",
+                {"p": (3,), "alpha": (2,), "n": tuple(range(9))},
+                {"alpha": (1, 2)},
+                lambda v: v["alpha"] < 2,
+            ),
+            (
+                "L2.5",
+                {"p": (2, 3), "alpha": (1,), "n": tuple(range(9))},
+                {"alpha": (0, 1)},
+                lambda v: v["alpha"] < 1,
+            ),
+            # e < 0 leaves no digit d in [0, 2**e)
+            ("T4.1", {"alpha": (1,), "e": (1, 2)}, {"e": (-1, 1, 2)}, lambda v: v["e"] < 0),
+        ],
+    )
+    def test_out_of_hypothesis_instances_are_skipped(self, sid, inside, widened, excluded):
+        st = STATEMENTS[sid]
+        grid = {**inside, **widened}
+        n_excluded = sum(excluded(dict(zip(st.axes, v))) for v in iter_instances(st, grid))
+        assert n_excluded > 0
+        base = run_statement(sid, grid=inside)
+        report = run_statement(sid, grid=grid)
+        assert report.status == "pass"
+        assert report.checked == base.checked
+        assert report.skipped == base.skipped + n_excluded
