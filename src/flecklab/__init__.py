@@ -17,7 +17,6 @@ from .combinatorics import (
     binomial,
     binomial_inversion,
     falling_factorial,
-    stirling1_unsigned,
     stirling2,
     weighted_inverse_sequence,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "run_statement",
     "search_conjecture",
     "series_coefficient",
-    "stirling1_unsigned",
     "stirling2",
     "unsigned_class_sum",
     "weighted_inverse_sequence",

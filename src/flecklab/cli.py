@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .combinatorics import Polynomial
@@ -37,27 +36,15 @@ from .sums import (
     restricted_sum,
 )
 from .statements import SEARCH_IDS, SEARCHES, STATEMENTS
-from .verifier import DEFAULT_FAILURE_CAP, run_statement, search_conjecture
+from .verifier import DEFAULT_FAILURE_CAP, delimited, run_statement, search_conjecture
 
 __all__ = ["main", "main_entry"]
 
-_AXIS_FLAGS = (
-    "p",
-    "alpha",
-    "n",
-    "r",
-    "l",
-    "m",
-    "s",
-    "t",
-    "k",
-    "beta",
-    "q",
-    "c",
-    "d",
-    "e",
-    "j",
-    "fdeg",
+# Every axis of the catalog, in the order the entries first name it.
+_AXIS_FLAGS = tuple(
+    dict.fromkeys(
+        axis for st in (*STATEMENTS.values(), *SEARCHES.values()) for axis in st.axes
+    )
 )
 
 
@@ -105,15 +92,6 @@ def _emit(text: str, out_path: "str | None") -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _rows_to_delimited(rows: list[list[str]], delimiter: str) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +148,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         table = [["n", *[f"l={l}" for l in _TABLE1_L]]]
         for row in rows:
             table.append([str(row["n"]), *[str(g) for g in row["gaps"]]])
-        _emit(_rows_to_delimited(table, "," if args.format == "csv" else "\t"), args.out)
+        _emit(delimited(table, "," if args.format == "csv" else "\t"), args.out)
     return 0
 
 
@@ -202,7 +180,7 @@ def _cmd_example13(args: argparse.Namespace) -> int:
         table = [["l", "order", "degree_bound", "floor_bound"]]
         for l in ls:
             table.append([str(l), str(orders[l]), str(degree_bounds[l]), str(floor_bound)])
-        _emit(_rows_to_delimited(table, "," if args.format == "csv" else "\t"), args.out)
+        _emit(delimited(table, "," if args.format == "csv" else "\t"), args.out)
     return 0
 
 

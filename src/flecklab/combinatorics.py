@@ -4,15 +4,9 @@ Polynomials are dense coefficient tuples over int/Fraction, normalized so
 the zero polynomial is the empty tuple with degree NEG_INFINITY.  The
 binomial coefficient is the generalized one: binomial(x, k) is the
 polynomial x(x-1)...(x-k+1)/k! evaluated at any integer or rational x,
-zero for k < 0.  Stirling numbers of the first kind are stored unsigned,
-fixed by the expansion
-
-    k! * binomial(x, k) = sum_j (-1)**(k-j) * s1(k, j) * x**j,
-
-which is the convention the scaled basis-change identities below need.
-Bernoulli polynomials use the B_1 = -1/2 normalization, i.e. B_m(x) is the
-unique polynomial with B_m(x+1) - B_m(x) = m*x**(m-1) and constant term
-equal to the m-th Bernoulli number.
+zero for k < 0.  Bernoulli polynomials use the B_1 = -1/2 normalization,
+i.e. B_m(x) is the unique polynomial with B_m(x+1) - B_m(x) = m*x**(m-1)
+and constant term equal to the m-th Bernoulli number.
 """
 
 from __future__ import annotations
@@ -32,7 +26,6 @@ __all__ = [
     "binomial",
     "binomial_inversion",
     "falling_factorial",
-    "stirling1_unsigned",
     "stirling2",
     "weighted_inverse_sequence",
 ]
@@ -112,26 +105,6 @@ def stirling2(l: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _stirling1_row(l: int) -> tuple[int, ...]:
-    if l == 0:
-        return (1,)
-    prev = _stirling1_row(l - 1)
-    row = [0] * (l + 1)
-    for j in range(l + 1):
-        row[j] = (l - 1) * (prev[j] if j < l else 0) + (prev[j - 1] if j >= 1 else 0)
-    return tuple(row)
-
-
-def stirling1_unsigned(l: int, j: int) -> int:
-    """Unsigned Stirling number of the first kind (cycle counts)."""
-    if l < 0 or j < 0:
-        raise InvalidParameterError("Stirling numbers need nonnegative indices")
-    if j > l:
-        return 0
-    return _stirling1_row(l)[j]
-
-
-@lru_cache(maxsize=None)
 def bernoulli_number(k: int) -> Fraction:
     """k-th Bernoulli number with B_1 = -1/2, via the defining recurrence
     sum_{j<=k} binomial(k+1, j) * B_j == 0 for k >= 1."""
@@ -186,39 +159,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial | int | Fraction") -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
-
-    __rmul__ = __mul__
-
-    def shifted(self, c: "int | Fraction") -> "Polynomial":
-        """Composition with x + c."""
-        out = Polynomial(())
-        xc = Polynomial((c, 1))
-        power = Polynomial((1,))
-        for a in self.coeffs:
-            out = out + power * a
-            power = power * xc
-        return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Polynomial) and self.coeffs == other.coeffs

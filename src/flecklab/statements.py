@@ -4,7 +4,8 @@ Each entry couples a short opaque id (the token the CLI accepts) with a
 check over one tuple of integer parameters.  A check returns True on
 success, the SKIP marker when the instance fails the statement's
 precondition, or an (observed, expected) pair describing the failure.
-Default sweep grids are part of each entry; axes whose sensible range
+Default sweep grids are part of each entry, and their keys, in order, are
+the entry's axes and its check's parameters; axes whose sensible range
 depends on earlier axes (for example a residue window that scales with
 the modulus) are derived on the fly and documented as such in reports.
 
@@ -92,9 +93,13 @@ class Statement:
     id: str
     kind: str  # "theorem" or "conjecture"
     description: str
-    axes: tuple[str, ...]
     defaults: Mapping[str, object]  # axis -> tuple of ints, or DerivedAxis
     check: Callable[..., object]
+
+    @property
+    def axes(self) -> tuple[str, ...]:
+        """The sweep axes, in the order of the default grid's keys."""
+        return tuple(self.defaults)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -180,13 +185,13 @@ def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t
           == (1/floor(n/h)!) * binomial(s,t) * sum_{k == r (m)} binomial(n,k) (-1)**k ((k-r)/h)**l
              (mod p)
 
-    with m = p**alpha, h = p**(alpha-1), 0 <= s, t < p, alpha >= 2, n >= 0.
+    with m = p**alpha, h = p**(alpha-1), 0 <= s, t < p, alpha >= 2, n, l >= 0.
 
     Both sides are class sums with weight (p*(k-r)/m)**l: with K = pk+t the
     left one runs over K == pr+t (mod pm), and (-1)**(pk) = (-1)**(K+t).
     """
     m = prime_power_modulus(p, alpha).m
-    if alpha < 2 or not (0 <= s < p and 0 <= t < p) or n < 0:
+    if alpha < 2 or not (0 <= s < p and 0 <= t < p) or n < 0 or l < 0:
         return SKIP
     lh = (-1) ** t * alt_sum_power(p * n + s, p * r + t, p * m, l)
     rh = math.comb(s, t) * alt_sum_power(n, r, m, l)
@@ -356,6 +361,8 @@ def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
 
 def _t11(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
+    if l < 0:
+        return SKIP
     o = _int_order(p, alt_sum_power(n, r, pm.m, l))
     b1 = degree_order_bound(pm, n, r, l)
     b2 = floor_order_bound(pm, n, r)
@@ -429,6 +436,8 @@ def _c11cor(p, alpha, m, n, r):
 
 def _l21(p, n, r, l):
     m = prime_power_modulus(p, 0).m
+    if n < 0 or l < 0:
+        return SKIP
     denom = math.factorial(p * n)
     direct = Fraction(math.factorial(l) * p**l * alt_sum_binom(n, r, m, l), denom)
     closed = Fraction(math.factorial(l) * p**l * (-1) ** n * binomial(-r, l - n), denom)
@@ -521,6 +530,8 @@ def _l42(alpha, n, r):
 
 
 def _r16(n, l):
+    if n < 0 or l < 0:
+        return SKIP
     lhs = alt_sum_power(n, 0, 1, l)
     rhs = (-1) ** n * math.factorial(n) * stirling2(l, n)
     if lhs != rhs:
@@ -541,6 +552,8 @@ def _conj11(p, alpha, l, n, r):
 
 def _conj12(p, n, s):
     prime_power_modulus(p, 2)
+    if n < 0 or not 0 <= s < p:
+        return SKIP
     w1 = (p * n + s - p) // (p * (p - 1))
 
     def lhs_val(t: int, r: int) -> Fraction:
@@ -577,7 +590,7 @@ def _conj12(p, n, s):
 
 def _conj13(p, alpha, n, r, j):
     ma = prime_power_modulus(p, alpha).m
-    if n < 2 * ma - 1:
+    if n < 2 * ma - 1 or j < 0:
         return SKIP
     n0 = n // ma
     e = 0
@@ -743,45 +756,37 @@ _MAIN = {
 }
 
 
-def _entry(id, kind, description, axes, defaults, check):
-    return Statement(id, kind, description, tuple(axes), dict(defaults), check)
-
-
 STATEMENTS: dict[str, Statement] = {
     s.id: s
     for s in [
-        _entry(
+        Statement(
             "T1.1",
             "theorem",
             "order of a power-weighted alternating class sum meets the degree bound "
             "and the degree-free floor bound",
-            ("p", "alpha", "n", "r", "l"),
             _MAIN,
             _t11,
         ),
-        _entry(
+        Statement(
             "T1.2",
             "theorem",
             "binomial-coefficient weights obey the integer-valued order bound",
-            ("p", "alpha", "n", "r", "l"),
             _MAIN,
             _t12,
         ),
-        _entry(
+        Statement(
             "T1.3",
             "theorem",
             "series coefficient of (1-x)**n/(1-x**m)**(l+1): order bound plus "
             "agreement with the shifted class sum",
-            ("p", "alpha", "n", "r", "l"),
             _MAIN,
             _t13,
         ),
-        _entry(
+        Statement(
             "T1.4",
             "theorem",
             "the weighted inverse sequence is p-integral and round-trips through "
             "binomial inversion",
-            ("p", "alpha", "r", "l"),
             {
                 "p": (2, 3, 5),
                 "alpha": (1, 2),
@@ -793,12 +798,11 @@ STATEMENTS: dict[str, Statement] = {
             },
             _t14,
         ),
-        _entry(
+        Statement(
             "T1.5",
             "theorem",
             "digit-reduction congruence for normalized sums between levels "
             "alpha+1 and alpha, alpha >= 2",
-            ("p", "alpha", "l", "n", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (2, 3),
@@ -808,11 +812,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_lucas_reduction,
         ),
-        _entry(
+        Statement(
             "T1.6",
             "theorem",
             "top-digit product congruence for weighted class sums",
-            ("p", "alpha", "l", "n", "s", "t", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (2, 3),
@@ -824,11 +827,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_digit_product_congruence,
         ),
-        _entry(
+        Statement(
             "T1.7",
             "theorem",
             "digit refinement of normalized unweighted sums down to level p**2",
-            ("p", "alpha", "n", "s", "t", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": DerivedAxis("2..4 for p in {2,3}, 2..3 for p=5", _refinement_alpha),
@@ -839,11 +841,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_normalized_refinement,
         ),
-        _entry(
+        Statement(
             "T1.8",
             "theorem",
             "exact attainment of the order floor for the zero class at p = 2",
-            ("alpha", "n", "l"),
             {
                 "alpha": (0, 1, 2, 3),
                 "n": tuple(range(65)),
@@ -855,11 +856,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_exact_attainment,
         ),
-        _entry(
+        Statement(
             "C1.1cor",
             "theorem",
             "Bernoulli-polynomial alternating sums obey the shifted order bound",
-            ("p", "alpha", "m", "n", "r"),
             {
                 "p": (2, 3),
                 "alpha": (1, 2),
@@ -869,11 +869,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _c11cor,
         ),
-        _entry(
+        Statement(
             "C1.2cor",
             "theorem",
             "digit criterion for oddness of the normalized unsigned class sum at p = 2",
-            ("alpha", "n", "r"),
             {
                 "alpha": (2, 3, 4, 5),
                 "n": tuple(range(49)),
@@ -884,11 +883,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_parity_criterion,
         ),
-        _entry(
+        Statement(
             "C3.1cor",
             "theorem",
             "iterated level reduction and order floor for Fleck-normalized sums",
-            ("p", "alpha", "beta", "n", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (1, 2, 3, 4),
@@ -898,11 +896,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_fleck_shift_chain,
         ),
-        _entry(
+        Statement(
             "L2.1",
             "theorem",
             "degenerate-regime closed form of the normalized sum",
-            ("p", "n", "r", "l"),
             {
                 "p": (2, 3, 5),
                 "n": tuple(range(65)),
@@ -911,11 +908,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l21,
         ),
-        _entry(
+        Statement(
             "L2.2",
             "theorem",
             "two exact contiguous recurrences for normalized sums",
-            ("p", "alpha", "l", "n", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (1, 2, 3),
@@ -925,11 +921,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l22,
         ),
-        _entry(
+        Statement(
             "L2.3",
             "theorem",
             "class-d sums split exactly through class-m convolutions",
-            ("d", "m", "n", "r", "fdeg"),
             {
                 "d": tuple(range(1, 10)),
                 "m": tuple(range(1, 10)),
@@ -939,11 +934,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l23,
         ),
-        _entry(
+        Statement(
             "L2.4",
             "theorem",
             "self-convolution identity with integral weights",
-            ("p", "alpha", "l", "n", "r"),
             {
                 "p": (2, 3),
                 "alpha": (1, 2),
@@ -953,11 +947,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l24,
         ),
-        _entry(
+        Statement(
             "L2.5",
             "theorem",
             "integrality of the convolution weights",
-            ("p", "alpha", "n", "j"),
             {
                 "p": (2, 3, 5),
                 "alpha": (1, 2, 3),
@@ -966,11 +959,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l25,
         ),
-        _entry(
+        Statement(
             "T2.1",
             "theorem",
             "carry-count lower bound for orders of normalized sums",
-            ("p", "alpha", "l", "n", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (0, 1, 2, 3),
@@ -980,11 +972,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _t21,
         ),
-        _entry(
+        Statement(
             "L3.1",
             "theorem",
             "congruence for averaged harmonic sums over an arithmetic progression",
-            ("m", "n", "r"),
             {
                 "m": tuple(range(1, 13)),
                 "n": tuple(range(1, 49)),
@@ -992,11 +983,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_harmonic_congruence,
         ),
-        _entry(
+        Statement(
             "L3.2",
             "theorem",
             "p-scaling congruence for binomial coefficients",
-            ("p", "n", "k"),
             {
                 "p": (2, 3, 5),
                 "n": tuple(range(1, 31)),
@@ -1004,11 +994,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_scaled_binomial_congruence,
         ),
-        _entry(
+        Statement(
             "T3.1",
             "theorem",
             "one-step level reduction for Fleck-normalized sums",
-            ("p", "alpha", "n", "r"),
             {
                 "p": (2, 3, 5),
                 "alpha": (2, 3, 4),
@@ -1017,11 +1006,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_fleck_reduction,
         ),
-        _entry(
+        Statement(
             "L4.1",
             "theorem",
             "factorial order attains its ceiling exactly for single-digit quotients",
-            ("p", "beta", "q", "r"),
             {
                 "p": (2, 3, 5),
                 "beta": (0, 1, 2, 3),
@@ -1030,11 +1018,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_factorial_ceiling,
         ),
-        _entry(
+        Statement(
             "L4.2",
             "theorem",
             "oddness of the degree-zero normalized sum detects powers of two",
-            ("alpha", "n", "r"),
             {
                 "alpha": (0, 1, 2, 3),
                 "n": DerivedAxis("multiples of 2**alpha up to 64", _l42_n_values),
@@ -1042,11 +1029,10 @@ STATEMENTS: dict[str, Statement] = {
             },
             _l42,
         ),
-        _entry(
+        Statement(
             "T4.1",
             "theorem",
             "Kronecker-delta parity of normalized sums at split arguments",
-            ("alpha", "c", "e", "d", "l"),
             {
                 "alpha": (0, 1, 2, 3),
                 "c": tuple(range(6)),
@@ -1056,21 +1042,19 @@ STATEMENTS: dict[str, Statement] = {
             },
             check_parity_delta,
         ),
-        _entry(
+        Statement(
             "R1.6",
             "theorem",
             "alternating power sums reduce to Stirling partition numbers, with "
             "the derived parity consequence",
-            ("n", "l"),
             {"n": tuple(range(11)), "l": tuple(range(15))},
             _r16,
         ),
-        _entry(
+        Statement(
             "CONJ1.1",
             "conjecture",
             "conjectured strength of the lift congruence between levels "
             "alpha+1 and alpha at scaled arguments (mod p**3, or p**2 at p=3)",
-            ("p", "alpha", "l", "n", "r"),
             {
                 "p": (3, 5),
                 "alpha": (1, 2),
@@ -1080,12 +1064,11 @@ STATEMENTS: dict[str, Statement] = {
             },
             _conj11,
         ),
-        _entry(
+        Statement(
             "CONJ1.2",
             "conjecture",
             "conjectured digit congruence at level p**2 with the residue "
             "permutation clause in the exceptional case",
-            ("p", "n", "s"),
             {
                 "p": (2, 3, 5),
                 "n": tuple(range(21)),
@@ -1093,12 +1076,11 @@ STATEMENTS: dict[str, Statement] = {
             },
             _conj12,
         ),
-        _entry(
+        Statement(
             "CONJ1.3",
             "conjecture",
             "conjectured unit value (+1 or -1 mod p) of the doubly normalized sum "
             "at admissible weights",
-            ("p", "alpha", "n", "r", "j"),
             {
                 "p": (2, 3),
                 "alpha": (0, 1, 2),
@@ -1108,12 +1090,11 @@ STATEMENTS: dict[str, Statement] = {
             },
             _conj13,
         ),
-        _entry(
+        Statement(
             "CONJ3.1",
             "conjecture",
             "conjectured strengthening of the Fleck-normalized shift congruence "
             "for odd p",
-            ("p", "alpha", "n", "r"),
             {
                 "p": (3, 5),
                 "alpha": (2, 3),
@@ -1125,12 +1106,11 @@ STATEMENTS: dict[str, Statement] = {
     ]
 }
 
-_T15_ALPHA1 = _entry(
+_T15_ALPHA1 = Statement(
     "T1.5-alpha1",
     "conjecture",
     "digit-reduction congruence at the lowest level (conjectured analogue "
     "of the proven alpha >= 2 case)",
-    ("p", "l", "n", "r"),
     {
         "p": (2, 3),
         "l": tuple(range(5)),

@@ -89,7 +89,9 @@ def alt_sum_f(n: int, r: int, m: int, f_at: Callable[[int], "int | Fraction"]):
 
 
 def alt_sum_power(n: int, r: int, m: int, l: int) -> int:
-    """Weight ((k-r)/m)**l; pure integer arithmetic."""
+    """Weight ((k-r)/m)**l for a degree l >= 0; pure integer arithmetic."""
+    if l < 0:
+        raise InvalidParameterError(f"weight degree must be nonnegative, got {l}")
     acc = 0
     j = -(r // m)
     for t in _class_binomials(n, r % m, m):

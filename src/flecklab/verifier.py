@@ -169,6 +169,13 @@ def _sweep(
     return checked, skipped, failures[:cap]
 
 
+def delimited(rows: Iterable[Sequence[str]], delimiter: str) -> str:
+    """Rows written as CSV (or TSV) text with newline line endings."""
+    buf = io.StringIO()
+    csv.writer(buf, delimiter=delimiter, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     statement: str
@@ -231,17 +238,11 @@ class VerificationReport:
             )
         return rows
 
-    def _delimited(self, delimiter: str) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
-        writer.writerows(self.to_rows())
-        return buf.getvalue()
-
     def to_csv(self) -> str:
-        return self._delimited(",")
+        return delimited(self.to_rows(), ",")
 
     def to_tsv(self) -> str:
-        return self._delimited("\t")
+        return delimited(self.to_rows(), "\t")
 
 
 def _run(

@@ -9,10 +9,12 @@ is specifically about parallelism.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
 import time
+from pathlib import Path
 
 from flecklab.cli import main
 from flecklab.padic import carries, factorial_order, padic_order
@@ -41,20 +43,28 @@ GAP_TABLE = {
 # 2-adic orders for p=2, alpha=1, r=0, n=20, weight degrees 0..21.
 ORDERS_N20 = [19, 19, 17, 17, 14, 14, 12, 12, 10, 10, 8, 8, 8, 8, 11, 9, 9, 9, 8, 8, 8, 8]
 
-CORE_SUITE = ("T1.1", "T1.2", "T1.3", "T2.1", "L2.1", "L2.2", "L2.5", "C1.1cor")
+CORE_SUITE = ("T1.1", "T1.2", "T1.3", "T1.4", "T2.1", "L2.1", "L2.2", "L2.5", "C1.1cor")
 CONVOLUTION_SUITE = ("L2.3", "L2.4")
 REDUCTION_SUITE = (
     "T1.5", "T1.6", "T1.7", "C1.2cor", "T3.1", "C3.1cor",
-    "L3.1", "L3.2", "L4.1", "L4.2", "T4.1", "T1.8",
+    "L3.1", "L3.2", "L4.1", "L4.2", "T4.1", "T1.8", "R1.6",
 )
 SEARCH_SUITE = ("CONJ1.1", "CONJ1.2", "CONJ1.3", "CONJ3.1", "T1.5-alpha1")
 
 
+# SHA-256 of each default-grid report's to_json(), as perfbench/record_digests.py
+# recorded them; the suites below sweep all 29 ids, so every report is pinned.
+DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
 def _passes(statement_ids, runner) -> list:
+    digests = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
     reports = [runner(sid) for sid in statement_ids]
     for report in reports:
         assert report.passed, f"{report.statement}: {report.status} {report.failures[:1]}"
         assert report.checked > 0 and report.failures == ()
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == digests[f"default/{report.statement}"], report.statement
     return reports
 
 
@@ -213,7 +223,6 @@ def test_acceptance_09_searches_find_no_counterexamples(capsys, monkeypatch):
         id="FAKE.CONJ",
         kind="conjecture",
         description="synthetic refuted conjecture",
-        axes=("n",),
         defaults={"n": (0, 1, 2)},
         check=lambda n: True if n == 0 else ("observed 1", "expected 0"),
     )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from flecklab.cli import _SUITE_IDS, _parse_values, build_parser, main
+from flecklab.cli import _AXIS_FLAGS, _SUITE_IDS, _parse_values, build_parser, main
 from flecklab.statements import SEARCH_IDS, SEARCHES, SKIP, STATEMENTS, Statement
 from flecklab.verifier import run_statement, search_conjecture
 
@@ -37,7 +37,6 @@ def failing_statement(statement_id: str, kind: str) -> Statement:
         id=statement_id,
         kind=kind,
         description="synthetic statement for exit-code tests",
-        axes=("n",),
         defaults={"n": tuple(range(6))},
         check=check,
     )
@@ -145,6 +144,16 @@ class TestExample13Command:
 
 
 class TestVerifyCommand:
+    def test_axis_flags_are_the_catalog_axes_in_first_use_order(self, capsys):
+        assert _AXIS_FLAGS == (
+            "p", "alpha", "n", "r", "l", "s", "t", "m",
+            "beta", "d", "fdeg", "j", "k", "q", "c", "e",
+        )
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = capsys.readouterr().out
+        assert all(f"--{name} VALS" in help_text for name in _AXIS_FLAGS)
+
     def test_passing_statement(self, capsys):
         assert main(["verify", "R1.6"]) == 0
         captured = capsys.readouterr()

@@ -14,7 +14,6 @@ from flecklab.combinatorics import (
     binomial,
     binomial_inversion,
     falling_factorial,
-    stirling1_unsigned,
     stirling2,
     weighted_inverse_sequence,
 )
@@ -76,14 +75,6 @@ class TestStirling:
         assert stirling2(0, 0) == 1
         assert stirling2(3, 5) == 0
 
-    def test_first_kind_table(self):
-        assert [stirling1_unsigned(4, j) for j in range(5)] == [0, 6, 11, 6, 1]
-        assert stirling1_unsigned(0, 0) == 1
-
-    def test_first_kind_row_sum_is_factorial(self):
-        for l in range(10):
-            assert sum(stirling1_unsigned(l, j) for j in range(l + 1)) == math.factorial(l)
-
     @given(st.integers(-8, 8), st.integers(0, 10))
     def test_second_kind_expands_powers(self, x, l):
         # x**l == sum_j S(l, j) * falling_factorial(x, j)
@@ -91,20 +82,9 @@ class TestStirling:
             stirling2(l, j) * falling_factorial(x, j) for j in range(l + 1)
         )
 
-    @given(st.integers(-8, 8), st.integers(0, 10))
-    def test_first_kind_expands_falling_factorials(self, x, k):
-        # k! * binomial(x, k) == sum_j (-1)**(k-j) * s1(k, j) * x**j
-        lhs = math.factorial(k) * binomial(x, k)
-        rhs = sum(
-            (-1) ** (k - j) * stirling1_unsigned(k, j) * x**j for j in range(k + 1)
-        )
-        assert lhs == rhs
-
     def test_rejects_negative_indices(self):
         with pytest.raises(InvalidParameterError):
             stirling2(-1, 0)
-        with pytest.raises(InvalidParameterError):
-            stirling1_unsigned(2, -1)
 
 
 class TestBernoulli:
@@ -169,25 +149,6 @@ class TestPolynomial:
         assert f(3) == 19
         assert f(Fraction(1, 2)) == Fraction(3, 2)
         assert Polynomial(())(7) == 0
-
-    def test_arithmetic(self):
-        f = Polynomial((1, 1))
-        g = Polynomial((0, 0, 1))
-        assert (f + g).coeffs == (1, 1, 1)
-        assert (f - f).is_zero
-        assert (f * g).coeffs == (0, 0, 1, 1)
-        assert (f * 3).coeffs == (3, 3)
-        assert (3 * f).coeffs == (3, 3)
-        assert (-f).coeffs == (-1, -1)
-
-    @given(
-        st.lists(st.integers(-9, 9), max_size=5),
-        st.integers(-6, 6),
-        st.integers(-6, 6),
-    )
-    def test_shifted_is_composition(self, coeffs, c, x):
-        f = Polynomial(coeffs)
-        assert f.shifted(c)(x) == f(x + c)
 
     def test_immutability_and_hash(self):
         f = Polynomial((1, 2))

@@ -94,7 +94,7 @@ class TestRegistry:
         for st in list(STATEMENTS.values()) + [SEARCHES["T1.5-alpha1"]]:
             assert len(set(st.axes)) == len(st.axes), st.id
             assert set(st.axes) <= set(_AXIS_FLAGS), st.id
-            assert set(st.defaults) == set(st.axes), st.id
+            assert st.axes == tuple(st.defaults), st.id
             for axis, values in st.defaults.items():
                 if isinstance(values, DerivedAxis):
                     assert isinstance(values.description, str) and values.description
@@ -452,6 +452,47 @@ class TestPreconditionRule:
             ),
             # e < 0 leaves no digit d in [0, 2**e)
             ("T4.1", {"alpha": (1,), "e": (1, 2)}, {"e": (-1, 1, 2)}, lambda v: v["e"] < 0),
+            # negative weight degrees, sizes and weight indices
+            (
+                "T1.1",
+                {"p": (2,), "alpha": (1,), "n": tuple(range(9)), "l": (1,)},
+                {"l": (-1, 1)},
+                lambda v: v["l"] < 0,
+            ),
+            (
+                "T1.6",
+                {"p": (3,), "alpha": (2,), "n": (3,), "l": (1,)},
+                {"l": (-1, 1)},
+                lambda v: v["l"] < 0,
+            ),
+            ("R1.6", {"n": tuple(range(5)), "l": (1,)}, {"l": (-1, 1)}, lambda v: v["l"] < 0),
+            ("R1.6", {"n": (1,), "l": tuple(range(5))}, {"n": (-1, 1)}, lambda v: v["n"] < 0),
+            (
+                "L2.1",
+                {"p": (2,), "n": (1,), "l": tuple(range(5))},
+                {"n": (-1, 1)},
+                lambda v: v["n"] < 0,
+            ),
+            (
+                "L2.1",
+                {"p": (2,), "n": tuple(range(5)), "l": (1,)},
+                {"l": (-1, 1)},
+                lambda v: v["l"] < 0,
+            ),
+            (
+                "CONJ1.3",
+                {"p": (2,), "alpha": (1,), "j": (1,)},
+                {"j": (-1, 1)},
+                lambda v: v["j"] < 0,
+            ),
+            ("CONJ1.2", {"p": (3,), "n": (1,)}, {"n": (-1, 1)}, lambda v: v["n"] < 0),
+            # s is a digit, 0 <= s < p
+            (
+                "CONJ1.2",
+                {"p": (3,), "n": tuple(range(5)), "s": (1,)},
+                {"s": (-1, 1, 3)},
+                lambda v: not 0 <= v["s"] < v["p"],
+            ),
         ],
     )
     def test_out_of_hypothesis_instances_are_skipped(self, sid, inside, widened, excluded):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -46,6 +47,12 @@ class TestSumEvaluators:
         assert plain_alt_sum(0, 0, 4) == 1
         assert plain_alt_sum(6, 0, 1) == 0
         assert unsigned_class_sum(4, 0, 2) == 8
+
+    def test_power_weight_rejects_negative_degree(self):
+        with pytest.raises(InvalidParameterError, match="weight degree"):
+            alt_sum_power(5, 7, 2, -1)
+        with pytest.raises(InvalidParameterError, match="weight degree"):
+            alt_sum_power(5, 0, 1, -1)
 
     @given(
         st.integers(0, 60),
@@ -134,7 +141,8 @@ class TestRestrictedSumSpec:
     )
     def test_linearity_in_the_weight(self, n, r, m, c1, c2):
         f, g = Polynomial(c1), Polynomial(c2)
-        lhs = restricted_sum(RestrictedSumSpec(n=n, r=r, modulus=m, f=f + g))
+        f_plus_g = Polynomial(a + b for a, b in zip_longest(c1, c2, fillvalue=0))
+        lhs = restricted_sum(RestrictedSumSpec(n=n, r=r, modulus=m, f=f_plus_g))
         rhs = restricted_sum(RestrictedSumSpec(n=n, r=r, modulus=m, f=f)) + restricted_sum(
             RestrictedSumSpec(n=n, r=r, modulus=m, f=g)
         )

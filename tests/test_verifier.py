@@ -36,7 +36,6 @@ def synthetic(statement_id: str, kind: str, check=synthetic_check) -> Statement:
         id=statement_id,
         kind=kind,
         description="synthetic statement for harness tests",
-        axes=("n",),
         defaults={"n": tuple(range(12))},
         check=check,
     )
