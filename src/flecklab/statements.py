@@ -361,7 +361,7 @@ def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
 
 def _t11(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
-    if l < 0:
+    if n < 0 or l < 0:
         return SKIP
     o = _int_order(p, alt_sum_power(n, r, pm.m, l))
     b1 = degree_order_bound(pm, n, r, l)
@@ -373,6 +373,8 @@ def _t11(p, alpha, n, r, l):
 
 def _t12(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
+    if n < 0 or l < 0:
+        return SKIP
     o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
     b = integer_valued_order_bound(pm, n, r, l)
     return True if o >= b else (f"order {o}", f">= {b}")
@@ -380,7 +382,7 @@ def _t12(p, alpha, n, r, l):
 
 def _t13(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
-    if r < 0 or r <= n - (l + 1) * pm.m:
+    if n < 0 or l < 0 or r < 0 or r <= n - (l + 1) * pm.m:
         return SKIP
     coeff = series_coefficient(pm, n, l, r)
     o = _int_order(p, coeff)
@@ -448,7 +450,8 @@ def _l21(p, n, r, l):
 
 def _l22(p, alpha, l, n, r):
     m = prime_power_modulus(p, alpha).m
-    if alpha < 1:
+    # n >= 1 because the recurrences read the sums at n - 1.
+    if alpha < 1 or n < 1 or l < 0:
         return SKIP
     h = m // p
     # With V = num / d! the recurrences read, V' taken at l - 1,
@@ -482,7 +485,7 @@ def _l23(d, m, n, r, fdeg):
 
 def _l24(p, alpha, l, n, r):
     m = prime_power_modulus(p, alpha).m
-    if alpha < 1:
+    if alpha < 1 or n < 0 or l < 0:
         return SKIP
     h = m // p
     lhs = _norm_sum_value(p, alpha, l, n, r)
@@ -512,6 +515,9 @@ def _l25(p, alpha, n, j):
 
 
 def _t21(p, alpha, l, n, r):
+    if n < 0 or l < 0:
+        prime_power_modulus(p, alpha)  # elsewhere _norm_sum_value checks it
+        return SKIP
     num = _norm_sum_value(p, alpha, l, n, r)
     # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
     fo, tau = _bound_terms(p, alpha - 1, n, r)

@@ -4,8 +4,15 @@ A sweep enumerates every parameter tuple of a statement's grid in a fixed
 lexicographic order, runs the statement's check on each, and collects the
 result into a VerificationReport.  Reports are deterministic: the same
 statement and grid produce byte-identical JSON and CSV no matter how many
-worker processes are used, because chunks are merged back in submission
-order and the failure cap is applied to the merged stream.
+worker processes are used.
+
+With one worker the sweep streams its instances.  With more, the parent
+never builds the instance list: it plans about 8 blocks per worker, each a
+contiguous run of the sweep order given as prefixes (values of the leading
+axes) of near-equal instance count, and each worker enumerates the
+instances under its prefixes itself.  Block results are merged in sweep
+order and the failure cap is applied after the merge, so the report is the
+one a single worker produces.
 """
 
 from __future__ import annotations
@@ -19,7 +26,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import EmptyGridError, InvalidParameterError, UnknownStatementError
+from .errors import (
+    EmptyGridError,
+    InternalInvariantError,
+    InvalidParameterError,
+    UnknownStatementError,
+)
 from .statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
 
 __all__ = [
@@ -62,12 +74,8 @@ def iter_instances(
     st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None" = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield parameter tuples (in st.axes order) in lexicographic sweep order."""
-    overrides = overrides or {}
     axes = st.axes
-    specs = [overrides[axis] if axis in overrides else st.defaults[axis] for axis in axes]
-    # From the last derived axis on, every axis has fixed values: that tail is
-    # one product, shared by every prefix.
-    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
+    specs, split = _specs(st, overrides)
     tail = tuple(itertools.product(*specs[split:]))
     if split == 0:
         yield from tail
@@ -92,8 +100,93 @@ def iter_instances(
             yield prefix + rest
 
 
+def _specs(
+    st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None"
+) -> tuple[list, int]:
+    """Each axis's values or DerivedAxis, and the split: from the last derived
+    axis on, every axis has fixed values, so that tail is one product shared
+    by every prefix."""
+    overrides = overrides or {}
+    specs = [overrides[axis] if axis in overrides else st.defaults[axis] for axis in st.axes]
+    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
+    return specs, split
+
+
 def _axis_values(spec: "Sequence[int] | DerivedAxis", ctx: dict[str, int]) -> Sequence[int]:
     return spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
+
+
+def _extend(
+    axes: tuple[str, ...], specs: list, prefixes: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """Each prefix followed by each value of the next axis, in sweep order."""
+    depth = len(prefixes[0])
+    return [
+        prefix + (v,)
+        for prefix in prefixes
+        for v in _axis_values(specs[depth], dict(zip(axes, prefix)))
+    ]
+
+
+def _size(axes: tuple[str, ...], specs: list, split: int, prefix: tuple[int, ...]) -> int:
+    """How many instances lie under prefix, counted without building them:
+    walk the derived axes below it and multiply by the fixed tail's size."""
+    tail = math.prod(len(spec) for spec in specs[max(len(prefix), split) :])
+    if len(prefix) >= split:
+        return tail
+    level = [prefix]
+    while len(level[0]) < split - 1:
+        level = _extend(axes, specs, level)
+        if not level:
+            return 0
+    last = specs[split - 1]
+    return tail * sum(len(_axis_values(last, dict(zip(axes, q)))) for q in level)
+
+
+def _plan(
+    st: Statement, overrides: dict[str, tuple[int, ...]], blocks: int
+) -> tuple[tuple[str, ...], list[tuple[list[tuple[int, ...]], int]]]:
+    """Cut the sweep order into about `blocks` contiguous blocks of near-equal
+    instance count.  The leading axes are pinned just deep enough to give at
+    least `blocks` prefixes; a block is a run of prefixes and its instance
+    count.  Returns the pinned axes and the blocks, in sweep order."""
+    axes = st.axes
+    specs, split = _specs(st, overrides)
+    prefixes: list[tuple[int, ...]] = [()]
+    while prefixes and len(prefixes) < blocks and len(prefixes[0]) < len(axes):
+        prefixes = _extend(axes, specs, prefixes)
+    sizes = [_size(axes, specs, split, prefix) for prefix in prefixes]
+    total = sum(sizes)
+    plan: list[tuple[list[tuple[int, ...]], int]] = []
+    run: list[tuple[int, ...]] = []
+    count = done = 0
+    cut = 1
+    for prefix, size in zip(prefixes, sizes):
+        if not size:
+            continue
+        run.append(prefix)
+        count += size
+        done += size
+        # Close the run at the first prefix reaching the next cut point
+        # total * k / blocks; the last prefix always reaches k = blocks.
+        if done * blocks >= total * cut:
+            plan.append((run, count))
+            run, count = [], 0
+            cut = done * blocks // total + 1
+    depth = len(prefixes[0]) if prefixes else 0
+    return axes[:depth], plan
+
+
+def _block_instances(
+    st: Statement,
+    overrides: dict[str, tuple[int, ...]],
+    pinned: tuple[str, ...],
+    prefixes: Iterable[tuple[int, ...]],
+) -> Iterator[tuple[int, ...]]:
+    """The instances under each prefix in turn, each prefix pinned through
+    single-value overrides (derived axes included)."""
+    for prefix in prefixes:
+        yield from iter_instances(st, {**overrides, **{a: (v,) for a, v in zip(pinned, prefix)}})
 
 
 def grid_description(
@@ -125,16 +218,19 @@ def _as_failure(st: Statement, values: tuple[int, ...], res: object) -> dict[str
 
 
 def _run_chunk(
-    payload: "tuple[str, Iterable[tuple[int, ...]], int]",
+    st: Statement, instances: Iterable[tuple[int, ...]], cap: int
 ) -> tuple[int, int, list[dict]]:
-    statement_id, chunk, cap = payload
-    st = _lookup(statement_id)
     # A check's parameters are its axes, in order, so values go positionally.
     check = st.check
     checked = skipped = 0
     failures: list[dict] = []
-    for values in chunk:
-        res = check(*values)
+    for values in instances:
+        try:
+            res = check(*values)
+        except InternalInvariantError as exc:
+            raise InternalInvariantError(
+                f"{st.id} at {dict(zip(st.axes, values))}: {exc}"
+            ) from exc
         if res is True:
             checked += 1
         elif res == SKIP:
@@ -146,6 +242,21 @@ def _run_chunk(
     return checked, skipped, failures
 
 
+def _payloads(
+    st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
+) -> list[tuple]:
+    """What each worker is sent: (statement id, overrides, pinned axes,
+    prefixes, failure cap), one per planned block, in sweep order."""
+    pinned, plan = _plan(st, overrides, 8 * jobs)
+    return [(st.id, overrides, pinned, prefixes, cap) for prefixes, _ in plan]
+
+
+def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
+    statement_id, overrides, pinned, prefixes, cap = payload
+    st = _lookup(statement_id)
+    return _run_chunk(st, _block_instances(st, overrides, pinned, prefixes), cap)
+
+
 def _sweep(
     st: Statement,
     overrides: dict[str, tuple[int, ...]],
@@ -153,16 +264,14 @@ def _sweep(
     cap: int,
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
-        return _run_chunk((st.id, iter_instances(st, overrides), cap))
-    instances = list(iter_instances(st, overrides))
-    if not instances:
+        return _run_chunk(st, iter_instances(st, overrides), cap)
+    payloads = _payloads(st, overrides, jobs, cap)
+    if not payloads:
         return 0, 0, []
-    size = max(1, math.ceil(len(instances) / (jobs * 4)))
-    chunks = [instances[i : i + size] for i in range(0, len(instances), size)]
     checked = skipped = 0
     failures: list[dict] = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for c, s, f in pool.map(_run_chunk, [(st.id, chunk, cap) for chunk in chunks]):
+        for c, s, f in pool.map(_run_block, payloads):
             checked += c
             skipped += s
             failures.extend(f)

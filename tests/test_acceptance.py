@@ -246,10 +246,16 @@ def test_acceptance_10_parallel_reports_are_byte_identical(capsys):
     assert serial.to_json() == parallel.to_json()
     assert serial.to_csv() == parallel.to_csv()
     assert serial.passed and serial.checked > 0
+    # Every default-grid report at jobs=2 hashes to its recorded digest.
+    theorems = CORE_SUITE + CONVOLUTION_SUITE + REDUCTION_SUITE
+    reports = _passes(theorems, lambda sid: run_statement(sid, jobs=2))
+    reports += _passes(SEARCH_SUITE, lambda sid: search_conjecture(sid, jobs=2))
+    assert len(reports) == 29
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     with capsys.disabled():
         print(
             f"\nACCEPTANCE 10 PASS: jobs=1 and jobs=4 reports byte-identical on "
-            f"{serial.checked} instances ({elapsed:.2f}s)"
+            f"{serial.checked} instances, all 29 default-grid reports at jobs=2 "
+            f"match their digests ({elapsed:.2f}s)"
         )

@@ -404,6 +404,29 @@ MODULUS_CASES = [
 ]
 
 
+def _size_case(sid: str, axis: str):
+    """A negative n or l on an entry sharing the main grid; L2.2 also needs
+    n >= 1, since its recurrences read the sums at n - 1."""
+    inside = {"p": (2,), "alpha": (1,), "n": (1, 2), "l": (0, 1)}
+    low = 1 if (sid, axis) == ("L2.2", "n") else 0
+    widened = {axis: tuple(range(-1, low)) + inside[axis]}
+    return sid, inside, widened, lambda v: v[axis] < low
+
+
+SIZE_CASES = [
+    _size_case(sid, axis)
+    for sid, axes in (
+        ("T1.1", "n"),
+        ("T1.2", "nl"),
+        ("T1.3", "nl"),
+        ("T2.1", "nl"),
+        ("L2.2", "nl"),
+        ("L2.4", "nl"),
+    )
+    for axis in axes
+]
+
+
 class TestPreconditionRule:
     @pytest.mark.parametrize("sid, axis, value", MODULUS_CASES)
     def test_invalid_modulus_raises_invalid_parameter_error(self, sid, axis, value):
@@ -493,6 +516,7 @@ class TestPreconditionRule:
                 {"s": (-1, 1, 3)},
                 lambda v: not 0 <= v["s"] < v["p"],
             ),
+            *SIZE_CASES,
         ],
     )
     def test_out_of_hypothesis_instances_are_skipped(self, sid, inside, widened, excluded):

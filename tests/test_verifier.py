@@ -3,11 +3,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
 from flecklab.errors import (
     EmptyGridError,
+    InternalInvariantError,
     InvalidParameterError,
     UnknownStatementError,
 )
@@ -15,6 +17,9 @@ from flecklab.statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Stateme
 from flecklab.verifier import (
     DEFAULT_FAILURE_CAP,
     VerificationReport,
+    _block_instances,
+    _payloads,
+    _plan,
     grid_description,
     iter_instances,
     run_statement,
@@ -193,6 +198,17 @@ class TestFailureHandling:
     def test_default_cap_value(self):
         assert DEFAULT_FAILURE_CAP == 16
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invariant_error_names_its_instance(self, monkeypatch, jobs):
+        def check(n):
+            if n == 7:
+                raise InternalInvariantError("boom")
+            return True
+
+        monkeypatch.setitem(STATEMENTS, "FAKE.I", synthetic("FAKE.I", "theorem", check=check))
+        with pytest.raises(InternalInvariantError, match=r"^FAKE\.I at \{'n': 7\}: boom$"):
+            run_statement("FAKE.I", jobs=jobs)
+
     def test_non_tuple_check_result_is_still_reported(self, monkeypatch):
         monkeypatch.setitem(
             STATEMENTS, "FAKE.B", synthetic("FAKE.B", "theorem", check=lambda n: n == 0 or None)
@@ -260,3 +276,75 @@ class TestParallelDeterminism:
         assert serial.to_json() == parallel.to_json()
         assert serial.to_csv() == parallel.to_csv()
         assert serial.checked > 0
+
+
+def planned_sweep(st: Statement, overrides, blocks: int):
+    """The planned blocks' instances, concatenated, after checking that each
+    block's count is the number of instances it yields."""
+    pinned, plan = _plan(st, overrides, blocks)
+    assert len(plan) <= blocks
+    out = []
+    for prefixes, count in plan:
+        instances = list(_block_instances(st, overrides, pinned, prefixes))
+        assert count == len(instances) > 0
+        out.extend(instances)
+    return out
+
+
+def pair_check(n, k):
+    """Fails on every third (n, k) pair in sweep order, passes otherwise."""
+    return True if (n + k) % 3 else (f"n={n} k={k}", "n + k not divisible by 3")
+
+
+ONE_AXIS = synthetic("FAKE.1", "theorem")
+PAIRS = Statement(
+    id="FAKE.P",
+    kind="theorem",
+    description="synthetic statement with a derived axis",
+    defaults={
+        "n": tuple(range(20)),
+        "k": DerivedAxis("0 .. n", lambda ctx: range(ctx["n"] + 1)),
+    },
+    check=pair_check,
+)
+
+
+class TestBlockPlan:
+    @pytest.mark.parametrize("sid", list(ALL_STATEMENTS))
+    def test_default_grid_blocks_concatenate_to_the_sweep(self, sid):
+        st = ALL_STATEMENTS[sid]
+        assert planned_sweep(st, {}, 16) == list(iter_instances(st))
+
+    @pytest.mark.parametrize("blocks", [1, 3, 16, 24])
+    @pytest.mark.parametrize(
+        "st, grid",
+        [
+            # a derived second axis
+            (STATEMENTS["L4.2"], {"alpha": (1, 2)}),
+            # derived l windows that come out empty for n < 2**alpha
+            (STATEMENTS["T1.8"], {"alpha": (2, 3), "n": tuple(range(20))}),
+            # every derived window empty
+            (STATEMENTS["T1.8"], {"alpha": (3,), "n": (7,)}),
+            # no derived axis at all
+            (STATEMENTS["L2.3"], {"d": (2, 3), "n": (0, 4)}),
+            (ONE_AXIS, {}),
+            (PAIRS, {}),
+            # few (p, alpha) pairs, so the plan pins a derived axis
+            (STATEMENTS["T1.4"], {"p": (2, 3)}),
+        ],
+    )
+    def test_overridden_grid_blocks_concatenate_to_the_sweep(self, st, grid, blocks):
+        assert planned_sweep(st, grid, blocks) == list(iter_instances(st, grid))
+
+    def test_payloads_carry_prefixes_not_instances(self):
+        for sid, st in ALL_STATEMENTS.items():
+            payloads = _payloads(st, {}, 2, DEFAULT_FAILURE_CAP)
+            assert sum(len(pickle.dumps(p)) for p in payloads) < 128 * 1024, sid
+
+    def test_failure_cap_keeps_the_first_failures_in_sweep_order(self, monkeypatch):
+        monkeypatch.setitem(STATEMENTS, "FAKE.P", PAIRS)
+        serial = run_statement("FAKE.P", failure_cap=5)
+        parallel = run_statement("FAKE.P", jobs=3, failure_cap=5)
+        first = [v for v in iter_instances(PAIRS) if pair_check(*v) is not True][:5]
+        assert [tuple(f["params"].values()) for f in parallel.failures] == first
+        assert parallel.to_json() == serial.to_json()
