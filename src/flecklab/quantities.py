@@ -25,19 +25,26 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from typing import Sequence
 
-from .combinatorics import binomial
+from .combinatorics import _class_binomials, binomial
 from .errors import InternalInvariantError, InvalidParameterError
 from .padic import (
     INFINITY,
     Order,
     _factorial_order,
-    _int_order,
     padic_order,
     prime_power_modulus,
     scaled_floor,
 )
-from .sums import alt_sum_binom, alt_sum_power, degree_order_bound, plain_alt_sum
+from .sums import (
+    _binomial_weights,
+    alt_sum_binom,
+    alt_sum_power,
+    degree_order_bound,
+    plain_alt_sum,
+)
 
 __all__ = [
     "convolution_weight",
@@ -62,16 +69,58 @@ def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
         raise InvalidParameterError("l and n must be nonnegative")
     scale = math.factorial(l) * p**l
     num = scale * alt_sum_binom(n, r, pm.m, l)
-    # At alpha == 0 the closed form has the same denominator (p*n)! as num.
-    if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
-        raise InternalInvariantError(
-            f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
-        )
-    if _int_order(p, num) < _factorial_order(p, scaled_floor(n, p, alpha - 1)):
-        raise InternalInvariantError(
-            f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
-        )
-    return num
+    return _checked_norms(p, alpha, l, n, (r,), scale, [num])[0]
+
+
+def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list[int]:
+    """_norm_sum_value at each r of rs, in order, from the definition.
+
+    A row of residues shares its weights: r's class has weight indices
+    j = i - r // m, so one list of binomial(j, l) serves every r with the
+    same quotient r // m (three lists on a -m .. 2m-1 window).
+    """
+    pm = prime_power_modulus(p, alpha)
+    if l < 0 or n < 0:
+        raise InvalidParameterError("l and n must be nonnegative")
+    m = pm.m
+    scale = math.factorial(l) * p**l
+    weights: dict[int, list[int]] = {}
+    nums = []
+    for r in rs:
+        q, c = divmod(r, m)
+        w = weights.get(q)
+        if w is None:
+            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+        nums.append(scale * sum(map(mul, _class_binomials(n, c, m), w)))
+    return _checked_norms(p, alpha, l, n, rs, scale, nums)
+
+
+def _checked_norms(
+    p: int, alpha: int, l: int, n: int, rs: Sequence[int], scale: int, nums: list[int]
+) -> list[int]:
+    """nums, the normalized sums at (l, n, r) for r in rs, after the two
+    invariants every normalized sum is held to: the alpha = 0 closed form
+    and p-integrality, ord_p(num) >= ord_p(d!)."""
+    integral = p ** _factorial_order(p, scaled_floor(n, p, alpha - 1))
+    for r, num in zip(rs, nums):
+        # At alpha == 0 the closed form has the same denominator (p*n)! as num.
+        if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
+            raise InternalInvariantError(
+                f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
+            )
+        if num % integral:
+            raise InternalInvariantError(
+                f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
+            )
+    return nums
+
+
+@lru_cache(maxsize=1 << 8)
+def _norm_sum_window(p: int, alpha: int, l: int, n: int, lo: int, hi: int) -> tuple[int, ...]:
+    """_norm_sums over r = lo .. hi-1.  A sweep's neighbouring rows read the
+    same windows again, and 2**8 windows hold the two weight degrees in
+    flight of a sweep over n < 128."""
+    return tuple(_norm_sums(p, alpha, l, n, range(lo, hi)))
 
 
 def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:

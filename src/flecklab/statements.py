@@ -9,6 +9,15 @@ the entry's axes and its check's parameters; axes whose sensible range
 depends on earlier axes (for example a residue window that scales with
 the modulus) are derived on the fly and documented as such in reports.
 
+A check may also have a row form, which checks one row of the grid
+(every axis but the last fixed, the last axis's values in order) in one
+call and returns one result per value.  It shares the work the row's
+instances have in common, such as the class terms, the bound terms or the
+neighbouring rows of normalized sums.  Row forms are looked up by the
+check they were written for.  The per-instance check stays the
+statement's spec, the tests hold every row form to it, and a statement
+whose check has no row form runs the check once per value.
+
 Conjectural statements carry kind "conjecture".  They are searched, never
 asserted: a failing instance is reported as a counterexample, it does not
 invalidate the library.
@@ -33,6 +42,7 @@ from .combinatorics import (
 )
 from .errors import InternalInvariantError
 from .padic import (
+    _carries,
     _factorial_order,
     _int_order,
     carries,
@@ -42,9 +52,18 @@ from .padic import (
     scaled_floor,
     scaled_residue,
 )
-from .quantities import _norm_sum_value, convolution_weight, fleck_sum_value
+from .quantities import (
+    _norm_sum_value,
+    _norm_sum_window,
+    _norm_sums,
+    convolution_weight,
+    fleck_sum_value,
+)
 from .sums import (
+    _binomial_sums,
     _bound_terms,
+    _power_sums,
+    _series_sums,
     alt_sum_binom,
     alt_sum_power,
     convolution_identity_holds,
@@ -100,6 +119,17 @@ class Statement:
     def axes(self) -> tuple[str, ...]:
         """The sweep axes, in the order of the default grid's keys."""
         return tuple(self.defaults)
+
+    def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
+        """The results of one row: prefix holds the values of every axis but
+        the last, values the last axis's values under it.  The row form is
+        the one written for this entry's check, so an entry whose check is
+        swapped out (a wrapped copy, say) falls back to the default adapter."""
+        row = _ROW_FORMS.get(self.check)
+        if row is None:
+            check = self.check
+            return [check(*prefix, v) for v in values]
+        return row(*prefix, values)
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -168,11 +198,11 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
         V(alpha+1; l, n, r) == (-1)**{r}_p * binomial({n}_p, {r}_p)
                                * V(alpha; l, n//p, r//p)   (mod p)
 
-    Proven for alpha >= 2; smaller alpha is skipped (the alpha = 1 case is
-    conjectural and lives under the search ids).
+    Proven for alpha >= 2 and n, l >= 0; smaller alpha is skipped (the
+    alpha = 1 case is conjectural and lives under the search ids).
     """
     prime_power_modulus(p, alpha)
-    if alpha < 2:
+    if alpha < 2 or n < 0 or l < 0:
         return SKIP
     o = _lucas_difference_order(p, alpha, l, n, r)
     return True if o >= 1 else (f"difference order {o}", ">= 1")
@@ -263,11 +293,11 @@ def check_exact_attainment(alpha: int, n: int, l: int):
 
 
 def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
-    """Level reduction for Fleck-normalized sums, alpha >= 2: when p | r,
-    F(alpha; n, r) == F(alpha-1; n, r/p) mod p**((2 - [p==2])(alpha-2));
+    """Level reduction for Fleck-normalized sums, alpha >= 2, n >= 0: when
+    p | r, F(alpha; n, r) == F(alpha-1; n, r/p) mod p**((2 - [p==2])(alpha-2));
     otherwise F(alpha; n, r) == 0 mod p**(alpha-2)."""
     prime_power_modulus(p, alpha)
-    if alpha < 2:
+    if alpha < 2 or n < 0:
         return SKIP
     sa = fleck_sum_value(p, alpha, n, r)
     if r % p == 0:
@@ -279,12 +309,12 @@ def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
 
 
 def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
-    """Iterated reduction, alpha > beta >= 0:
+    """Iterated reduction, alpha > beta >= 0, n >= 0:
     F(alpha; n, p**beta * r) == F(alpha-beta; n, r) mod
     p**((2 - [p==2])(alpha-beta-1)); and when p does not divide r the order
     of F(alpha; n, p**beta r) is at least alpha - beta - 2."""
     prime_power_modulus(p, alpha)
-    if not alpha > beta >= 0:
+    if not alpha > beta >= 0 or n < 0:
         return SKIP
     lhs = fleck_sum_value(p, alpha, n, p**beta * r)
     rhs = fleck_sum_value(p, alpha - beta, n, r)
@@ -371,6 +401,36 @@ def _t11(p, alpha, n, r, l):
     return (f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)")
 
 
+def _sparse(ls: Sequence[int]) -> bool:
+    """True when a row's weight degrees are too few for one pass over every
+    degree up to the largest to pay (from max >= 2 * count on, the
+    per-instance checks measure as fast or faster): its instances are then
+    checked one by one."""
+    return max(ls) >= 2 * len(ls)
+
+
+def _t11_row(p, alpha, n, r, ls):
+    if _sparse(ls):
+        return [_t11(p, alpha, n, r, l) for l in ls]
+    m = prime_power_modulus(p, alpha).m
+    if n < 0:
+        return [SKIP] * len(ls)
+    sums = _power_sums(_class_binomials(n, r % m, m), -(r // m), ls)
+    fo, tau = _bound_terms(p, alpha - 1, n, r)
+    b2 = sum(_bound_terms(p, alpha, n, r))
+    out: list = []
+    for l, s in zip(ls, sums):
+        if s is None:
+            out.append(SKIP)
+            continue
+        o, b1 = _int_order(p, s), fo - l + tau
+        if o >= b1 and o >= b2:
+            out.append(True)
+        else:
+            out.append((f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)"))
+    return out
+
+
 def _t12(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
     if n < 0 or l < 0:
@@ -378,6 +438,24 @@ def _t12(p, alpha, n, r, l):
     o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
     b = integer_valued_order_bound(pm, n, r, l)
     return True if o >= b else (f"order {o}", f">= {b}")
+
+
+def _t12_row(p, alpha, n, r, ls):
+    if _sparse(ls):
+        return [_t12(p, alpha, n, r, l) for l in ls]
+    m = prime_power_modulus(p, alpha).m
+    if n < 0:
+        return [SKIP] * len(ls)
+    sums = _binomial_sums(_class_binomials(n, r % m, m), -(r // m), ls)
+    fo, tau = _bound_terms(p, alpha - 1, n, r)
+    out: list = []
+    for l, s in zip(ls, sums):
+        if s is None:
+            out.append(SKIP)
+            continue
+        o, b = _int_order(p, s), fo - l - _factorial_order(p, l) + tau
+        out.append(True if o >= b else (f"order {o}", f">= {b}"))
+    return out
 
 
 def _t13(p, alpha, n, r, l):
@@ -395,11 +473,40 @@ def _t13(p, alpha, n, r, l):
     return True
 
 
+def _t13_row(p, alpha, n, r, ls):
+    if _sparse(ls):
+        return [_t13(p, alpha, n, r, l) for l in ls]
+    m = prime_power_modulus(p, alpha).m
+    if n < 0 or r < 0:
+        return [SKIP] * len(ls)
+    terms = _class_binomials(n, r % m, m)
+    q = r // m
+    # The coefficient and the class sum at r + m, each from its own formula.
+    coeffs = _series_sums(terms, q, ls)
+    alts = _binomial_sums(terms, -q - 1, ls)
+    fo, tau = _bound_terms(p, alpha - 1, n, r)
+    out: list = []
+    for l, coeff, alt in zip(ls, coeffs, alts):
+        if coeff is None or r <= n - (l + 1) * m:
+            out.append(SKIP)
+            continue
+        o, b = _int_order(p, coeff), fo - l - _factorial_order(p, l) + tau
+        if o < b:
+            out.append((f"coefficient order {o}", f">= {b}"))
+        elif coeff != (-1) ** l * alt:
+            out.append((f"coefficient {coeff}", f"shifted class sum {(-1) ** l * alt}"))
+        else:
+            out.append(True)
+    return out
+
+
 _ROUNDTRIP_N = 32
 
 
 def _t14(p, alpha, r, l):
     pm = prime_power_modulus(p, alpha)
+    if l < 0:
+        return SKIP
     f = Polynomial.monomial(l)
     try:
         seq = weighted_inverse_sequence(pm, r, f, _ROUNDTRIP_N)
@@ -421,6 +528,8 @@ def _t14(p, alpha, r, l):
 
 def _c11cor(p, alpha, m, n, r):
     ma = prime_power_modulus(p, alpha).m
+    if m < 1 or n < 1:
+        return SKIP
     # The weight B_m(floor((k-r)/ma)) is constant on runs of ma consecutive
     # k, so the signed binomials of the full row are summed per run first.
     runs: dict[int, int] = {}
@@ -477,7 +586,49 @@ def _l22(p, alpha, l, n, r):
     return True
 
 
+def _l22_row(p, alpha, l, n, rs):
+    m = prime_power_modulus(p, alpha).m
+    if alpha < 1 or n < 1 or l < 0:
+        return [SKIP] * len(rs)
+    # One window of r covers every sum the recurrences read (r-1 .. r+m), so
+    # the four rows below are also rows of the neighbouring prefixes, and
+    # _norm_sum_window keeps them for those.  A row sparser than its window
+    # is checked one instance at a time.
+    lo, hi = min(rs) - 1, max(rs) + m + 1
+    if hi - lo > 2 * len(rs):
+        return [_l22(p, alpha, l, n, r) for r in rs]
+    row_a = _norm_sum_window(p, alpha, l, n - 1, lo, hi)
+    row_c = _norm_sum_window(p, alpha, l, n, lo, hi)
+    if l > 0:
+        row_e = _norm_sum_window(p, alpha, l - 1, n, lo, hi)
+        row_f = _norm_sum_window(p, alpha, l - 1, n - 1, lo, hi)
+    h = m // p
+    d1, d0 = (n - 1) // h, n // h
+    f1, f0 = _factorial(d1), _factorial(d0)
+    t1, s1 = (n, h) if n % h == 0 else (1, 1)
+    t2, s2 = (1, 1) if n % h == 0 else (n, h)
+    out: list = []
+    for r in rs:
+        i = r - lo
+        a, b, c = row_a[i], row_a[i - 1], row_c[i]
+        if (a - b) * s1 * f0 != t1 * c * f1:
+            lhs = Fraction(a - b, f1)
+            out.append((f"first recurrence: {lhs}", f"{Fraction(t1, s1) * Fraction(c, f0)}"))
+            continue
+        if l > 0:
+            e, f = row_e[i + m], row_f[i + m - 1]
+            if (h * c + r * e) * s2 * f1 != -t2 * f * h * f0:
+                lhs2 = Fraction(h * c + r * e, h * f0)
+                rhs2 = -Fraction(t2, s2) * Fraction(f, f1)
+                out.append((f"second recurrence: {lhs2}", f"{rhs2}"))
+                continue
+        out.append(True)
+    return out
+
+
 def _l23(d, m, n, r, fdeg):
+    if d < 1 or m < 1 or n < 0 or fdeg < 0:
+        return SKIP
     if convolution_identity_holds(d, m, n, r, Polynomial.monomial(fdeg)):
         return True
     return ("splitting identity fails", "exact equality")
@@ -525,6 +676,22 @@ def _t21(p, alpha, l, n, r):
     return True if o >= tau else (f"order {o}", f">= carry count {tau}")
 
 
+def _t21_row(p, alpha, l, n, rs):
+    if n < 0 or l < 0:
+        prime_power_modulus(p, alpha)
+        return [SKIP] * len(rs)
+    nums = _norm_sums(p, alpha, l, n, rs)
+    # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
+    e = alpha - 1
+    fo = _factorial_order(p, scaled_floor(n, p, e))
+    out: list = []
+    for r, num in zip(rs, nums):
+        o = _int_order(p, num) - fo
+        tau = _carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e))
+        out.append(True if o >= tau else (f"order {o}", f">= carry count {tau}"))
+    return out
+
+
 def _l42(alpha, n, r):
     c = prime_power_modulus(2, alpha).m
     if n < 1 or n % c or r % c:
@@ -549,6 +716,9 @@ def _r16(n, l):
 
 
 def _conj11(p, alpha, l, n, r):
+    prime_power_modulus(p, alpha)
+    if n < 0 or l < 0:
+        return SKIP
     need = 2 if p == 3 else 3
     o = _norm_difference_order(
         p, _norm_parts(p, alpha + 1, l, p * n, p * r), 1, _norm_parts(p, alpha, l, n, r)
@@ -617,7 +787,7 @@ def _conj13(p, alpha, n, r, j):
 
 def _conj31(p, alpha, n, r):
     prime_power_modulus(p, alpha)
-    if alpha < 2:
+    if alpha < 2 or n < 0:
         return SKIP
     need = 2 * alpha - 2 - (p == 3)
     d = fleck_sum_value(p, alpha, n, p * r) - fleck_sum_value(p, alpha - 1, n, r)
@@ -626,6 +796,9 @@ def _conj31(p, alpha, n, r):
 
 
 def _t15_alpha1(p, l, n, r):
+    prime_power_modulus(p, 1)
+    if n < 0 or l < 0:
+        return SKIP
     o = _lucas_difference_order(p, 1, l, n, r)
     return True if o >= 1 else (f"difference order {o}", ">= 1")
 
@@ -759,6 +932,17 @@ _MAIN = {
     "n": tuple(range(65)),
     "r": _R_WINDOW,
     "l": tuple(range(9)),
+}
+
+
+# Row forms, keyed by the check each was written for: row(*prefix, values)
+# returns check(*prefix, v) for each v of the non-empty values, in order.
+_ROW_FORMS: dict[Callable, Callable[..., list]] = {
+    _t11: _t11_row,
+    _t12: _t12_row,
+    _t13: _t13_row,
+    _l22: _l22_row,
+    _t21: _t21_row,
 }
 
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Sequence
 
 from .combinatorics import Polynomial, _class_binomials
 from .errors import InvalidParameterError
@@ -113,6 +113,64 @@ def alt_sum_binom(n: int, r: int, m: int, l: int) -> int:
     return acc
 
 
+# Row forms of the weighted sums: one residue class's terms against every
+# weight degree 0..top of a row, each term run through one recurrence in the
+# degree.  The per-instance sums above stay as their oracle.
+
+
+def _power_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list:
+    """sum_i terms[i] * (j0 + i)**l for each l in degrees, in order; None
+    for l < 0."""
+    top = max(degrees)
+    acc = [0] * (top + 1)
+    j = j0
+    for t in terms:
+        for l in range(top + 1):
+            acc[l] += t
+            t *= j
+        j += 1
+    return [acc[l] if l >= 0 else None for l in degrees]
+
+
+def _binomial_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list:
+    """sum_i terms[i] * binomial(j0 + i, l) for each l in degrees, in order;
+    None for l < 0.  binomial is extended to j < 0 as in alt_sum_binom."""
+    top = max(degrees)
+    acc = [0] * (top + 1)
+    j = j0
+    for t in terms:
+        # binomial(j, l+1) == binomial(j, l) * (j-l) / (l+1), exactly for every j
+        for l in range(top + 1):
+            acc[l] += t
+            t = t * (j - l) // (l + 1)
+        j += 1
+    return [acc[l] if l >= 0 else None for l in degrees]
+
+
+def _series_sums(terms: Sequence[int], q: int, degrees: Sequence[int]) -> list:
+    """series_coefficient's closed form, sum_{i <= q} terms[i] *
+    binomial(l + q - i, l), for each l in degrees, in order; None for l < 0."""
+    head = terms[: q + 1]
+    top = max(degrees)
+    acc = [0] * (top + 1)
+    a = q
+    for t in head:
+        # binomial(a+l+1, l+1) == binomial(a+l, l) * (a+l+1) / (l+1)
+        for l in range(top + 1):
+            acc[l] += t
+            t = t * (a + l + 1) // (l + 1)
+        a -= 1
+    return [acc[l] if l >= 0 else None for l in degrees]
+
+
+def _binomial_weights(j0: int, count: int, l: int) -> list[int]:
+    """binomial(j, l) for j = j0 .. j0 + count - 1, l >= 0, extended to j < 0
+    as combinatorics.binomial extends it."""
+    sign = (-1) ** l
+    neg = [sign * math.comb(l - j - 1, l) for j in range(j0, min(j0 + count, 0))]
+    return neg + list(map(math.comb, range(max(j0, 0), j0 + count), repeat(l)))
+
+
 def plain_alt_sum(n: int, r: int, m: int) -> int:
     """Unweighted alternating class sum."""
     return sum(_class_binomials(n, r % m, m))
@@ -149,13 +207,10 @@ def _modulus_exponent(m: int, p: int) -> int:
     return a
 
 
-@lru_cache(maxsize=1 << 8)
 def _bound_terms(p: int, e: int, n: int, r: int) -> tuple[int, int]:
     """ord_p(floor(n/p**e)!) and carries_p({r}_{p**e}, {n-r}_{p**e}), in the
     scaled_* conventions at e == -1: the terms every order bound adds up.
-    Sweeps whose innermost axis is the weight degree ask for the same terms
-    several times in a row, so a small cache serves them.  The caller has
-    checked that p is prime and n >= 0."""
+    The caller has checked that p is prime and n >= 0."""
     return (
         _factorial_order(p, scaled_floor(n, p, e)),
         _carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e)),

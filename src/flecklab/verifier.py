@@ -6,20 +6,27 @@ result into a VerificationReport.  Reports are deterministic: the same
 statement and grid produce byte-identical JSON and CSV no matter how many
 worker processes are used.
 
-With one worker the sweep streams its instances.  With more, the parent
-never builds the instance list: it plans about 8 blocks per worker, each a
+The sweep walks the grid by rows: a row is a prefix (values of every axis
+but the last) with the last axis's values under it, fixed or derived.  Each
+row goes to Statement.check_row in one call, which runs the statement's row
+form when it has one and otherwise the default adapter, the check once per
+value.  iter_instances is the flattening of the rows.  An
+InternalInvariantError raised in a row is named by its instance: the row
+is run again one check at a time to find it.
+
+With one worker the sweep streams its rows.  With more, the parent never
+builds the instance list: it plans about 8 blocks per worker, each a
 contiguous run of the sweep order given as prefixes (values of the leading
-axes) of near-equal instance count, and each worker enumerates the
-instances under its prefixes itself.  Block results are merged in sweep
-order and the failure cap is applied after the merge, so the report is the
-one a single worker produces.
+axes) of near-equal instance count, and each worker walks the rows under
+its prefixes itself.  Block results are merged in sweep order and the
+failure cap is applied after the merge, so the report is the one a single
+worker produces.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -73,43 +80,51 @@ def _clean_overrides(st: Statement, grid: "Mapping[str, Sequence[int]] | None") 
 def iter_instances(
     st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None" = None
 ) -> Iterator[tuple[int, ...]]:
-    """Yield parameter tuples (in st.axes order) in lexicographic sweep order."""
+    """Yield parameter tuples (in st.axes order) in lexicographic sweep order:
+    the sweep's rows, flattened."""
+    for prefix, values in _iter_rows(st, overrides):
+        for v in values:
+            yield prefix + (v,)
+
+
+def _iter_rows(
+    st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None" = None
+) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """Yield the sweep's rows in sweep order: each prefix (values of every
+    axis but the last) with the last axis's values under it, fixed or
+    derived.  Prefixes whose last-axis window is empty are left out."""
     axes = st.axes
-    specs, split = _specs(st, overrides)
-    tail = tuple(itertools.product(*specs[split:]))
-    if split == 0:
-        yield from tail
-        return
+    specs = _specs(st, overrides)
+    last, depth = specs[-1], len(axes) - 1
     ctx: dict[str, int] = {}
-    head = [0] * split
+    if depth == 0:
+        values = _axis_values(last, ctx)
+        if values:
+            yield (), values
+        return
+    head = [0] * depth
     # One iterator per prefix axis, deepest last; an exhausted one is popped.
     stack = [iter(_axis_values(specs[0], ctx))]
     while stack:
-        depth = len(stack) - 1
+        d = len(stack) - 1
         try:
             v = next(stack[-1])
         except StopIteration:
             stack.pop()
             continue
-        head[depth] = ctx[axes[depth]] = v
-        if depth + 1 < split:
-            stack.append(iter(_axis_values(specs[depth + 1], ctx)))
+        head[d] = ctx[axes[d]] = v
+        if d + 1 < depth:
+            stack.append(iter(_axis_values(specs[d + 1], ctx)))
             continue
-        prefix = tuple(head)
-        for rest in tail:
-            yield prefix + rest
+        values = _axis_values(last, ctx)
+        if values:
+            yield tuple(head), values
 
 
-def _specs(
-    st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None"
-) -> tuple[list, int]:
-    """Each axis's values or DerivedAxis, and the split: from the last derived
-    axis on, every axis has fixed values, so that tail is one product shared
-    by every prefix."""
+def _specs(st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None") -> list:
+    """Each axis's values or DerivedAxis, in axis order."""
     overrides = overrides or {}
-    specs = [overrides[axis] if axis in overrides else st.defaults[axis] for axis in st.axes]
-    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
-    return specs, split
+    return [overrides[axis] if axis in overrides else st.defaults[axis] for axis in st.axes]
 
 
 def _axis_values(spec: "Sequence[int] | DerivedAxis", ctx: dict[str, int]) -> Sequence[int]:
@@ -151,7 +166,10 @@ def _plan(
     least `blocks` prefixes; a block is a run of prefixes and its instance
     count.  Returns the pinned axes and the blocks, in sweep order."""
     axes = st.axes
-    specs, split = _specs(st, overrides)
+    specs = _specs(st, overrides)
+    # From the split on every axis has fixed values, a tail whose size _size
+    # multiplies in instead of walking it.
+    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
     prefixes: list[tuple[int, ...]] = [()]
     while prefixes and len(prefixes) < blocks and len(prefixes[0]) < len(axes):
         prefixes = _extend(axes, specs, prefixes)
@@ -177,16 +195,16 @@ def _plan(
     return axes[:depth], plan
 
 
-def _block_instances(
+def _block_rows(
     st: Statement,
     overrides: dict[str, tuple[int, ...]],
     pinned: tuple[str, ...],
     prefixes: Iterable[tuple[int, ...]],
-) -> Iterator[tuple[int, ...]]:
-    """The instances under each prefix in turn, each prefix pinned through
+) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """The rows under each prefix in turn, each prefix pinned through
     single-value overrides (derived axes included)."""
     for prefix in prefixes:
-        yield from iter_instances(st, {**overrides, **{a: (v,) for a, v in zip(pinned, prefix)}})
+        yield from _iter_rows(st, {**overrides, **{a: (v,) for a, v in zip(pinned, prefix)}})
 
 
 def grid_description(
@@ -218,28 +236,40 @@ def _as_failure(st: Statement, values: tuple[int, ...], res: object) -> dict[str
 
 
 def _run_chunk(
-    st: Statement, instances: Iterable[tuple[int, ...]], cap: int
+    st: Statement, rows: Iterable[tuple[tuple[int, ...], Sequence[int]]], cap: int
 ) -> tuple[int, int, list[dict]]:
-    # A check's parameters are its axes, in order, so values go positionally.
-    check = st.check
     checked = skipped = 0
     failures: list[dict] = []
-    for values in instances:
+    for prefix, values in rows:
         try:
-            res = check(*values)
+            results = st.check_row(prefix, values)
         except InternalInvariantError as exc:
-            raise InternalInvariantError(
-                f"{st.id} at {dict(zip(st.axes, values))}: {exc}"
-            ) from exc
-        if res is True:
-            checked += 1
-        elif res == SKIP:
-            skipped += 1
-        else:
-            checked += 1
-            if len(failures) < cap:
-                failures.append(_as_failure(st, values, res))
+            raise _named(st, prefix, values, exc) from exc
+        for v, res in zip(values, results, strict=True):
+            if res is True:
+                checked += 1
+            elif res == SKIP:
+                skipped += 1
+            else:
+                checked += 1
+                if len(failures) < cap:
+                    failures.append(_as_failure(st, prefix + (v,), res))
     return checked, skipped, failures
+
+
+def _named(
+    st: Statement, prefix: tuple[int, ...], values: Sequence[int], exc: InternalInvariantError
+) -> InternalInvariantError:
+    """A row's InternalInvariantError, named by its instance: the row is run
+    again one check at a time to find it.  An error that no single check
+    raises (a row form's own) is named by the row's prefix."""
+    for v in values:
+        try:
+            st.check(*prefix, v)
+        except InternalInvariantError as inner:
+            params = dict(zip(st.axes, prefix + (v,)))
+            return InternalInvariantError(f"{st.id} at {params}: {inner}")
+    return InternalInvariantError(f"{st.id} at {dict(zip(st.axes, prefix))}: {exc}")
 
 
 def _payloads(
@@ -254,7 +284,7 @@ def _payloads(
 def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
     statement_id, overrides, pinned, prefixes, cap = payload
     st = _lookup(statement_id)
-    return _run_chunk(st, _block_instances(st, overrides, pinned, prefixes), cap)
+    return _run_chunk(st, _block_rows(st, overrides, pinned, prefixes), cap)
 
 
 def _sweep(
@@ -264,7 +294,7 @@ def _sweep(
     cap: int,
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
-        return _run_chunk(st, iter_instances(st, overrides), cap)
+        return _run_chunk(st, _iter_rows(st, overrides), cap)
     payloads = _payloads(st, overrides, jobs, cap)
     if not payloads:
         return 0, 0, []

@@ -404,13 +404,29 @@ MODULUS_CASES = [
 ]
 
 
-def _size_case(sid: str, axis: str):
-    """A negative n or l on an entry sharing the main grid; L2.2 also needs
-    n >= 1, since its recurrences read the sums at n - 1."""
-    inside = {"p": (2,), "alpha": (1,), "n": (1, 2), "l": (0, 1)}
+def _size_case(sid: str, axis: str, inside=None):
+    """A negative value on one size axis (n, l, m, d, fdeg) of a small grid,
+    by default one sharing the main grid; L2.2 also needs n >= 1, since its
+    recurrences read the sums at n - 1."""
+    inside = inside or {"p": (2,), "alpha": (1,), "n": (1, 2), "l": (0, 1)}
     low = 1 if (sid, axis) == ("L2.2", "n") else 0
     widened = {axis: tuple(range(-1, low)) + inside[axis]}
     return sid, inside, widened, lambda v: v[axis] < low
+
+
+# Small grids of the entries off the main grid; each case sets its axis to
+# (1,) and then widens it to (-1, 1).
+SMALL_GRIDS = {
+    "T1.4": {"p": (2,), "alpha": (1,), "l": (0, 1)},
+    "T1.5": {"p": (2,), "alpha": (2,), "l": (0, 1), "n": (1, 2)},
+    "C1.1cor": {"p": (2,), "alpha": (1,), "m": (1, 2), "n": (1, 2)},
+    "C3.1cor": {"p": (2,), "alpha": (2,), "n": (1, 2), "r": (0, 1)},
+    "L2.3": {"d": (1, 2), "m": (1, 2), "n": (0, 2), "r": (0, 1), "fdeg": (0, 1)},
+    "T3.1": {"p": (2,), "alpha": (2,), "n": (1, 2)},
+    "CONJ1.1": {"p": (3,), "alpha": (1,), "l": (0, 1), "n": (1, 2)},
+    "CONJ3.1": {"p": (3,), "alpha": (2,), "n": (1, 2)},
+    "T1.5-alpha1": {"p": (2,), "l": (0, 1), "n": (1, 2)},
+}
 
 
 SIZE_CASES = [
@@ -422,6 +438,20 @@ SIZE_CASES = [
         ("T2.1", "nl"),
         ("L2.2", "nl"),
         ("L2.4", "nl"),
+    )
+    for axis in axes
+] + [
+    _size_case(sid, axis, {**SMALL_GRIDS[sid], axis: (1,)})
+    for sid, axes in (
+        ("T1.4", ["l"]),
+        ("T1.5", ["n", "l"]),
+        ("C1.1cor", ["m", "n"]),
+        ("C3.1cor", ["n"]),
+        ("L2.3", ["d", "m", "n", "fdeg"]),
+        ("T3.1", ["n"]),
+        ("CONJ1.1", ["n", "l"]),
+        ("CONJ3.1", ["n"]),
+        ("T1.5-alpha1", ["n", "l"]),
     )
     for axis in axes
 ]
@@ -520,12 +550,13 @@ class TestPreconditionRule:
         ],
     )
     def test_out_of_hypothesis_instances_are_skipped(self, sid, inside, widened, excluded):
-        st = STATEMENTS[sid]
+        st = STATEMENTS.get(sid) or SEARCHES[sid]
+        sweep = run_statement if sid in STATEMENTS else search_conjecture
         grid = {**inside, **widened}
         n_excluded = sum(excluded(dict(zip(st.axes, v))) for v in iter_instances(st, grid))
         assert n_excluded > 0
-        base = run_statement(sid, grid=inside)
-        report = run_statement(sid, grid=grid)
+        base = sweep(sid, grid=inside)
+        report = sweep(sid, grid=grid)
         assert report.status == "pass"
         assert report.checked == base.checked
         assert report.skipped == base.skipped + n_excluded

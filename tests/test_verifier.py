@@ -13,11 +13,12 @@ from flecklab.errors import (
     InvalidParameterError,
     UnknownStatementError,
 )
+from flecklab import statements
 from flecklab.statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
 from flecklab.verifier import (
     DEFAULT_FAILURE_CAP,
     VerificationReport,
-    _block_instances,
+    _block_rows,
     _payloads,
     _plan,
     grid_description,
@@ -209,6 +210,39 @@ class TestFailureHandling:
         with pytest.raises(InternalInvariantError, match=r"^FAKE\.I at \{'n': 7\}: boom$"):
             run_statement("FAKE.I", jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invariant_error_in_a_row_form_names_its_instance(self, monkeypatch, jobs):
+        # 20 values of m give the planner enough prefixes at jobs=2 to keep
+        # the n rows whole, so the row form sees all 12 values at once.
+        def check(m, n):
+            if (m, n) == (3, 7):
+                raise InternalInvariantError("boom")
+            return True
+
+        def row(m, ns):
+            if m == 3:
+                raise InternalInvariantError("boom somewhere in the row")
+            if m == 5:
+                raise InternalInvariantError("row-level boom")
+            return [True] * len(ns)
+
+        st = Statement(
+            id="FAKE.R",
+            kind="theorem",
+            description="synthetic statement with a row form",
+            defaults={"m": tuple(range(20)), "n": tuple(range(12))},
+            check=check,
+        )
+        monkeypatch.setitem(statements._ROW_FORMS, check, row)
+        monkeypatch.setitem(STATEMENTS, "FAKE.R", st)
+        # The row is run again one check at a time to find the instance.
+        with pytest.raises(InternalInvariantError, match=r"^FAKE\.R at \{'m': 3, 'n': 7\}: boom$"):
+            run_statement("FAKE.R", jobs=jobs)
+        # An error no single check raises is named by its row's prefix.
+        message = r"^FAKE\.R at \{'m': 5\}: row-level boom$"
+        with pytest.raises(InternalInvariantError, match=message):
+            run_statement("FAKE.R", grid={"m": tuple(range(4, 24))}, jobs=jobs)
+
     def test_non_tuple_check_result_is_still_reported(self, monkeypatch):
         monkeypatch.setitem(
             STATEMENTS, "FAKE.B", synthetic("FAKE.B", "theorem", check=lambda n: n == 0 or None)
@@ -285,7 +319,8 @@ def planned_sweep(st: Statement, overrides, blocks: int):
     assert len(plan) <= blocks
     out = []
     for prefixes, count in plan:
-        instances = list(_block_instances(st, overrides, pinned, prefixes))
+        rows = _block_rows(st, overrides, pinned, prefixes)
+        instances = [prefix + (v,) for prefix, values in rows for v in values]
         assert count == len(instances) > 0
         out.extend(instances)
     return out
