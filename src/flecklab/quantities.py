@@ -18,6 +18,12 @@ In the degenerate alpha = 0 regime the first normalization has the closed
 form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
 computed from the definition and cross-checked against the closed form on
 every call.
+
+Row forms read many sums of one row at once.  _norm_sums gives the
+normalized sums of one (l, n) at a list of residues, sharing the weight
+lists; _fleck_sums gives the Fleck sums of one (alpha, n) at a list of
+residues from one fold of the binomial row (sums._class_sums).  Both hold
+every value to the same invariants as the single-value path.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinatorics import _class_binomials, binomial
 from .errors import InternalInvariantError, InvalidParameterError
@@ -40,6 +46,7 @@ from .padic import (
 )
 from .sums import (
     _binomial_weights,
+    _class_sums,
     alt_sum_binom,
     alt_sum_power,
     degree_order_bound,
@@ -134,23 +141,48 @@ def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction
     return Fraction(num, math.factorial(scaled_floor(n, p, alpha - 1)))
 
 
-@lru_cache(maxsize=1 << 16)
-def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
+def _fleck_row(p: int, alpha: int, n: int) -> tuple[int, int]:
+    """The row p**(alpha-1) * n and the modulus p**alpha a Fleck sum is
+    taken over, once its parameters are checked."""
     pm = prime_power_modulus(p, alpha)
     if alpha < 1:
         raise InvalidParameterError("the Fleck normalization needs alpha >= 1")
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
-    s = plain_alt_sum(p ** (alpha - 1) * n, r, pm.m)
+    return p ** (alpha - 1) * n, pm.m
+
+
+def _fleck_normalized(p: int, alpha: int, n: int, r: int, s: int) -> int:
+    """s * p**(-floor((n-1)/(p-1))) for the plain class sum s at r, which
+    must come out an integer."""
     e = (n - 1) // (p - 1)
     if e <= 0:
-        return s * p**-e if e else s
+        return s * p**-e
     q, rem = divmod(s, p**e)
     if rem:
         raise InternalInvariantError(
             f"Fleck-normalized sum is not an integer at (p={p}, alpha={alpha}, n={n}, r={r})"
         )
     return q
+
+
+@lru_cache(maxsize=1 << 16)
+def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
+    row, m = _fleck_row(p, alpha, n)
+    return _fleck_normalized(p, alpha, n, r, plain_alt_sum(row, r, m))
+
+
+def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int]) -> Iterator[int]:
+    """_fleck_sum_value at each r of rs, in order, from one fold of the row.
+
+    The row is folded on the call and the fold is dropped with the
+    iterator.  Each value is normalized, and its integrality checked, as it
+    is read, so a row form that reads two of these in step with its
+    per-instance check raises at the same r.
+    """
+    row, m = _fleck_row(p, alpha, n)
+    sums = _class_sums(row, m)
+    return (_fleck_normalized(p, alpha, n, r, sums[r % m]) for r in rs)
 
 
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:

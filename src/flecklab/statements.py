@@ -13,7 +13,10 @@ A check may also have a row form, which checks one row of the grid
 (every axis but the last fixed, the last axis's values in order) in one
 call and returns one result per value.  It shares the work the row's
 instances have in common, such as the class terms, the bound terms or the
-neighbouring rows of normalized sums.  Row forms are looked up by the
+neighbouring rows of normalized sums.  The Fleck level reductions (T3.1,
+C3.1cor, CONJ3.1) read every Fleck sum of a row from quantities._fleck_sums,
+one fold of each binomial row they need (sums._class_sums), and CONJ1.2
+folds its two rows once per instance.  Row forms are looked up by the
 check they were written for.  The per-instance check stays the
 statement's spec, the tests hold every row form to it, and a statement
 whose check has no row form runs the check once per value.
@@ -53,6 +56,7 @@ from .padic import (
     scaled_residue,
 )
 from .quantities import (
+    _fleck_sums,
     _norm_sum_value,
     _norm_sum_window,
     _norm_sums,
@@ -62,6 +66,7 @@ from .quantities import (
 from .sums import (
     _binomial_sums,
     _bound_terms,
+    _class_sums,
     _power_sums,
     _series_sums,
     alt_sum_binom,
@@ -300,12 +305,30 @@ def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
     if alpha < 2 or n < 0:
         return SKIP
     sa = fleck_sum_value(p, alpha, n, r)
-    if r % p == 0:
-        sb = fleck_sum_value(p, alpha - 1, n, r // p)
+    sb = fleck_sum_value(p, alpha - 1, n, r // p) if r % p == 0 else None
+    return _fleck_reduction_verdict(p, alpha, sa, sb)
+
+
+def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
+    """check_fleck_reduction's result from F(alpha; n, r) and, when p | r,
+    F(alpha-1; n, r/p) (None otherwise)."""
+    if sb is not None:
         o, need = _int_order(p, sa - sb), (2 - (p == 2)) * (alpha - 2)
         return True if o >= need else (f"difference order {o}", f">= {need}")
     o = _int_order(p, sa)
     return True if o >= alpha - 2 else (f"order {o}", f">= {alpha - 2}")
+
+
+def _fleck_reduction_row(p, alpha, n, rs):
+    prime_power_modulus(p, alpha)
+    if alpha < 2 or n < 0:
+        return [SKIP] * len(rs)
+    sas = _fleck_sums(p, alpha, n, rs)
+    sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0])
+    return [
+        _fleck_reduction_verdict(p, alpha, sa, next(sbs) if r % p == 0 else None)
+        for r, sa in zip(rs, sas)
+    ]
 
 
 def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
@@ -318,14 +341,28 @@ def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
         return SKIP
     lhs = fleck_sum_value(p, alpha, n, p**beta * r)
     rhs = fleck_sum_value(p, alpha - beta, n, r)
-    o, need = _int_order(p, lhs - rhs), (2 - (p == 2)) * (alpha - beta - 1)
+    return _shift_chain_verdict(p, alpha - beta, r, lhs, rhs)
+
+
+def _shift_chain_verdict(p: int, d: int, r: int, lhs: int, rhs: int):
+    """check_fleck_shift_chain's result at alpha - beta = d."""
+    o, need = _int_order(p, lhs - rhs), (2 - (p == 2)) * (d - 1)
     if o < need:
         return (f"difference order {o}", f">= {need}")
     if r % p != 0:
-        o, need = _int_order(p, lhs), alpha - beta - 2
+        o, need = _int_order(p, lhs), d - 2
         if o < need:
             return (f"order {o}", f">= {need}")
     return True
+
+
+def _fleck_shift_chain_row(p, alpha, beta, n, rs):
+    prime_power_modulus(p, alpha)
+    if not alpha > beta >= 0 or n < 0:
+        return [SKIP] * len(rs)
+    lhs = _fleck_sums(p, alpha, n, [p**beta * r for r in rs])
+    rhs = _fleck_sums(p, alpha - beta, n, rs)
+    return [_shift_chain_verdict(p, alpha - beta, r, a, b) for r, a, b in zip(rs, lhs, rhs)]
 
 
 def check_harmonic_congruence(m: int, n: int, r: int):
@@ -731,14 +768,18 @@ def _conj12(p, n, s):
     if n < 0 or not 0 <= s < p:
         return SKIP
     w1 = (p * n + s - p) // (p * (p - 1))
+    # lhs_val reads up to every class p*r + t of row p*n + s mod p**2, so
+    # the row is folded once.
+    top = _class_sums(p * n + s, p * p)
 
     def lhs_val(t: int, r: int) -> Fraction:
-        return _normalize(plain_alt_sum(p * n + s, p * r + t, p * p), p, w1)
+        return _normalize(top[p * r + t], p, w1)
 
     if n % p == 0 or (n - 1) % (p - 1) != 0:
         w2 = (n - 1) // (p - 1)
+        low = _class_sums(n, p)
         for r in range(p):
-            rhs = _normalize(plain_alt_sum(n, r, p), p, w2)
+            rhs = _normalize(low[r], p, w2)
             for t in range(p):
                 d = lhs_val(t, r) - (-1) ** t * math.comb(s, t) * rhs
                 if padic_order(p, d) < 1:
@@ -789,10 +830,24 @@ def _conj31(p, alpha, n, r):
     prime_power_modulus(p, alpha)
     if alpha < 2 or n < 0:
         return SKIP
-    need = 2 * alpha - 2 - (p == 3)
     d = fleck_sum_value(p, alpha, n, p * r) - fleck_sum_value(p, alpha - 1, n, r)
+    return _conj31_verdict(p, alpha, d)
+
+
+def _conj31_verdict(p: int, alpha: int, d: int):
+    """_conj31's result from d = F(alpha; n, p r) - F(alpha-1; n, r)."""
+    need = 2 * alpha - 2 - (p == 3)
     o = padic_order(p, d)
     return True if o >= need else (f"difference order {o}", f">= {need}")
+
+
+def _conj31_row(p, alpha, n, rs):
+    prime_power_modulus(p, alpha)
+    if alpha < 2 or n < 0:
+        return [SKIP] * len(rs)
+    lhs = _fleck_sums(p, alpha, n, [p * r for r in rs])
+    rhs = _fleck_sums(p, alpha - 1, n, rs)
+    return [_conj31_verdict(p, alpha, a - b) for a, b in zip(lhs, rhs)]
 
 
 def _t15_alpha1(p, l, n, r):
@@ -943,6 +998,9 @@ _ROW_FORMS: dict[Callable, Callable[..., list]] = {
     _t13: _t13_row,
     _l22: _l22_row,
     _t21: _t21_row,
+    check_fleck_reduction: _fleck_reduction_row,
+    check_fleck_shift_chain: _fleck_shift_chain_row,
+    _conj31: _conj31_row,
 }
 
 

@@ -21,6 +21,13 @@ floors taken in the alpha = 0 regime via the scaled_* helpers
 The degree bound needs integer (p-integral) coefficients; the
 integer-valued bound covers rational-coefficient f of degree <= l taking
 integer values on the integers, binomial(x, l) being the motivating case.
+
+Every per-value evaluator sums one class's terms from the class-sum kernel
+combinatorics._class_binomials.  A caller that needs the plain alternating
+sum of every class of one row folds the row instead: _class_sums(n, m) walks
+row n once by the recurrence binomial(n, k+1) = binomial(n, k) (n-k) / (k+1)
+and adds each signed term to its class k mod m, with no math.comb call.  The
+fold is made per call and never kept; plain_alt_sum stays its oracle.
 """
 
 from __future__ import annotations
@@ -75,11 +82,17 @@ class RestrictedSumSpec:
         if self.n < 0:
             raise InvalidParameterError(f"n must be nonnegative, got {self.n}")
         if self.modulus < 1:
-            raise InvalidParameterError(f"modulus must be positive, got {self.modulus}")
+            raise _modulus_error(self.modulus)
+
+
+def _modulus_error(m: int) -> InvalidParameterError:
+    return InvalidParameterError(f"modulus must be positive, got {m}")
 
 
 def alt_sum_f(n: int, r: int, m: int, f_at: Callable[[int], "int | Fraction"]):
     """sum over k == r (mod m), 0 <= k <= n of binomial(n,k) * (-1)**k * f_at((k-r)/m)."""
+    if m < 1:
+        raise _modulus_error(m)
     acc: "int | Fraction" = 0
     j = -(r // m)
     for t in _class_binomials(n, r % m, m):
@@ -90,6 +103,8 @@ def alt_sum_f(n: int, r: int, m: int, f_at: Callable[[int], "int | Fraction"]):
 
 def alt_sum_power(n: int, r: int, m: int, l: int) -> int:
     """Weight ((k-r)/m)**l for a degree l >= 0; pure integer arithmetic."""
+    if m < 1:
+        raise _modulus_error(m)
     if l < 0:
         raise InvalidParameterError(f"weight degree must be nonnegative, got {l}")
     acc = 0
@@ -102,6 +117,8 @@ def alt_sum_power(n: int, r: int, m: int, l: int) -> int:
 
 def alt_sum_binom(n: int, r: int, m: int, l: int) -> int:
     """Weight binomial((k-r)/m, l); pure integer arithmetic."""
+    if m < 1:
+        raise _modulus_error(m)
     if l < 0:
         return 0
     acc = 0
@@ -173,12 +190,42 @@ def _binomial_weights(j0: int, count: int, l: int) -> list[int]:
 
 def plain_alt_sum(n: int, r: int, m: int) -> int:
     """Unweighted alternating class sum."""
+    if m < 1:
+        raise _modulus_error(m)
     return sum(_class_binomials(n, r % m, m))
 
 
 def unsigned_class_sum(n: int, r: int, m: int) -> int:
     """sum of binomial(n, k) over k == r (mod m) with no signs."""
+    if m < 1:
+        raise _modulus_error(m)
     return sum(map(abs, _class_binomials(n, r % m, m)))
+
+
+def _class_sums(n: int, m: int) -> list[int]:
+    """plain_alt_sum(n, c, m) for every class c = 0 .. m-1, from one pass
+    over row n (all zero for n < 0).
+
+    Only half the row is walked: the term at n - k is (-1)**n times the
+    term at k.  The sums are kept in one list of m, the largest thing a
+    fold holds.
+    """
+    if m < 1:
+        raise _modulus_error(m)
+    out = [0] * m
+    t = 1  # (-1)**k * binomial(n, k)
+    half = (n + 1) // 2
+    odd = n % 2
+    for k in range(half):
+        out[k % m] += t
+        if odd:
+            out[(n - k) % m] -= t
+        else:
+            out[(n - k) % m] += t
+        t = -t * (n - k) // (k + 1)
+    if n >= 0 and not odd:
+        out[half % m] += t  # the middle term, k = n/2
+    return out
 
 
 def restricted_sum(spec: RestrictedSumSpec) -> "int | Fraction":

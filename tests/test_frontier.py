@@ -1,0 +1,36 @@
+"""The frontier sweeps whose sums come from row folds, pinned by digest.
+
+CONJ1.2 and CONJ3.1 read every class sum of their binomial rows from one
+fold (sums._class_sums).  On their default grids the rows are small; the
+frontier grids of perfbench/workloads.py reach rows of several thousand
+terms and moduli up to 7**4, so their reports are held here to the digests
+perfbench/record_digests.py recorded, as test_acceptance holds the default
+grids.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from flecklab.verifier import search_conjecture
+
+DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+# perfbench/workloads.py's FRONTIER_GRIDS for the two ids.
+FRONTIER_GRIDS = {
+    "CONJ1.2": {"p": (2, 3, 5, 7), "n": tuple(range(97))},
+    "CONJ3.1": {"p": (3, 5, 7), "alpha": (2, 3, 4), "n": tuple(range(41))},
+}
+
+
+@pytest.mark.parametrize("sid", sorted(FRONTIER_GRIDS))
+def test_frontier_report_matches_its_digest(sid):
+    digests = json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))
+    report = search_conjecture(sid, grid=FRONTIER_GRIDS[sid])
+    assert report.checked > 0
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    assert digest == digests[f"frontier/{sid}"]

@@ -11,6 +11,7 @@ from flecklab.combinatorics import binomial
 from flecklab.errors import InvalidParameterError
 from flecklab.padic import INFINITY, carries, factorial_order, padic_order, scaled_residue
 from flecklab.quantities import (
+    _fleck_sums,
     _norm_sum_value,
     convolution_weight,
     fleck_sum_value,
@@ -97,11 +98,23 @@ class TestFleckNormalizedSum:
         p, alpha = pa
         assert isinstance(fleck_sum_value(p, alpha, n, r), int)
 
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]),
+        st.integers(0, 30),
+        st.lists(st.integers(-40, 60), max_size=12),
+    )
+    def test_row_of_sums_matches_the_single_values(self, pa, n, rs):
+        p, alpha = pa
+        assert list(_fleck_sums(p, alpha, n, rs)) == [fleck_sum_value(p, alpha, n, r) for r in rs]
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             fleck_sum_value(2, 0, 5, 0)
         with pytest.raises(InvalidParameterError):
             fleck_sum_value(2, 1, -1, 0)
+        for args in ((2, 0, 5), (2, 1, -1), (4, 1, 3)):
+            with pytest.raises(InvalidParameterError):
+                _fleck_sums(*args, [0])
 
 
 class TestConvolutionWeight:

@@ -4,7 +4,8 @@ A row form must return exactly [check(*prefix, v) for v in values], for
 any prefix and any values of the last axis, out-of-hypothesis ones
 included.  No default grid fails, so the report digests never see a
 failure string; the perturbed-kernel cases make the failure branches run
-and hold row and check to the same (observed, expected) strings.
+and hold row and check to the same (observed, expected) strings, and
+to the same InternalInvariantError where a perturbed sum breaks one.
 """
 
 from __future__ import annotations
@@ -16,13 +17,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from flecklab import combinatorics
+from flecklab import combinatorics, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
 
-ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1")
+ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "C3.1cor", "CONJ3.1")
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
 L_LAST = ("T1.1", "T1.2", "T1.3")
+# Fleck level reductions: (p, alpha[, beta], n) prefixes, last axis r.
+FLECK = ("T3.1", "C3.1cor", "CONJ3.1")
 PRIMES = (2, 3, 5, 7)
 
 
@@ -43,10 +46,15 @@ def outcome(fn):
 
 
 def excluded(sid: str, prefix: tuple, v: int) -> bool:
-    """Out of the statement's hypothesis on a size axis: a negative n or l,
-    or n = 0 for L2.2, whose recurrences read the sums at n - 1."""
-    params = dict(zip(STATEMENTS[sid].axes, prefix + (v,)))
-    return params["n"] < (1 if sid == "L2.2" else 0) or params["l"] < 0
+    """Out of the statement's hypothesis: a negative n or l, n = 0 for
+    L2.2 (its recurrences read the sums at n - 1), alpha < 2 for T3.1 and
+    CONJ3.1, and beta outside 0 .. alpha-1 for C3.1cor."""
+    q = dict(zip(STATEMENTS[sid].axes, prefix + (v,)))
+    if sid == "C3.1cor":
+        return q["n"] < 0 or not q["alpha"] > q["beta"] >= 0
+    if sid in FLECK:
+        return q["n"] < 0 or q["alpha"] < 2
+    return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0
 
 
 def test_row_forms_are_the_main_grid_ids():
@@ -107,11 +115,34 @@ def r_last_rows(draw):
     return prefix, rs
 
 
+@hst.composite
+def fleck_rows(draw, sid):
+    """(p, alpha, n), with beta before n for C3.1cor, and a list of
+    residues r: scattered, or a contiguous window such as T3.1's -2 .. m-1."""
+    p, alpha = draw(hst.sampled_from(PRIMES)), draw(hst.integers(0, 4))
+    beta = (draw(hst.integers(-1, 5)),) if sid == "C3.1cor" else ()
+    prefix = (p, alpha, *beta, draw(hst.integers(-2, 30)))
+    m = p**alpha
+    rs = draw(
+        hst.one_of(
+            hst.lists(hst.integers(-2 * m - 2, 2 * m + 2), min_size=1, max_size=12),
+            hst.integers(-2, 2).map(lambda lo: list(range(lo, lo + min(m, 40)))),
+        )
+    )
+    return prefix, rs
+
+
+def draw_row(sid, data):
+    if sid in L_LAST:
+        return data.draw(l_last_rows())
+    return data.draw(fleck_rows(sid) if sid in FLECK else r_last_rows())
+
+
 @pytest.mark.parametrize("sid", ROW_IDS)
 @given(data=hst.data())
 def test_row_form_equals_its_checks(sid, data):
     st = STATEMENTS[sid]
-    prefix, values = data.draw(l_last_rows() if sid in L_LAST else r_last_rows())
+    prefix, values = draw_row(sid, data)
     got = row_form(st)(*prefix, values)
     assert got == per_instance(st, prefix, values)
     for v, res in zip(values, got):
@@ -130,19 +161,33 @@ def test_l22_skips_n_zero_and_negative_sizes():
 # ---------------------------------------------------------------------------
 
 _class_binomials = combinatorics._class_binomials
+_class_sums = sums._class_sums
 
 
 def _bumped(n, c, m):
-    """The kernel with 1 added to its first term: sums lose their order."""
+    """The kernel with 1 added to its first term: sums lose their order,
+    and Fleck sums that divide out a power of p are no longer integers."""
     terms = list(_class_binomials(n, c, m))
     return tuple([terms[0] + 1, *terms[1:]]) if terms else ()
+
+
+def _bumped_fold(n, m):
+    """_bumped on every class of the row: each class with a term, c <= n."""
+    out = _class_sums(n, m)
+    for c in range(min(m, n + 1)):
+        out[c] += 1
+    return out
 
 
 def _scaled(n, c, m):
     """The kernel times n + 1: orders only rise, so every normalized sum
     stays p-integral, but the contiguous recurrences between n - 1 and n
-    break."""
+    break, and so do the congruences between two levels' Fleck sums."""
     return tuple((n + 1) * t for t in _class_binomials(n, c, m))
+
+
+def _scaled_fold(n, m):
+    return [(n + 1) * s for s in _class_sums(n, m)]
 
 
 def _clear_caches():
@@ -155,15 +200,19 @@ def _clear_caches():
 
 @pytest.fixture
 def kernel(monkeypatch):
-    """Install a kernel in every flecklab module that imported the real one,
-    with every cache cleared before and after."""
+    """Install a perturbed class-sum kernel, and the same perturbation of the
+    row fold if one is given, in every flecklab module that imported the
+    real ones, with every cache cleared before and after."""
 
-    def install(fn):
+    def install(fn, fold=_class_sums):
         _clear_caches()
         for name, mod in list(sys.modules.items()):
-            imported = vars(mod).get("_class_binomials") if mod is not None else None
-            if name.startswith("flecklab") and imported is _class_binomials:
+            if mod is None or not name.startswith("flecklab"):
+                continue
+            if vars(mod).get("_class_binomials") is _class_binomials:
                 monkeypatch.setattr(mod, "_class_binomials", fn)
+            if vars(mod).get("_class_sums") is _class_sums:
+                monkeypatch.setattr(mod, "_class_sums", fold)
 
     yield install
     monkeypatch.undo()
@@ -171,6 +220,14 @@ def kernel(monkeypatch):
 
 
 def _perturbed_rows(sid):
+    if sid in FLECK:
+        for p in (3, 5) if sid == "CONJ3.1" else (2, 3):
+            for alpha in (2, 3, 4):
+                for beta in range(alpha) if sid == "C3.1cor" else (None,):
+                    for n in range(8):
+                        prefix = (p, alpha, n) if beta is None else (p, alpha, beta, n)
+                        yield prefix, list(range(-2, min(p**alpha, 12)))
+        return
     if sid in L_LAST:
         for p in (2, 3):
             for alpha in (1, 2):
@@ -206,6 +263,41 @@ def test_perturbed_kernel_fails_alike_in_row_and_check(kernel, sid, fn, branches
         assert got == outcome(lambda: per_instance(st, prefix, values)), prefix
         if isinstance(got, list):
             seen.extend(" ".join(res) for res in got if isinstance(res, tuple))
+    # Each failure branch ran at least once.
+    for branch in branches:
+        assert any(branch in text for text in seen), branch
+
+
+# The Fleck row forms read their sums from the row fold, the checks from
+# the kernel: both are perturbed alike.  A perturbed Fleck sum that is no
+# longer an integer raises, and row and check must raise the same error.
+NOT_INTEGER = "Fleck-normalized sum is not an integer"
+FOLD_PERTURBED = [
+    ("T3.1", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
+    ("T3.1", _scaled, _scaled_fold, ["difference order"]),
+    ("C3.1cor", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
+    ("C3.1cor", _scaled, _scaled_fold, ["difference order"]),
+    ("CONJ3.1", _bumped, _bumped_fold, [NOT_INTEGER]),
+    ("CONJ3.1", _scaled, _scaled_fold, ["difference order"]),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, fn, fold, branches",
+    FOLD_PERTURBED,
+    ids=[f"{c[0]}-{c[1].__name__.strip('_')}" for c in FOLD_PERTURBED],
+)
+def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, branches):
+    kernel(fn, fold)
+    st = STATEMENTS[sid]
+    seen = []
+    for prefix, values in _perturbed_rows(sid):
+        got = outcome(lambda: row_form(st)(*prefix, values))
+        assert got == outcome(lambda: per_instance(st, prefix, values)), prefix
+        if isinstance(got, list):
+            seen.extend(" ".join(res) for res in got if isinstance(res, tuple))
+        else:
+            seen.append(got[1])
     # Each failure branch ran at least once.
     for branch in branches:
         assert any(branch in text for text in seen), branch

@@ -13,6 +13,7 @@ from flecklab.errors import InvalidParameterError
 from flecklab.padic import INFINITY, PrimePowerModulus, padic_order
 from flecklab.sums import (
     RestrictedSumSpec,
+    _class_sums,
     alt_sum_binom,
     alt_sum_f,
     alt_sum_power,
@@ -99,6 +100,54 @@ class TestSumEvaluators:
     def test_shifting_r_by_modulus_changes_the_weight(self):
         # Same summation set, different weight argument.
         assert alt_sum_power(6, 0, 2, 1) != alt_sum_power(6, 2, 2, 1)
+
+    @pytest.mark.parametrize("m", [0, -1, -2])
+    def test_every_evaluator_rejects_a_modulus_below_one(self, m):
+        # m = 0 used to divide by zero, and a negative m summed an empty
+        # class to a silent 0.
+        evaluators = [
+            lambda: plain_alt_sum(5, 0, m),
+            lambda: unsigned_class_sum(5, 0, m),
+            lambda: alt_sum_power(5, 0, m, 1),
+            lambda: alt_sum_binom(5, 0, m, 1),
+            lambda: alt_sum_binom(5, 0, m, -1),
+            lambda: alt_sum_f(5, 0, m, lambda x: x),
+            lambda: _class_sums(5, m),
+        ]
+        for evaluate in evaluators:
+            with pytest.raises(InvalidParameterError, match="modulus must be positive"):
+                evaluate()
+
+
+class TestClassSumFold:
+    """_class_sums folds a whole row; the per-class kernel and the brute
+    force loop are its oracles.  Half the row is walked and mirrored, so odd
+    and even rows take different paths."""
+
+    @given(
+        st.one_of(st.integers(0, 80), st.just(0), st.integers(0, 40).map(lambda h: 2 * h)),
+        st.one_of(st.integers(1, 30), st.just(1), st.integers(82, 120)),
+    )
+    def test_every_class_matches_the_per_class_sums(self, n, m):
+        folded = _class_sums(n, m)
+        assert len(folded) == m
+        for c in range(m):
+            assert folded[c] == plain_alt_sum(n, c, m) == brute_sum(n, c, m, lambda x: 1)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+    def test_small_rows_of_both_parities(self, n):
+        for m in (1, 2, 3, n + 1, n + 2, n + 5):
+            assert _class_sums(n, m) == [plain_alt_sum(n, c, m) for c in range(m)]
+
+    def test_hand_values(self):
+        assert _class_sums(0, 1) == [1]
+        assert _class_sums(0, 3) == [1, 0, 0]
+        assert _class_sums(6, 1) == [0]
+        assert _class_sums(4, 2) == [8, -8]
+        assert _class_sums(3, 5) == [1, -3, 3, -1, 0]
+
+    def test_negative_row_is_empty(self):
+        assert _class_sums(-1, 3) == [0, 0, 0] == [plain_alt_sum(-1, c, 3) for c in range(3)]
 
 
 class TestRestrictedSumSpec:
