@@ -30,16 +30,6 @@ __all__ = [
     "weighted_inverse_sequence",
 ]
 
-# Exact factorials are memoized up to this many entries; factorial orders
-# never go through this table (they use the floor sum in padic).
-FACTORIAL_MEMO_CEILING = 10**4
-
-
-@lru_cache(maxsize=FACTORIAL_MEMO_CEILING)
-def _factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 # Term lists of this many (n, class, modulus) keys are kept; a sweep over a
 # residue window revisits the same few hundred classes for every weight.
 CLASS_TERMS_MEMO = 1 << 10
@@ -71,7 +61,7 @@ def binomial(x: "int | Fraction", k: int) -> "int | Fraction":
         if x >= 0:
             return math.comb(x, k) if k <= x else 0
         return (-1) ** k * math.comb(-x + k - 1, k)
-    return Fraction(falling_factorial(x, k), _factorial(k))
+    return Fraction(falling_factorial(x, k), math.factorial(k))
 
 
 def falling_factorial(x: "int | Fraction", j: int) -> "int | Fraction":
@@ -229,7 +219,7 @@ def weighted_inverse_sequence(
         for t in _class_binomials(n, r % m, m):
             acc += t * f(j)
             j += 1
-        mult = _factorial(n // h) * math.comb(rh + (n - r) % h, rh)
+        mult = math.factorial(n // h) * math.comb(rh + (n - r) % h, rh)
         a = Fraction(scale * acc, mult)
         if padic_order(p, a) < 0:
             raise InternalInvariantError(

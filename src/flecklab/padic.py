@@ -45,9 +45,11 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-@lru_cache(maxsize=None)
+# Typed, so that a float never hits the entry of the int it equals.
+@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below 3.3e24."""
+    _require_int("n", n)
     if n >= _MR_LIMIT:
         raise InvalidParameterError(f"primality test not deterministic for {n}")
     if n < 2:
@@ -75,6 +77,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_int(name: str, x: object) -> None:
+    if not isinstance(x, int):
+        raise InvalidParameterError(f"{name} must be an int, got {x!r}")
+
+
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not is_prime(p):
         raise InvalidParameterError(f"p must be prime, got {p!r}")
@@ -89,6 +96,7 @@ def padic_order(p: int, x: "int | Fraction") -> "int | float":
     _require_prime(p)
     if isinstance(x, Fraction):
         return _int_order(p, x.numerator) - _int_order(p, x.denominator)
+    _require_int("x", x)
     return _int_order(p, x)
 
 
@@ -117,6 +125,8 @@ def carries(p: int, a: int, b: int) -> int:
     equivalence independently rather than relying on it here.
     """
     _require_prime(p)
+    _require_int("a", a)
+    _require_int("b", b)
     if a < 0 or b < 0:
         raise InvalidParameterError("carry counts need nonnegative addends")
     return _carries(p, a, b)
@@ -137,6 +147,7 @@ def _carries(p: int, a: int, b: int) -> int:
 def factorial_order(p: int, n: int) -> int:
     """Order of n! at p, by the telescoping floor sum; never computes n!."""
     _require_prime(p)
+    _require_int("n", n)
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
     return _factorial_order(p, n)
@@ -219,4 +230,14 @@ def weisman_bound(pm: PrimePowerModulus, n: int) -> int:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
     if pm.alpha == 0:
         raise UnsupportedRegimeError("the floor bound needs alpha >= 1")
-    return (n - pm.p ** (pm.alpha - 1)) // pm.totient
+    return _weisman(pm.p, pm.alpha, n)
+
+
+def _weisman(p: int, alpha: int, n: int) -> int:
+    """Weisman's exponent floor((n - p**(alpha-1)) / phi(p**alpha)) for
+    alpha >= 1 and any integer n: p to this power divides every plain
+    alternating class sum of row n mod p**alpha (C. S. Weisman, Michigan
+    Math. J. 24, 1977).  At n = p**(alpha-1) * n' it is Fleck's
+    floor((n'-1)/(p-1))."""
+    h = p ** (alpha - 1)
+    return (n - h) // (h * (p - 1))

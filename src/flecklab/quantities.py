@@ -9,10 +9,13 @@ modulus p**alpha (alpha >= 0 for the first, alpha >= 1 for the second):
       a p-adic integer for every (l, n, r); its order is bounded below by
       the carry count carries_p({r}_h, {n-r}_h) with h = p**(alpha-1).
 
-  fleck_sum_value
-      p**(-floor((n-1)/(p-1)))
-        * sum_{k == r (mod p**alpha)} binomial(p**(alpha-1) * n, k) * (-1)**k
-      always an exact integer.
+  _weisman_normalized
+      p**-w * sum_{k == r (mod p**alpha)} binomial(N, k) * (-1)**k
+      with w = floor((N - p**(alpha-1)) / phi(p**alpha)), Weisman's
+      exponent (padic._weisman): always an exact integer, and checked to be
+      one on every call.  T1.7 and CONJ1.2 normalize their class sums with
+      it.  fleck_sum_value is its special case N = p**(alpha-1) * n, where
+      w is Fleck's floor((n-1)/(p-1)).
 
 In the degenerate alpha = 0 regime the first normalization has the closed
 form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
@@ -37,10 +40,10 @@ from typing import Iterator, Sequence
 from .combinatorics import _class_binomials, binomial
 from .errors import InternalInvariantError, InvalidParameterError
 from .padic import (
-    INFINITY,
     Order,
     _factorial_order,
-    padic_order,
+    _int_order,
+    _weisman,
     prime_power_modulus,
     scaled_floor,
 )
@@ -152,16 +155,17 @@ def _fleck_row(p: int, alpha: int, n: int) -> tuple[int, int]:
     return p ** (alpha - 1) * n, pm.m
 
 
-def _fleck_normalized(p: int, alpha: int, n: int, r: int, s: int) -> int:
-    """s * p**(-floor((n-1)/(p-1))) for the plain class sum s at r, which
-    must come out an integer."""
-    e = (n - 1) // (p - 1)
-    if e <= 0:
-        return s * p**-e
-    q, rem = divmod(s, p**e)
+def _weisman_normalized(p: int, alpha: int, row: int, r: int, s: int) -> int:
+    """s * p**-w for the plain class sum s of row mod p**alpha at r, with w
+    Weisman's exponent for (p, alpha, row).  p**w divides s by Weisman's
+    theorem, so a remainder is an internal error."""
+    w = _weisman(p, alpha, row)
+    if w <= 0:
+        return s * p**-w
+    q, rem = divmod(s, p**w)
     if rem:
         raise InternalInvariantError(
-            f"Fleck-normalized sum is not an integer at (p={p}, alpha={alpha}, n={n}, r={r})"
+            f"Weisman-normalized sum is not an integer at (p={p}, alpha={alpha}, N={row}, r={r})"
         )
     return q
 
@@ -169,7 +173,7 @@ def _fleck_normalized(p: int, alpha: int, n: int, r: int, s: int) -> int:
 @lru_cache(maxsize=1 << 16)
 def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
     row, m = _fleck_row(p, alpha, n)
-    return _fleck_normalized(p, alpha, n, r, plain_alt_sum(row, r, m))
+    return _weisman_normalized(p, alpha, row, r, plain_alt_sum(row, r, m))
 
 
 def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int]) -> Iterator[int]:
@@ -182,7 +186,7 @@ def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int]) -> Iterator[int]:
     """
     row, m = _fleck_row(p, alpha, n)
     sums = _class_sums(row, m)
-    return (_fleck_normalized(p, alpha, n, r, sums[r % m]) for r in rs)
+    return (_weisman_normalized(p, alpha, row, r, sums[r % m]) for r in rs)
 
 
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
@@ -213,7 +217,5 @@ def order_gap(p: int, alpha: int, n: int, r: int, l: int) -> Order:
     """Observed order of the power-weighted class sum minus its degree
     bound; INFINITY when the sum vanishes."""
     pm = prime_power_modulus(p, alpha)
-    value = alt_sum_power(n, r, pm.m, l)
-    if value == 0:
-        return INFINITY
-    return padic_order(p, value) - degree_order_bound(pm, n, r, l)
+    bound = degree_order_bound(pm, n, r, l)
+    return _int_order(p, alt_sum_power(n, r, pm.m, l)) - bound

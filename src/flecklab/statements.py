@@ -13,13 +13,20 @@ A check may also have a row form, which checks one row of the grid
 (every axis but the last fixed, the last axis's values in order) in one
 call and returns one result per value.  It shares the work the row's
 instances have in common, such as the class terms, the bound terms or the
-neighbouring rows of normalized sums.  The Fleck level reductions (T3.1,
-C3.1cor, CONJ3.1) read every Fleck sum of a row from quantities._fleck_sums,
+neighbouring rows of normalized sums.  The Fleck level reductions T3.1
+and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
 one fold of each binomial row they need (sums._class_sums), and CONJ1.2
 folds its two rows once per instance.  Row forms are looked up by the
 check they were written for.  The per-instance check stays the
 statement's spec, the tests hold every row form to it, and a statement
 whose check has no row form runs the check once per value.
+
+Plain class sums are normalized in one place: T1.7, CONJ1.2 and the Fleck
+sums divide them by p to Weisman's exponent through
+quantities._weisman_normalized, which raises InternalInvariantError if
+the division is not exact, and C1.2cor reads the same exponent from
+padic._weisman.  Fleck's exponent floor((n-1)/(p-1)) is its special case
+at row p**(alpha-1) * n.  Every normalized value is an exact integer.
 
 Conjectural statements carry kind "conjecture".  They are searched, never
 asserted: a failing instance is reported as a counterexample, it does not
@@ -36,7 +43,6 @@ from typing import Callable, Mapping, Sequence
 from .combinatorics import (
     Polynomial,
     _class_binomials,
-    _factorial,
     bernoulli_polynomial,
     binomial,
     binomial_inversion,
@@ -48,6 +54,7 @@ from .padic import (
     _carries,
     _factorial_order,
     _int_order,
+    _weisman,
     carries,
     factorial_order,
     padic_order,
@@ -60,6 +67,7 @@ from .quantities import (
     _norm_sum_value,
     _norm_sum_window,
     _norm_sums,
+    _weisman_normalized,
     convolution_weight,
     fleck_sum_value,
 )
@@ -151,17 +159,6 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-def _rational_residue(x: "int | Fraction", p: int) -> int:
-    """Least nonnegative residue mod p of a rational with nonnegative order."""
-    fr = Fraction(x)
-    return fr.numerator * pow(fr.denominator, -1, p) % p
-
-
-def _normalize(x: int, p: int, w: int) -> Fraction:
-    """x * p**(-w) as an exact rational, for either sign of w."""
-    return Fraction(x, p**w) if w >= 0 else Fraction(x * p**-w)
-
-
 # Normalized sums are carried in integer form as (num, d), worth num / d!:
 # num is quantities._norm_sum_value and d = scaled_floor(n, p, alpha - 1).
 # Checks compare them by cross-multiplying and build a Fraction only to
@@ -175,7 +172,7 @@ def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int]:
 def _norm_difference_order(p: int, x: tuple[int, int], c: int, y: tuple[int, int]) -> "int | float":
     """ord_p(x - c*y) for normalized sums x and y in integer form."""
     (a, da), (b, db) = x, y
-    diff = a * _factorial(db) - c * b * _factorial(da)
+    diff = a * math.factorial(db) - c * b * math.factorial(da)
     return _int_order(p, diff) - _factorial_order(p, da) - _factorial_order(p, db)
 
 
@@ -250,12 +247,10 @@ def check_normalized_refinement(p: int, alpha: int, n: int, s: int, t: int, r: i
     c = m // (p * p)
     if not (0 <= s < c and 0 <= t < c):
         return SKIP
-    big_n = c * n + s
-    w1 = (big_n - m // p) // (m // p * (p - 1))
-    lhs = _normalize(plain_alt_sum(big_n, c * r + t, m), p, w1)
-    w2 = (n - p) // (p * (p - 1))
-    rhs = (-1) ** t * math.comb(s, t) * _normalize(plain_alt_sum(n, r, p * p), p, w2)
-    o = padic_order(p, lhs - rhs)
+    big_n, big_r = c * n + s, c * r + t
+    lhs = _weisman_normalized(p, alpha, big_n, big_r, plain_alt_sum(big_n, big_r, m))
+    rhs = _weisman_normalized(p, 2, n, r, plain_alt_sum(n, r, p * p))
+    o = _int_order(p, lhs - (-1) ** t * math.comb(s, t) * rhs)
     return True if o >= 1 else (f"difference order {o}", ">= 1")
 
 
@@ -268,8 +263,7 @@ def check_parity_criterion(alpha: int, n: int, r: int):
     m = prime_power_modulus(2, alpha).m
     if alpha < 2:
         return SKIP
-    w = (n - m // 2) // (m // 2)
-    lhs_odd = _int_order(2, unsigned_class_sum(n, r, m)) == w
+    lhs_odd = _int_order(2, unsigned_class_sum(n, r, m)) == _weisman(2, alpha, n)
     c = m // 4
     n_star, r_star = n // c, r // c
     cond = math.comb(n % c, r % c) % 2 == 1 and (
@@ -341,11 +335,7 @@ def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
         return SKIP
     lhs = fleck_sum_value(p, alpha, n, p**beta * r)
     rhs = fleck_sum_value(p, alpha - beta, n, r)
-    return _shift_chain_verdict(p, alpha - beta, r, lhs, rhs)
-
-
-def _shift_chain_verdict(p: int, d: int, r: int, lhs: int, rhs: int):
-    """check_fleck_shift_chain's result at alpha - beta = d."""
+    d = alpha - beta
     o, need = _int_order(p, lhs - rhs), (2 - (p == 2)) * (d - 1)
     if o < need:
         return (f"difference order {o}", f">= {need}")
@@ -354,15 +344,6 @@ def _shift_chain_verdict(p: int, d: int, r: int, lhs: int, rhs: int):
         if o < need:
             return (f"order {o}", f">= {need}")
     return True
-
-
-def _fleck_shift_chain_row(p, alpha, beta, n, rs):
-    prime_power_modulus(p, alpha)
-    if not alpha > beta >= 0 or n < 0:
-        return [SKIP] * len(rs)
-    lhs = _fleck_sums(p, alpha, n, [p**beta * r for r in rs])
-    rhs = _fleck_sums(p, alpha - beta, n, rs)
-    return [_shift_chain_verdict(p, alpha - beta, r, a, b) for r, a, b in zip(rs, lhs, rhs)]
 
 
 def check_harmonic_congruence(m: int, n: int, r: int):
@@ -422,7 +403,7 @@ def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
         return SKIP
     num, dv = _norm_parts(2, alpha + 1, l, m * (2**e + d), m * c)
     delta = 1 if l == d else 0
-    o = _int_order(2, num - delta * _factorial(dv)) - _factorial_order(2, dv)
+    o = _int_order(2, num - delta * math.factorial(dv)) - _factorial_order(2, dv)
     return True if o >= 1 else (f"order {o} of the value minus {delta}", ">= 1")
 
 
@@ -609,16 +590,16 @@ def _l22(p, alpha, l, n, r):
     c = _norm_sum_value(p, alpha, l, n, r)
     d1, d0 = (n - 1) // h, n // h
     t, s = (n, h) if n % h == 0 else (1, 1)
-    if (a - b) * s * _factorial(d0) != t * c * _factorial(d1):
-        lhs = Fraction(a - b, _factorial(d1))
-        return (f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, _factorial(d0))}")
+    if (a - b) * s * math.factorial(d0) != t * c * math.factorial(d1):
+        lhs = Fraction(a - b, math.factorial(d1))
+        return (f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, math.factorial(d0))}")
     if l > 0:
         e = _norm_sum_value(p, alpha, l - 1, n, r + m)
         f = _norm_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
         t, s = (1, 1) if n % h == 0 else (n, h)
-        if (h * c + r * e) * s * _factorial(d1) != -t * f * h * _factorial(d0):
-            lhs2 = Fraction(h * c + r * e, h * _factorial(d0))
-            rhs2 = -Fraction(t, s) * Fraction(f, _factorial(d1))
+        if (h * c + r * e) * s * math.factorial(d1) != -t * f * h * math.factorial(d0):
+            lhs2 = Fraction(h * c + r * e, h * math.factorial(d0))
+            rhs2 = -Fraction(t, s) * Fraction(f, math.factorial(d1))
             return (f"second recurrence: {lhs2}", f"{rhs2}")
     return True
 
@@ -641,7 +622,7 @@ def _l22_row(p, alpha, l, n, rs):
         row_f = _norm_sum_window(p, alpha, l - 1, n - 1, lo, hi)
     h = m // p
     d1, d0 = (n - 1) // h, n // h
-    f1, f0 = _factorial(d1), _factorial(d0)
+    f1, f0 = math.factorial(d1), math.factorial(d0)
     t1, s1 = (n, h) if n % h == 0 else (1, 1)
     t2, s2 = (1, 1) if n % h == 0 else (n, h)
     out: list = []
@@ -690,7 +671,7 @@ def _l24(p, alpha, l, n, r):
         rhs += math.comb(n, j) * t0 * inner
     if lhs == rhs:
         return True
-    lhs_v, rhs_v = Fraction(lhs, _factorial(n // h)), Fraction(rhs, _factorial(n // h))
+    lhs_v, rhs_v = Fraction(lhs, math.factorial(n // h)), Fraction(rhs, math.factorial(n // h))
     return (f"{lhs_v}", f"self-convolution value {rhs_v}")
 
 
@@ -736,7 +717,7 @@ def _l42(alpha, n, r):
     num, d = _norm_parts(2, alpha + 1, 0, n, r)
     if (_int_order(2, num) == _factorial_order(2, d)) == (n & (n - 1) == 0):
         return True
-    return (f"value {Fraction(num, _factorial(d))}", "odd exactly when n is a power of two")
+    return (f"value {Fraction(num, math.factorial(d))}", "odd exactly when n is a power of two")
 
 
 def _r16(n, l):
@@ -767,34 +748,28 @@ def _conj12(p, n, s):
     prime_power_modulus(p, 2)
     if n < 0 or not 0 <= s < p:
         return SKIP
-    w1 = (p * n + s - p) // (p * (p - 1))
     # lhs_val reads up to every class p*r + t of row p*n + s mod p**2, so
     # the row is folded once.
-    top = _class_sums(p * n + s, p * p)
+    big_n = p * n + s
+    top = _class_sums(big_n, p * p)
 
-    def lhs_val(t: int, r: int) -> Fraction:
-        return _normalize(top[p * r + t], p, w1)
+    def lhs_val(t: int, r: int) -> int:
+        return _weisman_normalized(p, 2, big_n, p * r + t, top[p * r + t])
 
     if n % p == 0 or (n - 1) % (p - 1) != 0:
-        w2 = (n - 1) // (p - 1)
         low = _class_sums(n, p)
         for r in range(p):
-            rhs = _normalize(low[r], p, w2)
+            rhs = _weisman_normalized(p, 1, n, r, low[r])
             for t in range(p):
-                d = lhs_val(t, r) - (-1) ** t * math.comb(s, t) * rhs
-                if padic_order(p, d) < 1:
-                    return (f"t={t} r={r}: difference order {padic_order(p, d)}", ">= 1")
+                o = _int_order(p, lhs_val(t, r) - (-1) ** t * math.comb(s, t) * rhs)
+                if o < 1:
+                    return (f"t={t} r={r}: difference order {o}", ">= 1")
         return True
     if s == p - 1:
         return SKIP
     residues = {}
     for t in range(s + 1, p):
-        seen = set()
-        for r in range(p):
-            v = lhs_val(t, r)
-            if padic_order(p, v) < 0:
-                return (f"t={t} r={r}: value {v} not p-integral", "p-integral value")
-            seen.add(_rational_residue(v, p))
+        seen = {lhs_val(t, r) % p for r in range(p)}
         if len(seen) != 1:
             return (f"t={t}: residues {sorted(seen)} vary with r", "one residue for all r")
         residues[t] = seen.pop()
@@ -999,7 +974,6 @@ _ROW_FORMS: dict[Callable, Callable[..., list]] = {
     _l22: _l22_row,
     _t21: _t21_row,
     check_fleck_reduction: _fleck_reduction_row,
-    check_fleck_shift_chain: _fleck_shift_chain_row,
     _conj31: _conj31_row,
 }
 

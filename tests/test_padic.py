@@ -51,6 +51,12 @@ class TestIsPrime:
         with pytest.raises(InvalidParameterError):
             is_prime(10**25)
 
+    def test_rejects_floats_even_after_the_int_is_cached(self):
+        assert is_prime(7)
+        for x in (7.0, 41.0, 2.5):
+            with pytest.raises(InvalidParameterError):
+                is_prime(x)
+
 
 class TestPadicOrder:
     def test_integers(self):
@@ -75,6 +81,12 @@ class TestPadicOrder:
             padic_order(4, 16)
         with pytest.raises(InvalidParameterError):
             padic_order(1, 3)
+
+    def test_rejects_floats(self):
+        # 0.5 has order -1 at 2; a float has no exact order to give.
+        for x in (0.5, 48.0):
+            with pytest.raises(InvalidParameterError):
+                padic_order(2, x)
 
     @given(prime_st, st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
     def test_multiplicative_on_nonzero(self, p, a, b):
@@ -104,6 +116,11 @@ class TestCarries:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             carries(2, -1, 3)
+
+    def test_rejects_floats(self):
+        for a, b in ((1.5, 1), (1, 1.5), (2.0, 2)):
+            with pytest.raises(InvalidParameterError):
+                carries(2, a, b)
 
     def test_rejects_nonprime_base(self):
         with pytest.raises(InvalidParameterError):
@@ -136,6 +153,11 @@ class TestFactorialOrder:
     def test_rejects_negative(self):
         with pytest.raises(InvalidParameterError):
             factorial_order(2, -1)
+
+    def test_rejects_floats(self):
+        for n in (4.5, 4.0):
+            with pytest.raises(InvalidParameterError):
+                factorial_order(2, n)
 
     @given(prime_st, st.integers(0, 400))
     def test_matches_actual_factorial(self, p, n):

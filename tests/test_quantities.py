@@ -9,10 +9,20 @@ from hypothesis import strategies as st
 
 from flecklab.combinatorics import binomial
 from flecklab.errors import InvalidParameterError
-from flecklab.padic import INFINITY, carries, factorial_order, padic_order, scaled_residue
+from flecklab.padic import (
+    INFINITY,
+    _weisman,
+    carries,
+    factorial_order,
+    padic_order,
+    prime_power_modulus,
+    scaled_residue,
+    weisman_bound,
+)
 from flecklab.quantities import (
     _fleck_sums,
     _norm_sum_value,
+    _weisman_normalized,
     convolution_weight,
     fleck_sum_value,
     normalized_sum_value,
@@ -117,6 +127,27 @@ class TestFleckNormalizedSum:
                 _fleck_sums(*args, [0])
 
 
+class TestWeismanNormalization:
+    @given(
+        st.sampled_from((2, 3, 5, 7)),
+        st.integers(1, 3),
+        st.integers(0, 80),
+        st.integers(-200, 200),
+    )
+    def test_exponent_divides_brute_force_class_sums(self, p, alpha, big_n, r):
+        # Oracle: the class sum term by term over all k, with math.comb.
+        m = p**alpha
+        s = sum((-1) ** k * math.comb(big_n, k) for k in range(big_n + 1) if (k - r) % m == 0)
+        w = _weisman(p, alpha, big_n)
+        assert w == weisman_bound(prime_power_modulus(p, alpha), big_n)
+        assert w <= 0 or s % p**w == 0
+        assert _weisman_normalized(p, alpha, big_n, r, s) == s / Fraction(p) ** w
+
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4), st.integers(-3, 60))
+    def test_fleck_exponent_is_the_special_case(self, p, alpha, n):
+        assert _weisman(p, alpha, p ** (alpha - 1) * n) == (n - 1) // (p - 1)
+
+
 class TestConvolutionWeight:
     def test_level_one_weights_are_unit(self):
         for n in range(13):
@@ -161,6 +192,11 @@ class TestOrderGap:
 
     def test_vanishing_sum_gives_infinite_gap(self):
         assert order_gap(2, 0, 2, 0, 1) == INFINITY
+
+    def test_negative_n_is_rejected(self):
+        # The sum over an empty row vanishes, but n < 0 has no degree bound.
+        with pytest.raises(InvalidParameterError):
+            order_gap(2, 1, -5, 0, 0)
 
     @given(prime_power, st.integers(0, 30), st.integers(-6, 12), st.integers(0, 5))
     def test_gap_is_never_negative(self, pa, n, r, l):

@@ -11,6 +11,7 @@ to the same InternalInvariantError where a perturbed sum breaks one.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import sys
 
 import pytest
@@ -20,12 +21,13 @@ from hypothesis import strategies as hst
 from flecklab import combinatorics, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
+from flecklab.verifier import iter_instances, run_statement
 
-ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "C3.1cor", "CONJ3.1")
+ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1")
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
 L_LAST = ("T1.1", "T1.2", "T1.3")
-# Fleck level reductions: (p, alpha[, beta], n) prefixes, last axis r.
-FLECK = ("T3.1", "C3.1cor", "CONJ3.1")
+# Fleck level reductions: (p, alpha, n) prefixes, last axis r.
+FLECK = ("T3.1", "CONJ3.1")
 PRIMES = (2, 3, 5, 7)
 
 
@@ -47,11 +49,9 @@ def outcome(fn):
 
 def excluded(sid: str, prefix: tuple, v: int) -> bool:
     """Out of the statement's hypothesis: a negative n or l, n = 0 for
-    L2.2 (its recurrences read the sums at n - 1), alpha < 2 for T3.1 and
-    CONJ3.1, and beta outside 0 .. alpha-1 for C3.1cor."""
+    L2.2 (its recurrences read the sums at n - 1), and alpha < 2 for T3.1
+    and CONJ3.1."""
     q = dict(zip(STATEMENTS[sid].axes, prefix + (v,)))
-    if sid == "C3.1cor":
-        return q["n"] < 0 or not q["alpha"] > q["beta"] >= 0
     if sid in FLECK:
         return q["n"] < 0 or q["alpha"] < 2
     return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0
@@ -116,12 +116,11 @@ def r_last_rows(draw):
 
 
 @hst.composite
-def fleck_rows(draw, sid):
-    """(p, alpha, n), with beta before n for C3.1cor, and a list of
-    residues r: scattered, or a contiguous window such as T3.1's -2 .. m-1."""
+def fleck_rows(draw):
+    """(p, alpha, n) and a list of residues r: scattered, or a contiguous
+    window such as T3.1's -2 .. m-1."""
     p, alpha = draw(hst.sampled_from(PRIMES)), draw(hst.integers(0, 4))
-    beta = (draw(hst.integers(-1, 5)),) if sid == "C3.1cor" else ()
-    prefix = (p, alpha, *beta, draw(hst.integers(-2, 30)))
+    prefix = (p, alpha, draw(hst.integers(-2, 30)))
     m = p**alpha
     rs = draw(
         hst.one_of(
@@ -135,7 +134,7 @@ def fleck_rows(draw, sid):
 def draw_row(sid, data):
     if sid in L_LAST:
         return data.draw(l_last_rows())
-    return data.draw(fleck_rows(sid) if sid in FLECK else r_last_rows())
+    return data.draw(fleck_rows() if sid in FLECK else r_last_rows())
 
 
 @pytest.mark.parametrize("sid", ROW_IDS)
@@ -223,10 +222,8 @@ def _perturbed_rows(sid):
     if sid in FLECK:
         for p in (3, 5) if sid == "CONJ3.1" else (2, 3):
             for alpha in (2, 3, 4):
-                for beta in range(alpha) if sid == "C3.1cor" else (None,):
-                    for n in range(8):
-                        prefix = (p, alpha, n) if beta is None else (p, alpha, beta, n)
-                        yield prefix, list(range(-2, min(p**alpha, 12)))
+                for n in range(8):
+                    yield (p, alpha, n), list(range(-2, min(p**alpha, 12)))
         return
     if sid in L_LAST:
         for p in (2, 3):
@@ -271,12 +268,10 @@ def test_perturbed_kernel_fails_alike_in_row_and_check(kernel, sid, fn, branches
 # The Fleck row forms read their sums from the row fold, the checks from
 # the kernel: both are perturbed alike.  A perturbed Fleck sum that is no
 # longer an integer raises, and row and check must raise the same error.
-NOT_INTEGER = "Fleck-normalized sum is not an integer"
+NOT_INTEGER = "Weisman-normalized sum is not an integer"
 FOLD_PERTURBED = [
     ("T3.1", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
     ("T3.1", _scaled, _scaled_fold, ["difference order"]),
-    ("C3.1cor", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
-    ("C3.1cor", _scaled, _scaled_fold, ["difference order"]),
     ("CONJ3.1", _bumped, _bumped_fold, [NOT_INTEGER]),
     ("CONJ3.1", _scaled, _scaled_fold, ["difference order"]),
 ]
@@ -301,3 +296,136 @@ def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, bran
     # Each failure branch ran at least once.
     for branch in branches:
         assert any(branch in text for text in seen), branch
+
+
+# ---------------------------------------------------------------------------
+# Weisman normalization, through a perturbed class-sum kernel
+# ---------------------------------------------------------------------------
+#
+# T1.7, CONJ1.2 and the Fleck sums divide plain class sums by Weisman's
+# power of p.  These perturbations scale every class sum by an integer, or
+# bump sums that are not divided (Fleck sums at n <= 2 for p >= 3), so the
+# division stays exact and each check fails through its own branches.  Their
+# failures are pinned by count and by a digest of every (instance, result)
+# pair in sweep order.  C3.1cor stands for the Fleck checks that have no row
+# form.
+
+
+def _prime_of(m):
+    d = 2
+    while m % d:
+        d += 1
+    return d
+
+
+def _class_scaled_fold(n, m):
+    """Class c's sum times c + 1: at level p**2 the scale of class p*r + t
+    is t + 1 mod p, so the residues of one t stay constant in r but no
+    longer run over 1 .. p-1."""
+    return [(c + 1) * s for c, s in enumerate(_class_sums(n, m))]
+
+
+def _quotient_scaled_fold(n, m):
+    """Class c's sum times 1 + floor(c/p), p the prime of m: level p is
+    untouched, and at level p**2 the residues of one t vary with r."""
+    p = _prime_of(m)
+    return [(1 + c // p) * s for c, s in enumerate(_class_sums(n, m))]
+
+
+def _failures(st, grid=None):
+    """Every (instance, result) of st's sweep that is neither True nor SKIP."""
+    out = []
+    for inst in iter_instances(st, grid):
+        res = st.check(*inst)
+        if res is not True and res != SKIP:
+            out.append((inst, res))
+    return out
+
+
+def _digest(failures):
+    return hashlib.sha256(repr(failures).encode()).hexdigest()
+
+
+T17_GRID = {"p": (2, 3), "n": tuple(range(6))}
+WEISMAN_PERTURBED = [
+    (
+        "T1.7", _scaled, _class_sums, T17_GRID, ["difference order 0"], 380,
+        "df6d6bc8bd6f583cbd832abd67e71d2b683704a735c2c47218aeff03cbd9acc9",
+    ),
+    (
+        "CONJ1.2", _class_binomials, _class_scaled_fold, None,
+        ["difference order 0", "a permutation of 1..4"], 157,
+        "243a18f5612644dd5d9ca6e885ddc824b259845201c2d86a8c98454e224517d3",
+    ),
+    (
+        "CONJ1.2", _class_binomials, _quotient_scaled_fold, None,
+        ["difference order 0", "vary with r"], 172,
+        "9664564dd2d9cb25f32ad4d99474409caf2448e3d91b25ef0fb248705da25c35",
+    ),
+    (
+        "C3.1cor", _scaled, _class_sums, None, ["difference order"], 242,
+        "bd4480659b3efcea9943c5c7414292ec4d5b4b15443df25543780359e5af010c",
+    ),
+    (
+        "C3.1cor", _bumped, _class_sums, {"p": (3, 5), "n": (0, 1, 2)}, ["order 0"], 84,
+        "2aa403eac3006fe3df1f685b1f221c13f8767585fce599ef79ca5b623ecde05b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, fn, fold, grid, branches, count, digest",
+    WEISMAN_PERTURBED,
+    ids=[
+        "T1.7-scaled",
+        "CONJ1.2-class-scaled",
+        "CONJ1.2-quotient-scaled",
+        "C3.1cor-scaled",
+        "C3.1cor-bumped",
+    ],
+)
+def test_weisman_normalized_checks_fail_as_pinned(
+    kernel, sid, fn, fold, grid, branches, count, digest
+):
+    kernel(fn, fold)
+    got = _failures(STATEMENTS[sid], grid)
+    texts = [" ".join(res) for _, res in got]
+    for branch in branches:
+        assert any(branch in text for text in texts), branch
+    assert len(got) == count
+    assert _digest(got) == digest
+
+
+# A perturbation that breaks Weisman divisibility: the normalizer raises,
+# and the sweep names the first instance that reads such a sum.  At
+# (p, n) = (2, 3), CONJ1.2's exceptional case, the value used to be reported
+# as "not p-integral"; it raises like every other.
+WEISMAN_BROKEN = [
+    (
+        "T1.7", _bumped, _class_sums, T17_GRID,
+        "T1.7 at {'p': 2, 'alpha': 2, 'n': 4, 's': 0, 't': 0, 'r': -1}: "
+        "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=4, r=-1)",
+    ),
+    (
+        "CONJ1.2", _class_binomials, _bumped_fold, None,
+        "CONJ1.2 at {'p': 2, 'n': 2, 's': 0}: "
+        "Weisman-normalized sum is not an integer at (p=2, alpha=1, N=2, r=0)",
+    ),
+    (
+        "CONJ1.2", _class_binomials, _bumped_fold, {"p": (2,), "n": (3,)},
+        "CONJ1.2 at {'p': 2, 'n': 3, 's': 0}: "
+        "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=6, r=1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, fn, fold, grid, message",
+    WEISMAN_BROKEN,
+    ids=["T1.7", "CONJ1.2", "CONJ1.2-exceptional"],
+)
+def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, grid, message):
+    kernel(fn, fold)
+    with pytest.raises(InternalInvariantError) as info:
+        run_statement(sid, grid)
+    assert str(info.value) == message
