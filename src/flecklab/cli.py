@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from .combinatorics import Polynomial
@@ -94,6 +95,14 @@ def _emit(text: str, out_path: "str | None") -> None:
             sys.stdout.write("\n")
 
 
+def _emit_table(args: argparse.Namespace, payload: dict, table: list[list[str]]) -> None:
+    """payload as JSON, or table as CSV or TSV, as --format asks."""
+    if args.format == "json":
+        _emit(json.dumps(payload, indent=2), args.out)
+    else:
+        _emit(delimited(table, "," if args.format == "csv" else "\t"), args.out)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -135,20 +144,17 @@ def _cmd_table1(args: argparse.Namespace) -> int:
             for l in _TABLE1_L
         ]
         rows.append({"n": n, "gaps": gaps})
-    if args.format == "json":
-        payload = {
-            "p": _TABLE1_P,
-            "alpha": _TABLE1_ALPHA,
-            "r": _TABLE1_R,
-            "l": list(_TABLE1_L),
-            "rows": rows,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        table = [["n", *[f"l={l}" for l in _TABLE1_L]]]
-        for row in rows:
-            table.append([str(row["n"]), *[str(g) for g in row["gaps"]]])
-        _emit(delimited(table, "," if args.format == "csv" else "\t"), args.out)
+    payload = {
+        "p": _TABLE1_P,
+        "alpha": _TABLE1_ALPHA,
+        "r": _TABLE1_R,
+        "l": list(_TABLE1_L),
+        "rows": rows,
+    }
+    table = [["n", *[f"l={l}" for l in _TABLE1_L]]]
+    for row in rows:
+        table.append([str(row["n"]), *[str(g) for g in row["gaps"]]])
+    _emit_table(args, payload, table)
     return 0
 
 
@@ -164,23 +170,20 @@ def _cmd_example13(args: argparse.Namespace) -> int:
     ]
     degree_bounds = [_order_json(degree_order_bound(pm, _EX13_N, _EX13_R, l)) for l in ls]
     floor_bound = _order_json(floor_order_bound(pm, _EX13_N, _EX13_R))
-    if args.format == "json":
-        payload = {
-            "p": _EX13_P,
-            "alpha": _EX13_ALPHA,
-            "r": _EX13_R,
-            "n": _EX13_N,
-            "l": list(ls),
-            "orders": orders,
-            "degree_bounds": degree_bounds,
-            "floor_bound": floor_bound,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        table = [["l", "order", "degree_bound", "floor_bound"]]
-        for l in ls:
-            table.append([str(l), str(orders[l]), str(degree_bounds[l]), str(floor_bound)])
-        _emit(delimited(table, "," if args.format == "csv" else "\t"), args.out)
+    payload = {
+        "p": _EX13_P,
+        "alpha": _EX13_ALPHA,
+        "r": _EX13_R,
+        "n": _EX13_N,
+        "l": list(ls),
+        "orders": orders,
+        "degree_bounds": degree_bounds,
+        "floor_bound": floor_bound,
+    }
+    table = [["l", "order", "degree_bound", "floor_bound"]]
+    for l in ls:
+        table.append([str(l), str(orders[l]), str(degree_bounds[l]), str(floor_bound)])
+    _emit_table(args, payload, table)
     return 0
 
 
@@ -216,12 +219,16 @@ def _exit_code(statuses: "set[str]") -> int:
     return 3 if "counterexample-found" in statuses else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    return _report_command(args, run_statement)
-
-
-def _cmd_conjecture(args: argparse.Namespace) -> int:
-    return _report_command(args, search_conjecture)
+# The single-id sweeps: (subcommand, runner, help, id help).
+_SWEEPS = (
+    ("verify", run_statement, "sweep one cataloged statement", "statement id (e.g. T1.1)"),
+    (
+        "conjecture",
+        search_conjecture,
+        "search a conjecture for counterexamples",
+        "conjecture id (e.g. CONJ1.1)",
+    ),
+)
 
 
 # Every id in catalog order: the proven statements, then the searches.
@@ -337,17 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p_e13)
     p_e13.set_defaults(handler=_cmd_example13)
 
-    p_ver = subs.add_parser("verify", help="sweep one cataloged statement")
-    p_ver.add_argument("id", help="statement id (e.g. T1.1)")
-    _add_output_flags(p_ver)
-    _add_sweep_flags(p_ver)
-    p_ver.set_defaults(handler=_cmd_verify)
-
-    p_conj = subs.add_parser("conjecture", help="search a conjecture for counterexamples")
-    p_conj.add_argument("id", help="conjecture id (e.g. CONJ1.1)")
-    _add_output_flags(p_conj)
-    _add_sweep_flags(p_conj)
-    p_conj.set_defaults(handler=_cmd_conjecture)
+    for name, runner, help_text, id_help in _SWEEPS:
+        p_sweep = subs.add_parser(name, help=help_text)
+        p_sweep.add_argument("id", help=id_help)
+        _add_output_flags(p_sweep)
+        _add_sweep_flags(p_sweep)
+        p_sweep.set_defaults(handler=partial(_report_command, runner=runner))
 
     p_suite = subs.add_parser(
         "suite", help="sweep many ids over their default grids (default: all of them)"

@@ -82,6 +82,11 @@ def _require_int(name: str, x: object) -> None:
         raise InvalidParameterError(f"{name} must be an int, got {x!r}")
 
 
+def _require_ints(**named: object) -> None:
+    for name, x in named.items():
+        _require_int(name, x)
+
+
 def _require_prime(p: int) -> None:
     if not isinstance(p, int) or not is_prime(p):
         raise InvalidParameterError(f"p must be prime, got {p!r}")
@@ -101,8 +106,9 @@ def padic_order(p: int, x: "int | Fraction") -> "int | float":
 
 
 # The unchecked primitives below (leading underscore) trust their caller to
-# have validated p, as the public functions and prime_power_modulus do; the
-# sweep adapters call them once the instance's p has passed that check.
+# pass ints and to have validated p, as the public functions and
+# prime_power_modulus do; the sweep adapters call them once the instance's p
+# has passed that check (grid values are ints already).
 
 
 def _int_order(p: int, n: int) -> Order:
@@ -125,8 +131,7 @@ def carries(p: int, a: int, b: int) -> int:
     equivalence independently rather than relying on it here.
     """
     _require_prime(p)
-    _require_int("a", a)
-    _require_int("b", b)
+    _require_ints(a=a, b=b)
     if a < 0 or b < 0:
         raise InvalidParameterError("carry counts need nonnegative addends")
     return _carries(p, a, b)
@@ -167,6 +172,11 @@ def scaled_floor(n: int, p: int, e: int) -> int:
     The e == -1 extension is the degenerate-regime convention used when a
     modulus exponent of zero makes p**(alpha-1) formally equal 1/p.
     """
+    _require_ints(n=n, p=p, e=e)
+    return _scaled_floor(n, p, e)
+
+
+def _scaled_floor(n: int, p: int, e: int) -> int:
     if e == -1:
         return n * p
     if e < -1:
@@ -180,6 +190,11 @@ def scaled_residue(a: int, p: int, e: int) -> int:
     Companion of scaled_floor: every integer is congruent to 0 modulo the
     formal modulus 1/p, so residues vanish in the degenerate regime.
     """
+    _require_ints(a=a, p=p, e=e)
+    return _scaled_residue(a, p, e)
+
+
+def _scaled_residue(a: int, p: int, e: int) -> int:
     if e == -1:
         return 0
     if e < -1:
@@ -226,6 +241,7 @@ def weisman_bound(pm: PrimePowerModulus, n: int) -> int:
     Undefined at alpha == 0: the classical statement has no degenerate
     extension, so that regime is rejected rather than guessed at.
     """
+    _require_int("n", n)
     if n < 0:
         raise InvalidParameterError(f"n must be nonnegative, got {n}")
     if pm.alpha == 0:

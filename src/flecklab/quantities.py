@@ -43,6 +43,7 @@ from .padic import (
     Order,
     _factorial_order,
     _int_order,
+    _scaled_floor,
     _weisman,
     prime_power_modulus,
     scaled_floor,
@@ -111,7 +112,7 @@ def _checked_norms(
     """nums, the normalized sums at (l, n, r) for r in rs, after the two
     invariants every normalized sum is held to: the alpha = 0 closed form
     and p-integrality, ord_p(num) >= ord_p(d!)."""
-    integral = p ** _factorial_order(p, scaled_floor(n, p, alpha - 1))
+    integral = p ** _factorial_order(p, _scaled_floor(n, p, alpha - 1))
     for r, num in zip(rs, nums):
         # At alpha == 0 the closed form has the same denominator (p*n)! as num.
         if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):

@@ -54,6 +54,8 @@ from .padic import (
     _carries,
     _factorial_order,
     _int_order,
+    _scaled_floor,
+    _scaled_residue,
     _weisman,
     carries,
     factorial_order,
@@ -166,7 +168,7 @@ def _prime_factors(m: int) -> list[int]:
 
 
 def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int]:
-    return _norm_sum_value(p, alpha, l, n, r), scaled_floor(n, p, alpha - 1)
+    return _norm_sum_value(p, alpha, l, n, r), _scaled_floor(n, p, alpha - 1)
 
 
 def _norm_difference_order(p: int, x: tuple[int, int], c: int, y: tuple[int, int]) -> "int | float":
@@ -701,11 +703,11 @@ def _t21_row(p, alpha, l, n, rs):
     nums = _norm_sums(p, alpha, l, n, rs)
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
-    fo = _factorial_order(p, scaled_floor(n, p, e))
+    fo = _factorial_order(p, _scaled_floor(n, p, e))
     out: list = []
     for r, num in zip(rs, nums):
         o = _int_order(p, num) - fo
-        tau = _carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e))
+        tau = _carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e))
         out.append(True if o >= tau else (f"order {o}", f">= carry count {tau}"))
     return out
 

@@ -46,9 +46,9 @@ from .padic import (
     _carries,
     _factorial_order,
     _require_prime,
+    _scaled_floor,
+    _scaled_residue,
     padic_order,
-    scaled_floor,
-    scaled_residue,
 )
 
 __all__ = [
@@ -259,8 +259,8 @@ def _bound_terms(p: int, e: int, n: int, r: int) -> tuple[int, int]:
     scaled_* conventions at e == -1: the terms every order bound adds up.
     The caller has checked that p is prime and n >= 0."""
     return (
-        _factorial_order(p, scaled_floor(n, p, e)),
-        _carries(p, scaled_residue(r, p, e), scaled_residue(n - r, p, e)),
+        _factorial_order(p, _scaled_floor(n, p, e)),
+        _carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e)),
     )
 
 

@@ -7,20 +7,21 @@ statement and grid produce byte-identical JSON and CSV no matter how many
 worker processes are used.
 
 The sweep walks the grid by rows: a row is a prefix (values of every axis
-but the last) with the last axis's values under it, fixed or derived.  Each
-row goes to Statement.check_row in one call, which runs the statement's row
-form when it has one and otherwise the default adapter, the check once per
-value.  iter_instances is the flattening of the rows.  An
-InternalInvariantError raised in a row is named by its instance: the row
-is run again one check at a time to find it.
+but the last) with the last axis's values under it, fixed or derived.  One
+walker, _rows, is the only code that reads axis values, so the sweep order
+is defined once.  Each row goes to Statement.check_row in one call, which
+runs the statement's row form when it has one and otherwise the default
+adapter, the check once per value.  iter_instances is the flattening of the
+rows.  An InternalInvariantError raised in a row is named by its instance:
+the row is run again one check at a time to find it.
 
 With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker, each a
-contiguous run of the sweep order given as prefixes (values of the leading
-axes) of near-equal instance count, and each worker walks the rows under
-its prefixes itself.  Block results are merged in sweep order and the
-failure cap is applied after the merge, so the report is the one a single
-worker produces.
+contiguous run of the sweep order given as prefixes of near-equal instance
+count.  The prefixes are the instances of the grid cut down to its leading
+axes, and a worker walks the full grid with each of its prefixes pinned.
+Block results are merged in sweep order and the failure cap is applied
+after the merge, so the report is the one a single worker produces.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -82,19 +83,21 @@ def iter_instances(
 ) -> Iterator[tuple[int, ...]]:
     """Yield parameter tuples (in st.axes order) in lexicographic sweep order:
     the sweep's rows, flattened."""
-    for prefix, values in _iter_rows(st, overrides):
+    return _instances(st.axes, _specs(st, overrides))
+
+
+def _instances(axes: tuple[str, ...], specs: list) -> Iterator[tuple[int, ...]]:
+    for prefix, values in _rows(axes, specs):
         for v in values:
             yield prefix + (v,)
 
 
-def _iter_rows(
-    st: Statement, overrides: "Mapping[str, tuple[int, ...]] | None" = None
-) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """Yield the sweep's rows in sweep order: each prefix (values of every
-    axis but the last) with the last axis's values under it, fixed or
-    derived.  Prefixes whose last-axis window is empty are left out."""
-    axes = st.axes
-    specs = _specs(st, overrides)
+def _rows(axes: tuple[str, ...], specs: list) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """Yield the rows of the grid of axes and their specs in sweep order:
+    each prefix (values of every axis but the last) with the last axis's
+    values under it, fixed or derived.  Prefixes whose last-axis window is
+    empty are left out.  The one walk of a grid: everything else reads
+    axis values through it."""
     last, depth = specs[-1], len(axes) - 1
     ctx: dict[str, int] = {}
     if depth == 0:
@@ -104,12 +107,12 @@ def _iter_rows(
         return
     head = [0] * depth
     # One iterator per prefix axis, deepest last; an exhausted one is popped.
+    # Axis values are ints, so None marks exhaustion.
     stack = [iter(_axis_values(specs[0], ctx))]
     while stack:
         d = len(stack) - 1
-        try:
-            v = next(stack[-1])
-        except StopIteration:
+        v = next(stack[-1], None)
+        if v is None:
             stack.pop()
             continue
         head[d] = ctx[axes[d]] = v
@@ -131,49 +134,37 @@ def _axis_values(spec: "Sequence[int] | DerivedAxis", ctx: dict[str, int]) -> Se
     return spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
 
 
-def _extend(
-    axes: tuple[str, ...], specs: list, prefixes: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Each prefix followed by each value of the next axis, in sweep order."""
-    depth = len(prefixes[0])
-    return [
-        prefix + (v,)
-        for prefix in prefixes
-        for v in _axis_values(specs[depth], dict(zip(axes, prefix)))
-    ]
-
-
-def _size(axes: tuple[str, ...], specs: list, split: int, prefix: tuple[int, ...]) -> int:
-    """How many instances lie under prefix, counted without building them:
-    walk the derived axes below it and multiply by the fixed tail's size."""
-    tail = math.prod(len(spec) for spec in specs[max(len(prefix), split) :])
-    if len(prefix) >= split:
-        return tail
-    level = [prefix]
-    while len(level[0]) < split - 1:
-        level = _extend(axes, specs, level)
-        if not level:
-            return 0
-    last = specs[split - 1]
-    return tail * sum(len(_axis_values(last, dict(zip(axes, q)))) for q in level)
+def _pinned(specs: list, prefix: tuple[int, ...]) -> list:
+    """specs with the leading axes pinned to prefix's values, one each."""
+    return [(v,) for v in prefix] + specs[len(prefix) :]
 
 
 def _plan(
     st: Statement, overrides: dict[str, tuple[int, ...]], blocks: int
-) -> tuple[tuple[str, ...], list[tuple[list[tuple[int, ...]], int]]]:
+) -> list[tuple[list[tuple[int, ...]], int]]:
     """Cut the sweep order into about `blocks` contiguous blocks of near-equal
-    instance count.  The leading axes are pinned just deep enough to give at
-    least `blocks` prefixes; a block is a run of prefixes and its instance
-    count.  Returns the pinned axes and the blocks, in sweep order."""
+    instance count.  The prefixes are the instances of the grid cut down to
+    its leading axes, just deep enough to give at least `blocks` of them; a
+    block is a run of prefixes and its instance count, in sweep order."""
     axes = st.axes
     specs = _specs(st, overrides)
-    # From the split on every axis has fixed values, a tail whose size _size
-    # multiplies in instead of walking it.
-    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
     prefixes: list[tuple[int, ...]] = [()]
-    while prefixes and len(prefixes) < blocks and len(prefixes[0]) < len(axes):
-        prefixes = _extend(axes, specs, prefixes)
-    sizes = [_size(axes, specs, split, prefix) for prefix in prefixes]
+    depth = 0
+    while prefixes and len(prefixes) < blocks and depth < len(axes):
+        depth += 1
+        prefixes = list(_instances(axes[:depth], specs[:depth]))
+    # From the split on every axis has fixed values, a tail whose size is
+    # multiplied in instead of walked; above it a prefix's count is the
+    # total row length under it, walked with the prefix pinned.
+    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
+    tail = math.prod(len(spec) for spec in specs[max(depth, split) :])
+    if depth >= split:
+        sizes = [tail] * len(prefixes)
+    else:
+        sizes = [
+            tail * sum(len(values) for _, values in _rows(axes[:split], _pinned(specs[:split], q)))
+            for q in prefixes
+        ]
     total = sum(sizes)
     plan: list[tuple[list[tuple[int, ...]], int]] = []
     run: list[tuple[int, ...]] = []
@@ -191,20 +182,17 @@ def _plan(
             plan.append((run, count))
             run, count = [], 0
             cut = done * blocks // total + 1
-    depth = len(prefixes[0]) if prefixes else 0
-    return axes[:depth], plan
+    return plan
 
 
 def _block_rows(
-    st: Statement,
-    overrides: dict[str, tuple[int, ...]],
-    pinned: tuple[str, ...],
-    prefixes: Iterable[tuple[int, ...]],
+    st: Statement, overrides: dict[str, tuple[int, ...]], prefixes: Iterable[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
-    """The rows under each prefix in turn, each prefix pinned through
-    single-value overrides (derived axes included)."""
+    """The rows under each prefix in turn: the full grid walked with the
+    prefix's values pinned (derived axes included)."""
+    specs = _specs(st, overrides)
     for prefix in prefixes:
-        yield from _iter_rows(st, {**overrides, **{a: (v,) for a, v in zip(pinned, prefix)}})
+        yield from _rows(st.axes, _pinned(specs, prefix))
 
 
 def grid_description(
@@ -212,15 +200,10 @@ def grid_description(
 ) -> dict[str, object]:
     """Grid summary for reports: explicit value lists, or a text description
     for axes whose default values are derived from earlier axes."""
-    overrides = dict(overrides or {})
-    desc: dict[str, object] = {}
-    for axis in st.axes:
-        if axis in overrides:
-            desc[axis] = list(overrides[axis])
-        else:
-            spec = st.defaults[axis]
-            desc[axis] = spec.description if isinstance(spec, DerivedAxis) else list(spec)
-    return desc
+    return {
+        axis: spec.description if isinstance(spec, DerivedAxis) else list(spec)
+        for axis, spec in zip(st.axes, _specs(st, overrides))
+    }
 
 
 def _as_failure(st: Statement, values: tuple[int, ...], res: object) -> dict[str, object]:
@@ -275,16 +258,15 @@ def _named(
 def _payloads(
     st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
 ) -> list[tuple]:
-    """What each worker is sent: (statement id, overrides, pinned axes,
-    prefixes, failure cap), one per planned block, in sweep order."""
-    pinned, plan = _plan(st, overrides, 8 * jobs)
-    return [(st.id, overrides, pinned, prefixes, cap) for prefixes, _ in plan]
+    """What each worker is sent: (statement id, overrides, prefixes,
+    failure cap), one per planned block, in sweep order."""
+    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, 8 * jobs)]
 
 
 def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
-    statement_id, overrides, pinned, prefixes, cap = payload
+    statement_id, overrides, prefixes, cap = payload
     st = _lookup(statement_id)
-    return _run_chunk(st, _block_rows(st, overrides, pinned, prefixes), cap)
+    return _run_chunk(st, _block_rows(st, overrides, prefixes), cap)
 
 
 def _sweep(
@@ -294,7 +276,7 @@ def _sweep(
     cap: int,
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
-        return _run_chunk(st, _iter_rows(st, overrides), cap)
+        return _run_chunk(st, _rows(st.axes, _specs(st, overrides)), cap)
     payloads = _payloads(st, overrides, jobs, cap)
     if not payloads:
         return 0, 0, []
@@ -328,25 +310,8 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
-    def _payload(self) -> dict[str, object]:
-        return {
-            "statement": self.statement,
-            "grid": {k: v for k, v in self.grid.items()},
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "failures": [
-                {
-                    "params": dict(f["params"]),
-                    "observed": f["observed"],
-                    "expected": f["expected"],
-                }
-                for f in self.failures
-            ],
-            "status": self.status,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self._payload(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_rows(self) -> list[list[str]]:
         axes = list(self.grid)
@@ -415,6 +380,15 @@ def _run(
     )
 
 
+def _find(table: Mapping[str, Statement], statement_id: str, unknown: str) -> Statement:
+    """The table's entry for statement_id; unknown, filled in with the id
+    and the table's ids, is the error text when there is none."""
+    st = table.get(statement_id)
+    if st is None:
+        raise UnknownStatementError(unknown.format(statement_id, ", ".join(table)))
+    return st
+
+
 def run_statement(
     statement_id: str,
     grid: "Mapping[str, Sequence[int]] | None" = None,
@@ -424,11 +398,7 @@ def run_statement(
     """Sweep one cataloged statement.  Conjectures are allowed here too; a
     failing conjecture instance is reported as a counterexample rather than
     as a library failure."""
-    st = STATEMENTS.get(statement_id)
-    if st is None:
-        raise UnknownStatementError(
-            f"unknown statement id {statement_id!r}; known ids: {', '.join(STATEMENTS)}"
-        )
+    st = _find(STATEMENTS, statement_id, "unknown statement id {!r}; known ids: {}")
     return _run(st, grid, jobs, failure_cap)
 
 
@@ -439,10 +409,5 @@ def search_conjecture(
     failure_cap: int = DEFAULT_FAILURE_CAP,
 ) -> VerificationReport:
     """Sweep one conjectural statement looking for counterexamples."""
-    st = SEARCHES.get(statement_id)
-    if st is None:
-        known = ", ".join(SEARCHES)
-        raise UnknownStatementError(
-            f"unknown conjecture id {statement_id!r}; known conjecture ids: {known}"
-        )
+    st = _find(SEARCHES, statement_id, "unknown conjecture id {!r}; known conjecture ids: {}")
     return _run(st, grid, jobs, failure_cap)

@@ -192,6 +192,12 @@ class TestScaledHelpers:
         with pytest.raises(InvalidParameterError):
             scaled_residue(3, 2, -2)
 
+    @pytest.mark.parametrize("args", [(4.5, 2, 1), (5, 2, 1.0), (5, 2.0, 1), (4.5, 2, -1), (4.0, 2, 0)])
+    @pytest.mark.parametrize("fn", [scaled_floor, scaled_residue])
+    def test_rejects_floats(self, fn, args):
+        with pytest.raises(InvalidParameterError):
+            fn(*args)
+
     @given(st.integers(-10**6, 10**6), prime_st, st.integers(0, 6))
     def test_floor_residue_decomposition(self, a, p, e):
         if a >= 0:
@@ -247,3 +253,8 @@ class TestWeismanBound:
     def test_rejects_negative_n(self):
         with pytest.raises(InvalidParameterError):
             weisman_bound(PrimePowerModulus(2, 1), -1)
+
+    def test_rejects_floats(self):
+        for n in (4.5, 20.0):
+            with pytest.raises(InvalidParameterError):
+                weisman_bound(PrimePowerModulus(2, 1), n)

@@ -6,6 +6,8 @@ import json
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from flecklab.errors import (
     EmptyGridError,
@@ -315,11 +317,11 @@ class TestParallelDeterminism:
 def planned_sweep(st: Statement, overrides, blocks: int):
     """The planned blocks' instances, concatenated, after checking that each
     block's count is the number of instances it yields."""
-    pinned, plan = _plan(st, overrides, blocks)
+    plan = _plan(st, overrides, blocks)
     assert len(plan) <= blocks
     out = []
     for prefixes, count in plan:
-        rows = _block_rows(st, overrides, pinned, prefixes)
+        rows = _block_rows(st, overrides, prefixes)
         instances = [prefix + (v,) for prefix, values in rows for v in values]
         assert count == len(instances) > 0
         out.extend(instances)
@@ -344,7 +346,39 @@ PAIRS = Statement(
 )
 
 
+def _window(src: str, lo: int, shift: int) -> DerivedAxis:
+    """lo .. ctx[src] + shift - 1: empty whenever ctx[src] + shift <= lo."""
+    return DerivedAxis(f"{lo} .. {src}{shift:+d}", lambda ctx: range(lo, ctx[src] + shift))
+
+
+AXIS_VALUES = hst.lists(hst.integers(-2, 6), min_size=1, max_size=6).map(tuple)
+
+
+@hst.composite
+def synthetic_grids(draw):
+    """A statement over 1-4 axes, each a fixed value list or a window
+    derived from an earlier axis, and overrides of some of its axes
+    (derived ones included)."""
+    axes = [f"a{i}" for i in range(draw(hst.integers(1, 4)))]
+    defaults: dict[str, object] = {}
+    for i, axis in enumerate(axes):
+        if i and draw(hst.booleans()):
+            src = axes[draw(hst.integers(0, i - 1))]
+            defaults[axis] = _window(src, draw(hst.integers(-2, 2)), draw(hst.integers(-3, 2)))
+        else:
+            defaults[axis] = draw(AXIS_VALUES)
+    st = Statement("FAKE.G", "theorem", "synthetic grid", defaults, lambda *values: True)
+    overrides = {axis: draw(AXIS_VALUES) for axis in axes if draw(hst.booleans())}
+    return st, overrides
+
+
 class TestBlockPlan:
+    @settings(max_examples=200)
+    @given(synthetic_grids(), hst.integers(1, 40))
+    def test_synthetic_grid_blocks_concatenate_to_the_sweep(self, grid, blocks):
+        st, overrides = grid
+        assert planned_sweep(st, overrides, blocks) == list(iter_instances(st, overrides))
+
     @pytest.mark.parametrize("sid", list(ALL_STATEMENTS))
     def test_default_grid_blocks_concatenate_to_the_sweep(self, sid):
         st = ALL_STATEMENTS[sid]
