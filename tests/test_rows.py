@@ -429,3 +429,77 @@ def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, 
     with pytest.raises(InternalInvariantError) as info:
         run_statement(sid, grid)
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# integer value paths, through a perturbed class-sum kernel
+# ---------------------------------------------------------------------------
+#
+# C1.1cor, T1.4, L2.1 and CONJ1.3 compare orders of rationals.  Their
+# outcomes on small slices under the perturbed kernels are pinned by the
+# failure count and a digest of every (instance, result) pair in sweep
+# order, so a change in how a check reaches its verdict (or words its
+# failure) shows.
+
+
+def _swept(st, grid):
+    """The failure count and the digest of every (instance, result) pair of
+    st's sweep, or the message of the InternalInvariantError it raised."""
+    pairs = []
+    try:
+        for inst in iter_instances(st, grid):
+            pairs.append((inst, st.check(*inst)))
+    except InternalInvariantError as exc:
+        return ("raised", str(exc))
+    failures = [res for _, res in pairs if res is not True and res != SKIP]
+    return len(failures), _digest(pairs)
+
+
+C11_GRID = {"p": (2, 3), "m": (1, 2, 3, 4), "n": tuple(range(1, 13))}
+T14_GRID = {"p": (2, 3), "l": (0, 1)}
+L21_GRID = {"p": (2, 3), "n": tuple(range(9)), "l": (0, 1, 2, 3)}
+CONJ13_GRID = {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(3, 21)), "r": (-1, 0, 1, 2)}
+RATIONAL_PINNED = [
+    (
+        "C1.1cor", _bumped, C11_GRID, 353,
+        "018a1f8035f6001ea79d0f5ef197f3bb7ff2c848a988f99c559a249edf4369ea",
+    ),
+    (
+        "C1.1cor", _scaled, C11_GRID, 0,
+        "8dfd46ee9a29d0146f3bb77156c4223238a15e886066a90399d955863a91f58f",
+    ),
+    (
+        "T1.4", _bumped, T14_GRID, 34,
+        "c6ba279b1b54f625a5945ebce52812e3466be858f4666082594a4f89e10e3142",
+    ),
+    (
+        "T1.4", _scaled, T14_GRID, 52,
+        "0e898c4a200117d2f6ae1a5dea93ea66e18ce83bd201a567c20b17e35b3b07c3",
+    ),
+    (
+        "L2.1", _bumped, L21_GRID, 126,
+        "17daef67adfda01704bc877894c54dc5ffbbbdf8d3df6561d64dfafa5ad23736",
+    ),
+    (
+        "L2.1", _scaled, L21_GRID, 28,
+        "21ec138cda60c90ab0070c4657ab562f4474eaec81adb8e30d268998663fec68",
+    ),
+    (
+        "CONJ1.3", _bumped, CONJ13_GRID, 210,
+        "8412b945c7b5ac28c331ab85598102c986b1e4968446a4d9740f6b30aa42521c",
+    ),
+    (
+        "CONJ1.3", _scaled, CONJ13_GRID, 288,
+        "3462a73291e70617bef1196579da8ed28a2bca5e81ea201b4506d392ba079db0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, fn, grid, count, digest",
+    RATIONAL_PINNED,
+    ids=[f"{c[0]}-{c[1].__name__.strip('_')}" for c in RATIONAL_PINNED],
+)
+def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, digest):
+    kernel(fn)
+    assert _swept(STATEMENTS[sid], grid) == (count, digest)
