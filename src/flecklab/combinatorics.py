@@ -7,6 +7,13 @@ polynomial x(x-1)...(x-k+1)/k! evaluated at any integer or rational x,
 zero for k < 0.  Bernoulli polynomials use the B_1 = -1/2 normalization,
 i.e. B_m(x) is the unique polynomial with B_m(x+1) - B_m(x) = m*x**(m-1)
 and constant term equal to the m-th Bernoulli number.
+
+Sweeps evaluate D_m * B_m(x) instead, an integer polynomial (cached beside
+bernoulli_polynomial): D_m is the lcm of the denominators of the
+coefficients binomial(m, k) * B_k, each of which divides the denominator of
+B_k.  By von Staudt-Clausen that denominator is the product of the primes q
+with (q - 1) | k for even k >= 2 (2 for B_1, 1 for B_0 and the odd k >= 3),
+so D_m is squarefree and divides the product of the primes q <= m + 1.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InternalInvariantError, InvalidParameterError
-from .padic import NEG_INFINITY, PrimePowerModulus, padic_order
+from .padic import NEG_INFINITY, PrimePowerModulus, _int_order
 
 __all__ = [
     "Polynomial",
@@ -74,24 +81,21 @@ def falling_factorial(x: "int | Fraction", j: int) -> "int | Fraction":
     return out
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(l: int) -> tuple[int, ...]:
-    if l == 0:
-        return (1,)
-    prev = _stirling2_row(l - 1)
-    row = [0] * (l + 1)
-    for j in range(1, l + 1):
-        row[j] = j * (prev[j] if j < l else 0) + prev[j - 1]
-    return tuple(row)
-
-
 def stirling2(l: int, j: int) -> int:
-    """Stirling number of the second kind: partitions of l labels into j blocks."""
+    """Stirling number of the second kind: partitions of l labels into j blocks.
+
+    Built row by row from S(i, k) = k S(i-1, k) + S(i-1, k-1), keeping only
+    the columns k <= j: O(l*j) steps, no recursion, no table kept."""
     if l < 0 or j < 0:
         raise InvalidParameterError("Stirling numbers need nonnegative indices")
     if j > l:
         return 0
-    return _stirling2_row(l)[j]
+    row = [1] + [0] * j  # S(0, k) for k = 0 .. j
+    for i in range(1, l + 1):
+        for k in range(min(i, j), 0, -1):
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return row[j]
 
 
 @lru_cache(maxsize=None)
@@ -171,6 +175,16 @@ def bernoulli_polynomial(m: int) -> Polynomial:
     return Polynomial(coeffs)
 
 
+@lru_cache(maxsize=None)
+def _scaled_bernoulli(m: int) -> tuple[int, Polynomial]:
+    """(D_m, D_m * B_m(x)): D_m is the lcm of the denominators of B_m's
+    coefficients, so the scaled polynomial has integer coefficients.  Built
+    from bernoulli_polynomial on first use."""
+    coeffs = bernoulli_polynomial(m).coeffs
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, Polynomial(c.numerator * (d // c.denominator) for c in coeffs)
+
+
 def binomial_inversion(seq: Sequence["int | Fraction"]) -> list:
     """d_n = sum_k binomial(n, k) * (-1)**k * b_k; applying it twice is the
     identity, which makes it its own inverse transform."""
@@ -207,23 +221,31 @@ def weighted_inverse_sequence(
         raise InvalidParameterError("f must have integer coefficients")
     if n_max < 0:
         raise InvalidParameterError(f"n_max must be nonnegative, got {n_max}")
-    p, m = pm.p, pm.m
-    h = p ** (pm.alpha - 1)
-    l = f.degree
-    scale = p**l
-    out: list[Fraction] = []
+    return [Fraction(b, w) for b, w in _inverse_products(pm.p, pm.alpha, r, f, n_max)]
+
+
+def _inverse_products(
+    p: int, alpha: int, r: int, f: Polynomial, n_max: int
+) -> list[tuple[int, int]]:
+    """(w_n * a_n, w_n) for n = 0 .. n_max, both integers, for the sequence
+    of weighted_inverse_sequence, whose checks the caller has made.  a_n is
+    p-integral when ord_p(w_n * a_n) >= ord_p(w_n); InternalInvariantError
+    otherwise."""
+    m, h = p**alpha, p ** (alpha - 1)
+    scale = p**f.degree
     rh = r % h
+    out = []
     for n in range(n_max + 1):
         acc = 0
         j = -(r // m)
         for t in _class_binomials(n, r % m, m):
             acc += t * f(j)
             j += 1
-        mult = math.factorial(n // h) * math.comb(rh + (n - r) % h, rh)
-        a = Fraction(scale * acc, mult)
-        if padic_order(p, a) < 0:
+        b = scale * acc
+        w = math.factorial(n // h) * math.comb(rh + (n - r) % h, rh)
+        if _int_order(p, b) < _int_order(p, w):
             raise InternalInvariantError(
-                f"inverse sequence left p-integrality at n={n} (p={p}, alpha={pm.alpha}, r={r})"
+                f"inverse sequence left p-integrality at n={n} (p={p}, alpha={alpha}, r={r})"
             )
-        out.append(a)
+        out.append((b, w))
     return out

@@ -214,6 +214,19 @@ def convolution_weight(p: int, alpha: int, n: int, j: int) -> Fraction:
     )
 
 
+def _convolution_weight_order(p: int, alpha: int, n: int, j: int) -> int:
+    """ord_p(convolution_weight(p, alpha, n, j)) for arguments the caller
+    has checked: the order of the integer numerator minus that of the
+    denominator, each summed over its factors (factorials by Legendre)."""
+    h = p ** (alpha - 1)
+    return (
+        _int_order(p, math.comb(n, j))
+        + _factorial_order(p, j // h)
+        + _factorial_order(p, (n - j) // h)
+        - _factorial_order(p, n // h)
+    )
+
+
 def order_gap(p: int, alpha: int, n: int, r: int, l: int) -> Order:
     """Observed order of the power-weighted class sum minus its degree
     bound; INFINITY when the sum vanishes."""

@@ -28,6 +28,14 @@ the division is not exact, and C1.2cor reads the same exponent from
 padic._weisman.  Fleck's exponent floor((n-1)/(p-1)) is its special case
 at row p**(alpha-1) * n.  Every normalized value is an exact integer.
 
+Every check in the catalog runs in integers: a rational is carried as an
+integer numerator and denominator, neither reduced, and its order is
+ord_p(numerator) - ord_p(denominator).  A Fraction is built only to word a
+failure; the public functions that return one (normalized_sum_value,
+convolution_weight, bernoulli_polynomial, weighted_inverse_sequence) are
+not on any sweep's value path; bernoulli_polynomial is read once per
+index, to build the cached integer polynomial D_m * B_m.
+
 Conjectural statements carry kind "conjecture".  They are searched, never
 asserted: a failing instance is reported as a counterexample, it does not
 invalidate the library.
@@ -43,11 +51,11 @@ from typing import Callable, Mapping, Sequence
 from .combinatorics import (
     Polynomial,
     _class_binomials,
-    bernoulli_polynomial,
+    _inverse_products,
+    _scaled_bernoulli,
     binomial,
     binomial_inversion,
     stirling2,
-    weighted_inverse_sequence,
 )
 from .errors import InternalInvariantError
 from .padic import (
@@ -57,20 +65,16 @@ from .padic import (
     _scaled_floor,
     _scaled_residue,
     _weisman,
-    carries,
-    factorial_order,
     padic_order,
     prime_power_modulus,
-    scaled_floor,
-    scaled_residue,
 )
 from .quantities import (
+    _convolution_weight_order,
     _fleck_sums,
     _norm_sum_value,
     _norm_sum_window,
     _norm_sums,
     _weisman_normalized,
-    convolution_weight,
     fleck_sum_value,
 )
 from .sums import (
@@ -161,10 +165,14 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
-# Normalized sums are carried in integer form as (num, d), worth num / d!:
-# num is quantities._norm_sum_value and d = scaled_floor(n, p, alpha - 1).
-# Checks compare them by cross-multiplying and build a Fraction only to
-# describe a failure.
+# Every rational a check reads is carried in integer form.  Normalized sums
+# are (num, d), worth num / d!: num is quantities._norm_sum_value and
+# d = scaled_floor(n, p, alpha - 1).  The other rationals of the catalog
+# (L2.1's values over (p*n)!, the harmonic sums of L3.1, the Bernoulli
+# values of C1.1cor, T1.4's inverse sequence, L2.5's weights and CONJ1.3's
+# value) are an integer numerator and denominator.  Checks compare by
+# cross-multiplying, take orders of the two integers, and build a Fraction
+# only to describe a failure.
 
 
 def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int]:
@@ -355,15 +363,26 @@ def check_harmonic_congruence(m: int, n: int, r: int):
     q-order of the difference is at least the q-order of m."""
     if m < 1 or n < 1 or math.gcd(m, r) != 1 or (m == 1 and r < 1):
         return SKIP
-    acc = Fraction(0)
-    for k in range(n):
-        acc += Fraction(1, k * m + r)
-    diff = acc / n - Fraction(1, r) - (Fraction(m, 2) if n % 2 == 0 else 0)
-    for q in _prime_factors(m):
-        o, need = padic_order(q, diff), padic_order(q, m)
+    for q, o in _harmonic_orders(m, n, r):
+        need = _int_order(q, m)
         if o < need:
             return (f"{q}-adic order {o} of the difference", f">= {need}")
     return True
+
+
+def _harmonic_orders(m: int, n: int, r: int) -> list[tuple[int, "int | float"]]:
+    """(q, q-order of the difference) for each prime q dividing m, in
+    increasing order, the difference being
+    (1/n) sum_{k<n} 1/(km + r) - 1/r - (m/2)[n even]."""
+    # The sum as num / den with den the product of its denominators, never
+    # reduced: orders only need the two integers.
+    num, den = 0, 1
+    for k in range(n):
+        d = k * m + r
+        num, den = num * d + den, den * d
+    half = m * n * den * r if n % 2 == 0 else 0
+    diff_num, diff_den = 2 * r * num - 2 * n * den - half, 2 * n * den * r
+    return [(q, _int_order(q, diff_num) - _int_order(q, diff_den)) for q in _prime_factors(m)]
 
 
 def check_scaled_binomial_congruence(p: int, n: int, k: int):
@@ -524,23 +543,18 @@ _ROUNDTRIP_N = 32
 
 
 def _t14(p, alpha, r, l):
-    pm = prime_power_modulus(p, alpha)
-    if l < 0:
+    m = prime_power_modulus(p, alpha).m
+    if alpha < 1 or l < 0:
         return SKIP
     f = Polynomial.monomial(l)
     try:
-        seq = weighted_inverse_sequence(pm, r, f, _ROUNDTRIP_N)
+        products = _inverse_products(p, alpha, r, f, _ROUNDTRIP_N)
     except InternalInvariantError as exc:
         return (str(exc), "a p-integral sequence")
-    h = p ** (alpha - 1)
-    rh = r % h
-    weighted = [
-        math.factorial(k // h) * math.comb(rh + (k - r) % h, rh) * seq[k]
-        for k in range(_ROUNDTRIP_N + 1)
-    ]
-    transform = binomial_inversion(weighted)
+    # w_n * a_n for the sequence of weighted_inverse_sequence, as integers.
+    transform = binomial_inversion([b for b, _ in products])
     for n in range(_ROUNDTRIP_N + 1):
-        want = p**l * f((n - r) // pm.m) if (n - r) % pm.m == 0 else 0
+        want = p**l * f((n - r) // m) if (n - r) % m == 0 else 0
         if transform[n] != want:
             return (f"transform value {transform[n]} at n={n}", f"{want}")
     return True
@@ -556,12 +570,12 @@ def _c11cor(p, alpha, m, n, r):
     for k, t in enumerate(_class_binomials(n, 0, 1)):
         q = (k - r) // ma
         runs[q] = runs.get(q, 0) + t
-    bp = bernoulli_polynomial(m)
-    val = Fraction(p ** (m - 1), m) * sum(bp(q) * t for q, t in runs.items())
-    bound = factorial_order(p, scaled_floor(n - 1, p, alpha - 1)) + carries(
-        p, scaled_residue(r - 1, p, alpha - 1), scaled_residue(n - r, p, alpha - 1)
-    )
-    o = padic_order(p, val)
+    # The value p**(m-1)/m * sum B_m(q) t is p**(m-1) S / (m D_m), with S
+    # the same sum over the integer polynomial D_m B_m.
+    d, scaled = _scaled_bernoulli(m)
+    s = sum(scaled(q) * t for q, t in runs.items())
+    o = _int_order(p, s) + (m - 1) - _int_order(p, m) - _int_order(p, d)
+    bound = sum(_bound_terms(p, alpha - 1, n - 1, r - 1))
     return True if o >= bound else (f"order {o}", f">= {bound}")
 
 
@@ -569,12 +583,17 @@ def _l21(p, n, r, l):
     m = prime_power_modulus(p, 0).m
     if n < 0 or l < 0:
         return SKIP
-    denom = math.factorial(p * n)
-    direct = Fraction(math.factorial(l) * p**l * alt_sum_binom(n, r, m, l), denom)
-    closed = Fraction(math.factorial(l) * p**l * (-1) ** n * binomial(-r, l - n), denom)
-    if direct == closed and padic_order(p, direct) >= 0:
+    # Both values are over (p*n)!, so they are compared by their numerators.
+    scale = math.factorial(l) * p**l
+    direct = scale * alt_sum_binom(n, r, m, l)
+    closed = scale * (-1) ** n * binomial(-r, l - n)
+    if direct == closed and _int_order(p, direct) >= _factorial_order(p, p * n):
         return True
-    return (f"direct value {direct}", f"closed form {closed}, p-integral")
+    denom = math.factorial(p * n)
+    return (
+        f"direct value {Fraction(direct, denom)}",
+        f"closed form {Fraction(closed, denom)}, p-integral",
+    )
 
 
 def _l22(p, alpha, l, n, r):
@@ -681,7 +700,7 @@ def _l25(p, alpha, n, j):
     prime_power_modulus(p, alpha)
     if alpha < 1 or not 0 <= j <= n:
         return SKIP
-    o = padic_order(p, convolution_weight(p, alpha, n, j))
+    o = _convolution_weight_order(p, alpha, n, j)
     return True if o >= 0 else (f"weight order {o}", ">= 0")
 
 
@@ -795,12 +814,13 @@ def _conj13(p, alpha, n, r, j):
     l = n0 + (base - n0) % step + j * step
     r_star = r % ma
     n_star = r_star + (n - r) % ma
-    v = Fraction(
-        alt_sum_power(n, r, ma, l), math.factorial(n0) * math.comb(n_star, r_star)
-    )
-    if padic_order(p, v - 1) >= 1 or padic_order(p, v + 1) >= 1:
+    # The value S / D is a unit +-1 mod p when ord_p(S -+ D) - ord_p(D) >= 1.
+    s = alt_sum_power(n, r, ma, l)
+    d = math.factorial(n0) * math.comb(n_star, r_star)
+    od = _int_order(p, d)
+    if _int_order(p, s - d) - od >= 1 or _int_order(p, s + d) - od >= 1:
         return True
-    return (f"normalized value {v}", "congruent to +1 or -1 mod p")
+    return (f"normalized value {Fraction(s, d)}", "congruent to +1 or -1 mod p")
 
 
 def _conj31(p, alpha, n, r):

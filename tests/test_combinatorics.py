@@ -75,6 +75,11 @@ class TestStirling:
         assert stirling2(0, 0) == 1
         assert stirling2(3, 5) == 0
 
+    def test_second_kind_past_the_recursion_limit(self):
+        l = 1500
+        assert stirling2(l, 3) == (3**l - 3 * 2**l + 3) // 6
+        assert stirling2(l, l) == 1 and stirling2(l, 1) == 1 and stirling2(l, 0) == 0
+
     @given(st.integers(-8, 8), st.integers(0, 10))
     def test_second_kind_expands_powers(self, x, l):
         # x**l == sum_j S(l, j) * falling_factorial(x, j)

@@ -503,6 +503,13 @@ class TestPreconditionRule:
                 {"alpha": (0, 1)},
                 lambda v: v["alpha"] < 1,
             ),
+            # (p, 0) is a modulus; the inverse sequence needs alpha >= 1
+            (
+                "T1.4",
+                {"p": (2, 3), "alpha": (1,), "l": (0, 1)},
+                {"alpha": (0, 1)},
+                lambda v: v["alpha"] < 1,
+            ),
             # e < 0 leaves no digit d in [0, 2**e)
             ("T4.1", {"alpha": (1,), "e": (1, 2)}, {"e": (-1, 1, 2)}, lambda v: v["e"] < 0),
             # negative weight degrees, sizes and weight indices
