@@ -81,11 +81,13 @@ def falling_factorial(x: "int | Fraction", j: int) -> "int | Fraction":
     return out
 
 
+@lru_cache(maxsize=1 << 10)
 def stirling2(l: int, j: int) -> int:
     """Stirling number of the second kind: partitions of l labels into j blocks.
 
     Built row by row from S(i, k) = k S(i-1, k) + S(i-1, k-1), keeping only
-    the columns k <= j: O(l*j) steps, no recursion, no table kept."""
+    the columns k <= j: O(l*j) steps and no recursion.  Values are cached,
+    rows are not."""
     if l < 0 or j < 0:
         raise InvalidParameterError("Stirling numbers need nonnegative indices")
     if j > l:

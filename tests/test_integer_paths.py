@@ -49,6 +49,7 @@ from flecklab.statements import (
 )
 from flecklab.sums import alt_sum_binom, alt_sum_power
 from flecklab.verifier import run_statement, search_conjecture
+from test_rows import _bumped, _class_binomials, _scaled
 
 _ROUNDTRIP_N = 32
 
@@ -180,21 +181,8 @@ def conj13_oracle(p, alpha, n, r, j):
 
 
 # ---------------------------------------------------------------------------
-# perturbed kernels
+# perturbed kernels (test_rows's _bumped and _scaled)
 # ---------------------------------------------------------------------------
-
-_class_binomials = combinatorics._class_binomials
-
-
-def _bumped(n, c, m):
-    """The kernel with 1 added to its first term: sums lose their order."""
-    terms = list(_class_binomials(n, c, m))
-    return tuple([terms[0] + 1, *terms[1:]]) if terms else ()
-
-
-def _scaled(n, c, m):
-    """The kernel times n + 1: identities between rows break."""
-    return tuple((n + 1) * t for t in _class_binomials(n, c, m))
 
 
 @contextlib.contextmanager
