@@ -18,10 +18,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from flecklab import combinatorics, sums
+from flecklab import combinatorics, statements, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
-from flecklab.verifier import iter_instances, run_statement
+from flecklab.verifier import _rows, _specs, iter_instances, run_statement
 
 ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1")
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
@@ -444,11 +444,14 @@ def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, 
 
 def _swept(st, grid):
     """The failure count and the digest of every (instance, result) pair of
-    st's sweep, or the message of the InternalInvariantError it raised."""
+    st's sweep, or the message of the InternalInvariantError it raised.  The
+    sweep goes row by row through Statement.check_row, so an id with a row
+    form runs it; any other runs its check once per value."""
     pairs = []
     try:
-        for inst in iter_instances(st, grid):
-            pairs.append((inst, st.check(*inst)))
+        for prefix, values in _rows(st.axes, _specs(st, grid)):
+            results = st.check_row(prefix, values)
+            pairs.extend((prefix + (v,), res) for v, res in zip(values, results))
     except InternalInvariantError as exc:
         return ("raised", str(exc))
     failures = [res for _, res in pairs if res is not True and res != SKIP]
@@ -503,3 +506,114 @@ RATIONAL_PINNED = [
 def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, digest):
     kernel(fn)
     assert _swept(STATEMENTS[sid], grid) == (count, digest)
+
+
+# ---------------------------------------------------------------------------
+# verdicts, through lowered orders
+# ---------------------------------------------------------------------------
+#
+# Nearly every check decides by comparing an order with a bound.  Lowering
+# the orders the checks read (statements._int_order, padic_order and
+# _convolution_weight_order) by a constant fails every instance that meets
+# its bound with less than that to spare, and leaves values alone, so the
+# pins below hold each verdict's comparison and failure strings.  Each
+# slice is swept through Statement.check_row, so the row forms run.  C1.1cor
+# subtracts two of the orders it reads from the third, and L3.2's bound is
+# twice an order it reads, so those two are swept with the orders raised
+# instead (a negative shift).  L2.2 compares values, not orders, and is
+# swept under the _scaled kernel.
+
+_int_order = statements._int_order
+_padic_order = statements.padic_order
+_convolution_weight_order = statements._convolution_weight_order
+
+MAIN_SLICE = {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(13))}
+LOWERED_PINNED = [
+    (
+        "T1.1", 1, MAIN_SLICE, 3558,
+        "23d4e7ea95e024d36584bb5166acc630e7de4337f2c058ad2b430ba2ce642b14",
+    ),
+    (
+        "T1.2", 1, MAIN_SLICE, 792,
+        "091b3a4b915f8a24e39c5ac4d18d3bff59e7b2ab9f6a4a686bf350b0522b5aca",
+    ),
+    (
+        "T1.3", 1, MAIN_SLICE, 417,
+        "e53c9e42e2d435b9e9d83904157ceb7033ac9ce8a91c5eab5f3a983050c281c0",
+    ),
+    (
+        "T1.5", 1, {"p": (2, 3), "alpha": (2,), "l": (0, 1), "n": tuple(range(10))}, 34,
+        "0bef2ee486e30c7c17fcd8b211b2078d29098a80d9524a184ee5547095dcd4c2",
+    ),
+    (
+        "T1.6", 1, {"p": (2, 3), "alpha": (2,), "l": (0, 1), "n": tuple(range(6))}, 88,
+        "22b5495c73112324952ff1e371632a893b200cfd0067f16aad9d850f3b8c150d",
+    ),
+    (
+        "T1.7", 1, T17_GRID, 360,
+        "6b2f4cdaa7f1eff27b11cc80512af86bd096db9cf0e6dd968379f493bd4ebbcf",
+    ),
+    (
+        "C1.1cor", -1, C11_GRID, 223,
+        "36622f25f0bb098016d12f6085406d451316f301b88dfd7405b33388f601114f",
+    ),
+    (
+        "C3.1cor", 1, {"p": (2, 3), "alpha": (1, 2, 3), "n": tuple(range(6))}, 108,
+        "c2b59ffd08737348ead9bbcd6111024a7e105c4fa8c4f29de42584c3c8322d96",
+    ),
+    (
+        "L2.5", 1, {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(17))}, 531,
+        "86c4a30a0305360581786a3cec6ec552bcc1c968c3342f56dd219492cf27b5b1",
+    ),
+    (
+        "T2.1", 1, {"p": (2, 3), "alpha": (0, 1, 2), "l": (0, 1, 2), "n": tuple(range(13))}, 717,
+        "c3f1b17db8f27493e732f75f312f4f2119c812a1e0bd96c28c0044640e264bce",
+    ),
+    (
+        "L3.2", -1, {"p": (2, 3), "n": tuple(range(1, 13))}, 54,
+        "fd5c1140baf520c2a307c4fe7fadc0842a7b3d0eb9edc04d175530119beb0d4d",
+    ),
+    (
+        "T3.1", 1, {"p": (2, 3), "alpha": (2, 3), "n": tuple(range(8))}, 89,
+        "53050353efa5cb096f7b15cb4a67fa1c8c9cdb5d4d89c1c40198844f10ed2879",
+    ),
+    (
+        "CONJ1.1", 1, {"p": (3,), "alpha": (1,), "l": (0, 1, 2), "n": tuple(range(10))}, 16,
+        "8d6e9b26949e47bd92a6fea208b0c1d832b0797814dcef76e261a01412014864",
+    ),
+    (
+        "CONJ3.1", 1, {"p": (3, 5), "alpha": (2,), "n": tuple(range(8))}, 9,
+        "4e1504ee370f533828a68d002fb1ff376b4f18ce6315825a3552f349be6c2e3a",
+    ),
+    (
+        "T1.5-alpha1", 1, {"p": (2, 3), "l": (0, 1), "n": tuple(range(10))}, 65,
+        "d3ac48f60ab1d28149b67c398a26dbb40ffc7abfca7c361ccf6462201507ed8c",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sid, shift, grid, count, digest", LOWERED_PINNED, ids=[c[0] for c in LOWERED_PINNED]
+)
+def test_verdicts_under_lowered_orders_sweep_as_pinned(
+    monkeypatch, sid, shift, grid, count, digest
+):
+    monkeypatch.setattr(statements, "_int_order", lambda p, x: _int_order(p, x) - shift)
+    monkeypatch.setattr(statements, "padic_order", lambda p, x: _padic_order(p, x) - shift)
+    monkeypatch.setattr(
+        statements,
+        "_convolution_weight_order",
+        lambda *args: _convolution_weight_order(*args) - shift,
+    )
+    assert _swept({**STATEMENTS, **SEARCHES}[sid], grid) == (count, digest)
+
+
+L22_SLICE = {"p": (2, 3), "alpha": (1, 2), "l": (0, 1, 2), "n": tuple(range(1, 8))}
+
+
+def test_l22_sweeps_as_pinned_under_the_scaled_kernel(kernel):
+    kernel(_scaled)
+    assert _swept(STATEMENTS["L2.2"], L22_SLICE) == (
+        741,
+        "adb75aa1ce6a868561826521f76c16bfa635e2d83d899a502c222747b9426690",
+    )
