@@ -16,8 +16,10 @@ instances have in common, such as the class terms, the bound terms or the
 neighbouring rows of normalized sums.  The Fleck level reductions T3.1
 and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
 one fold of each binomial row they need (sums._class_sums), and CONJ1.2
-folds its two rows once per instance.  Row forms are looked up by the
-check they were written for.  The per-instance check stays the
+folds its two rows once per instance.  A row form computes only its row's
+values and passes each value's to the verdict function its check uses, so
+a verdict and its failure strings are written once.  Row forms are looked
+up by the check they were written for.  The per-instance check stays the
 statement's spec, the tests hold every row form to it, and a statement
 whose check has no row form runs the check once per value.
 
@@ -202,6 +204,18 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # derived window or the check meets it first.  Every other hypothesis of a
 # statement (a lower bound on alpha, a digit range, a coprimality) makes the
 # check return SKIP.
+#
+# Each verdict is written once.  A check computes its values and passes them
+# to a verdict function, and a row form passes each of its values to the
+# same one.  _at_least words every result of the form "order o reaches
+# bound b"; T1.1, T1.3 and L2.2 have their own (_t11_verdict, _t13_verdict,
+# _l22_verdict), as have the Fleck level reductions T3.1 and CONJ3.1.
+
+
+def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
+    """True when the order o reaches need, else the failure pair: what names
+    the order, and bound (with its trailing space) the bound."""
+    return True if o >= need else (f"{what} {o}", f">= {bound}{need}")
 
 
 def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
@@ -216,8 +230,7 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
     prime_power_modulus(p, alpha)
     if alpha < 2 or n < 0 or l < 0:
         return SKIP
-    o = _lucas_difference_order(p, alpha, l, n, r)
-    return True if o >= 1 else (f"difference order {o}", ">= 1")
+    return _at_least(_lucas_difference_order(p, alpha, l, n, r), 1, "difference order")
 
 
 def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t: int, r: int):
@@ -238,7 +251,7 @@ def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t
     lh = (-1) ** t * alt_sum_power(p * n + s, p * r + t, p * m, l)
     rh = math.comb(s, t) * alt_sum_power(n, r, m, l)
     o = l + _int_order(p, lh - rh) - _factorial_order(p, n // (m // p))
-    return True if o >= 1 else (f"difference order {o}", ">= 1")
+    return _at_least(o, 1, "difference order")
 
 
 def check_normalized_refinement(p: int, alpha: int, n: int, s: int, t: int, r: int):
@@ -252,7 +265,7 @@ def check_normalized_refinement(p: int, alpha: int, n: int, s: int, t: int, r: i
              (mod p),   c = p**(alpha-2).
     """
     m = prime_power_modulus(p, alpha).m
-    if alpha < 2:
+    if alpha < 2 or n < 0:
         return SKIP
     c = m // (p * p)
     if not (0 <= s < c and 0 <= t < c):
@@ -260,8 +273,7 @@ def check_normalized_refinement(p: int, alpha: int, n: int, s: int, t: int, r: i
     big_n, big_r = c * n + s, c * r + t
     lhs = _weisman_normalized(p, alpha, big_n, big_r, plain_alt_sum(big_n, big_r, m))
     rhs = _weisman_normalized(p, 2, n, r, plain_alt_sum(n, r, p * p))
-    o = _int_order(p, lhs - (-1) ** t * math.comb(s, t) * rhs)
-    return True if o >= 1 else (f"difference order {o}", ">= 1")
+    return _at_least(_int_order(p, lhs - (-1) ** t * math.comb(s, t) * rhs), 1, "difference order")
 
 
 def check_parity_criterion(alpha: int, n: int, r: int):
@@ -271,7 +283,7 @@ def check_parity_criterion(alpha: int, n: int, r: int):
     n* = floor(n/c), r* = floor(r/c), c = 2**(alpha-2): either n* > 2 and
     n* != 2 r* + 2 (mod 4), or n* == 2 and r* is even.  Needs alpha >= 2."""
     m = prime_power_modulus(2, alpha).m
-    if alpha < 2:
+    if alpha < 2 or n < 0:
         return SKIP
     lhs_odd = _int_order(2, unsigned_class_sum(n, r, m)) == _weisman(2, alpha, n)
     c = m // 4
@@ -317,10 +329,8 @@ def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
     """check_fleck_reduction's result from F(alpha; n, r) and, when p | r,
     F(alpha-1; n, r/p) (None otherwise)."""
     if sb is not None:
-        o, need = _int_order(p, sa - sb), (2 - (p == 2)) * (alpha - 2)
-        return True if o >= need else (f"difference order {o}", f">= {need}")
-    o = _int_order(p, sa)
-    return True if o >= alpha - 2 else (f"order {o}", f">= {alpha - 2}")
+        return _at_least(_int_order(p, sa - sb), (2 - (p == 2)) * (alpha - 2), "difference order")
+    return _at_least(_int_order(p, sa), alpha - 2)
 
 
 def _fleck_reduction_row(p, alpha, n, rs):
@@ -346,14 +356,10 @@ def check_fleck_shift_chain(p: int, alpha: int, beta: int, n: int, r: int):
     lhs = fleck_sum_value(p, alpha, n, p**beta * r)
     rhs = fleck_sum_value(p, alpha - beta, n, r)
     d = alpha - beta
-    o, need = _int_order(p, lhs - rhs), (2 - (p == 2)) * (d - 1)
-    if o < need:
-        return (f"difference order {o}", f">= {need}")
-    if r % p != 0:
-        o, need = _int_order(p, lhs), d - 2
-        if o < need:
-            return (f"order {o}", f">= {need}")
-    return True
+    chain = _at_least(_int_order(p, lhs - rhs), (2 - (p == 2)) * (d - 1), "difference order")
+    if chain is not True or r % p == 0:
+        return chain
+    return _at_least(_int_order(p, lhs), d - 2)
 
 
 def check_harmonic_congruence(m: int, n: int, r: int):
@@ -398,8 +404,7 @@ def check_scaled_binomial_congruence(p: int, n: int, k: int):
     else:
         diff = math.comb(p * n, p * k) - math.comb(n, k)
         need = 2 * _int_order(p, n) + 2
-    o = _int_order(p, diff)
-    return True if o >= need else (f"difference order {o}", f">= {need}")
+    return _at_least(_int_order(p, diff), need, "difference order")
 
 
 def check_factorial_ceiling(p: int, beta: int, q: int, r: int):
@@ -433,8 +438,11 @@ def _t11(p, alpha, n, r, l):
     if n < 0 or l < 0:
         return SKIP
     o = _int_order(p, alt_sum_power(n, r, pm.m, l))
-    b1 = degree_order_bound(pm, n, r, l)
-    b2 = floor_order_bound(pm, n, r)
+    return _t11_verdict(o, degree_order_bound(pm, n, r, l), floor_order_bound(pm, n, r))
+
+
+def _t11_verdict(o, b1, b2):
+    """_t11's result from the order o, degree bound b1 and floor bound b2."""
     if o >= b1 and o >= b2:
         return True
     return (f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)")
@@ -457,17 +465,10 @@ def _t11_row(p, alpha, n, r, ls):
     sums = _power_sums(_class_binomials(n, r % m, m), -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     b2 = sum(_bound_terms(p, alpha, n, r))
-    out: list = []
-    for l, s in zip(ls, sums):
-        if s is None:
-            out.append(SKIP)
-            continue
-        o, b1 = _int_order(p, s), fo - l + tau
-        if o >= b1 and o >= b2:
-            out.append(True)
-        else:
-            out.append((f"order {o}", f">= {b1} (degree bound) and >= {b2} (floor bound)"))
-    return out
+    return [
+        SKIP if s is None else _t11_verdict(_int_order(p, s), fo - l + tau, b2)
+        for l, s in zip(ls, sums)
+    ]
 
 
 def _t12(p, alpha, n, r, l):
@@ -475,8 +476,7 @@ def _t12(p, alpha, n, r, l):
     if n < 0 or l < 0:
         return SKIP
     o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
-    b = integer_valued_order_bound(pm, n, r, l)
-    return True if o >= b else (f"order {o}", f">= {b}")
+    return _at_least(o, integer_valued_order_bound(pm, n, r, l))
 
 
 def _t12_row(p, alpha, n, r, ls):
@@ -487,14 +487,10 @@ def _t12_row(p, alpha, n, r, ls):
         return [SKIP] * len(ls)
     sums = _binomial_sums(_class_binomials(n, r % m, m), -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
-    out: list = []
-    for l, s in zip(ls, sums):
-        if s is None:
-            out.append(SKIP)
-            continue
-        o, b = _int_order(p, s), fo - l - _factorial_order(p, l) + tau
-        out.append(True if o >= b else (f"order {o}", f">= {b}"))
-    return out
+    return [
+        SKIP if s is None else _at_least(_int_order(p, s), fo - l - _factorial_order(p, l) + tau)
+        for l, s in zip(ls, sums)
+    ]
 
 
 def _t13(p, alpha, n, r, l):
@@ -502,14 +498,18 @@ def _t13(p, alpha, n, r, l):
     if n < 0 or l < 0 or r < 0 or r <= n - (l + 1) * pm.m:
         return SKIP
     coeff = series_coefficient(pm, n, l, r)
-    o = _int_order(p, coeff)
     b = integer_valued_order_bound(pm, n, r, l)
-    if o < b:
-        return (f"coefficient order {o}", f">= {b}")
     alt = (-1) ** l * alt_sum_binom(n, r + pm.m, pm.m, l)
-    if coeff != alt:
-        return (f"coefficient {coeff}", f"shifted class sum {alt}")
-    return True
+    return _t13_verdict(_int_order(p, coeff), b, coeff, alt)
+
+
+def _t13_verdict(o, b, coeff, alt):
+    """_t13's result from the coefficient, its order o and bound b, and the
+    signed class sum alt at r + m that the coefficient must equal."""
+    order = _at_least(o, b, "coefficient order")
+    if order is not True or coeff == alt:
+        return order
+    return (f"coefficient {coeff}", f"shifted class sum {alt}")
 
 
 def _t13_row(p, alpha, n, r, ls):
@@ -524,19 +524,14 @@ def _t13_row(p, alpha, n, r, ls):
     coeffs = _series_sums(terms, q, ls)
     alts = _binomial_sums(terms, -q - 1, ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
-    out: list = []
-    for l, coeff, alt in zip(ls, coeffs, alts):
-        if coeff is None or r <= n - (l + 1) * m:
-            out.append(SKIP)
-            continue
-        o, b = _int_order(p, coeff), fo - l - _factorial_order(p, l) + tau
-        if o < b:
-            out.append((f"coefficient order {o}", f">= {b}"))
-        elif coeff != (-1) ** l * alt:
-            out.append((f"coefficient {coeff}", f"shifted class sum {(-1) ** l * alt}"))
-        else:
-            out.append(True)
-    return out
+    return [
+        SKIP
+        if coeff is None or r <= n - (l + 1) * m
+        else _t13_verdict(
+            _int_order(p, coeff), fo - l - _factorial_order(p, l) + tau, coeff, (-1) ** l * alt
+        )
+        for l, coeff, alt in zip(ls, coeffs, alts)
+    ]
 
 
 _ROUNDTRIP_N = 32
@@ -575,8 +570,7 @@ def _c11cor(p, alpha, m, n, r):
     d, scaled = _scaled_bernoulli(m)
     s = sum(scaled(q) * t for q, t in runs.items())
     o = _int_order(p, s) + (m - 1) - _int_order(p, m) - _int_order(p, d)
-    bound = sum(_bound_terms(p, alpha - 1, n - 1, r - 1))
-    return True if o >= bound else (f"order {o}", f">= {bound}")
+    return _at_least(o, sum(_bound_terms(p, alpha - 1, n - 1, r - 1)))
 
 
 def _l21(p, n, r, l):
@@ -601,27 +595,44 @@ def _l22(p, alpha, l, n, r):
     # n >= 1 because the recurrences read the sums at n - 1.
     if alpha < 1 or n < 1 or l < 0:
         return SKIP
-    h = m // p
-    # With V = num / d! the recurrences read, V' taken at l - 1,
-    #   V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),          t/s = n/h or 1,
-    #   V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1), t/s = 1 or n/h,
-    # and each is compared with both sides multiplied out to integers.
+    terms = _l22_terms(p, m, n)
     a = _norm_sum_value(p, alpha, l, n - 1, r)
     b = _norm_sum_value(p, alpha, l, n - 1, r - 1)
     c = _norm_sum_value(p, alpha, l, n, r)
-    d1, d0 = (n - 1) // h, n // h
-    t, s = (n, h) if n % h == 0 else (1, 1)
-    if (a - b) * s * math.factorial(d0) != t * c * math.factorial(d1):
-        lhs = Fraction(a - b, math.factorial(d1))
-        return (f"first recurrence: {lhs}", f"{Fraction(t, s) * Fraction(c, math.factorial(d0))}")
-    if l > 0:
-        e = _norm_sum_value(p, alpha, l - 1, n, r + m)
-        f = _norm_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
-        t, s = (1, 1) if n % h == 0 else (n, h)
-        if (h * c + r * e) * s * math.factorial(d1) != -t * f * h * math.factorial(d0):
-            lhs2 = Fraction(h * c + r * e, h * math.factorial(d0))
-            rhs2 = -Fraction(t, s) * Fraction(f, math.factorial(d1))
-            return (f"second recurrence: {lhs2}", f"{rhs2}")
+    first = _l22_verdict(terms, r, a, b, c)
+    # The sums at l - 1 are read only once the first recurrence holds, as
+    # one that is not p-integral raises.
+    if first is not True or l == 0:
+        return first
+    e = _norm_sum_value(p, alpha, l - 1, n, r + m)
+    f = _norm_sum_value(p, alpha, l - 1, n - 1, r + m - 1)
+    return _l22_verdict(terms, r, a, b, c, e, f)
+
+
+def _l22_terms(p: int, m: int, n: int) -> tuple:
+    """What the recurrences read of (p, alpha, n) alone: h = m/p, d0! and d1!
+    (d0 = floor(n/h), d1 = floor((n-1)/h)) and each one's t/s as (t, s)."""
+    h = m // p
+    ratio, one = (n, h), (1, 1)
+    factors = (ratio, one) if n % h == 0 else (one, ratio)
+    return h, math.factorial(n // h), math.factorial((n - 1) // h), *factors
+
+
+def _l22_verdict(terms: tuple, r: int, a: int, b: int, c: int, e=None, f=None):
+    """_l22's result from its row's _l22_terms and the sums V = num / d!,
+    V' taken at l - 1:
+
+        V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),            a, b, c,
+        V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1),  c, e, f,
+
+    each compared with both sides multiplied out to integers.  Without e
+    and f (at l = 0) the second recurrence is not checked."""
+    h, f0, f1, (t1, s1), (t2, s2) = terms
+    if (a - b) * s1 * f0 != t1 * c * f1:
+        return (f"first recurrence: {Fraction(a - b, f1)}", f"{Fraction(t1, s1) * Fraction(c, f0)}")
+    if e is not None and (h * c + r * e) * s2 * f1 != -t2 * f * h * f0:
+        lhs = Fraction(h * c + r * e, h * f0)
+        return (f"second recurrence: {lhs}", f"{-Fraction(t2, s2) * Fraction(f, f1)}")
     return True
 
 
@@ -641,28 +652,14 @@ def _l22_row(p, alpha, l, n, rs):
     if l > 0:
         row_e = _norm_sum_window(p, alpha, l - 1, n, lo, hi)
         row_f = _norm_sum_window(p, alpha, l - 1, n - 1, lo, hi)
-    h = m // p
-    d1, d0 = (n - 1) // h, n // h
-    f1, f0 = math.factorial(d1), math.factorial(d0)
-    t1, s1 = (n, h) if n % h == 0 else (1, 1)
-    t2, s2 = (1, 1) if n % h == 0 else (n, h)
-    out: list = []
-    for r in rs:
-        i = r - lo
-        a, b, c = row_a[i], row_a[i - 1], row_c[i]
-        if (a - b) * s1 * f0 != t1 * c * f1:
-            lhs = Fraction(a - b, f1)
-            out.append((f"first recurrence: {lhs}", f"{Fraction(t1, s1) * Fraction(c, f0)}"))
-            continue
-        if l > 0:
-            e, f = row_e[i + m], row_f[i + m - 1]
-            if (h * c + r * e) * s2 * f1 != -t2 * f * h * f0:
-                lhs2 = Fraction(h * c + r * e, h * f0)
-                rhs2 = -Fraction(t2, s2) * Fraction(f, f1)
-                out.append((f"second recurrence: {lhs2}", f"{rhs2}"))
-                continue
-        out.append(True)
-    return out
+    else:  # no second recurrence
+        row_e = row_f = (None,) * (hi - lo)
+    terms = _l22_terms(p, m, n)
+    return [
+        _l22_verdict(terms, r, row_a[i], row_a[i - 1], row_c[i], row_e[i + m], row_f[i + m - 1])
+        for r in rs
+        for i in [r - lo]
+    ]
 
 
 def _l23(d, m, n, r, fdeg):
@@ -700,8 +697,7 @@ def _l25(p, alpha, n, j):
     prime_power_modulus(p, alpha)
     if alpha < 1 or not 0 <= j <= n:
         return SKIP
-    o = _convolution_weight_order(p, alpha, n, j)
-    return True if o >= 0 else (f"weight order {o}", ">= 0")
+    return _at_least(_convolution_weight_order(p, alpha, n, j), 0, "weight order")
 
 
 def _t21(p, alpha, l, n, r):
@@ -711,8 +707,7 @@ def _t21(p, alpha, l, n, r):
     num = _norm_sum_value(p, alpha, l, n, r)
     # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
     fo, tau = _bound_terms(p, alpha - 1, n, r)
-    o = _int_order(p, num) - fo
-    return True if o >= tau else (f"order {o}", f">= carry count {tau}")
+    return _at_least(_int_order(p, num) - fo, tau, bound="carry count ")
 
 
 def _t21_row(p, alpha, l, n, rs):
@@ -723,12 +718,10 @@ def _t21_row(p, alpha, l, n, rs):
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
     fo = _factorial_order(p, _scaled_floor(n, p, e))
-    out: list = []
-    for r, num in zip(rs, nums):
-        o = _int_order(p, num) - fo
-        tau = _carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e))
-        out.append(True if o >= tau else (f"order {o}", f">= carry count {tau}"))
-    return out
+    taus = (_carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e)) for r in rs)
+    return [
+        _at_least(_int_order(p, x) - fo, tau, bound="carry count ") for x, tau in zip(nums, taus)
+    ]
 
 
 def _l42(alpha, n, r):
@@ -758,11 +751,10 @@ def _conj11(p, alpha, l, n, r):
     prime_power_modulus(p, alpha)
     if n < 0 or l < 0:
         return SKIP
-    need = 2 if p == 3 else 3
     o = _norm_difference_order(
         p, _norm_parts(p, alpha + 1, l, p * n, p * r), 1, _norm_parts(p, alpha, l, n, r)
     )
-    return True if o >= need else (f"difference order {o}", f">= {need}")
+    return _at_least(o, 2 if p == 3 else 3, "difference order")
 
 
 def _conj12(p, n, s):
@@ -833,9 +825,7 @@ def _conj31(p, alpha, n, r):
 
 def _conj31_verdict(p: int, alpha: int, d: int):
     """_conj31's result from d = F(alpha; n, p r) - F(alpha-1; n, r)."""
-    need = 2 * alpha - 2 - (p == 3)
-    o = padic_order(p, d)
-    return True if o >= need else (f"difference order {o}", f">= {need}")
+    return _at_least(padic_order(p, d), 2 * alpha - 2 - (p == 3), "difference order")
 
 
 def _conj31_row(p, alpha, n, rs):
@@ -851,8 +841,7 @@ def _t15_alpha1(p, l, n, r):
     prime_power_modulus(p, 1)
     if n < 0 or l < 0:
         return SKIP
-    o = _lucas_difference_order(p, 1, l, n, r)
-    return True if o >= 1 else (f"difference order {o}", ">= 1")
+    return _at_least(_lucas_difference_order(p, 1, l, n, r), 1, "difference order")
 
 
 # ---------------------------------------------------------------------------

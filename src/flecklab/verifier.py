@@ -72,7 +72,7 @@ def _clean_overrides(st: Statement, grid: "Mapping[str, Sequence[int]] | None") 
         vals = tuple(values)
         if not vals:
             raise InvalidParameterError(f"axis {axis!r} was given no values")
-        if not all(isinstance(v, int) for v in vals):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
             raise InvalidParameterError(f"axis {axis!r} must be a sequence of integers")
         out[axis] = vals
     return out

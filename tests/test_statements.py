@@ -419,6 +419,8 @@ def _size_case(sid: str, axis: str, inside=None):
 SMALL_GRIDS = {
     "T1.4": {"p": (2,), "alpha": (1,), "l": (0, 1)},
     "T1.5": {"p": (2,), "alpha": (2,), "l": (0, 1), "n": (1, 2)},
+    "T1.7": {"p": (2,), "n": (1, 2)},
+    "C1.2cor": {"alpha": (2,), "n": (1, 2)},
     "C1.1cor": {"p": (2,), "alpha": (1,), "m": (1, 2), "n": (1, 2)},
     "C3.1cor": {"p": (2,), "alpha": (2,), "n": (1, 2), "r": (0, 1)},
     "L2.3": {"d": (1, 2), "m": (1, 2), "n": (0, 2), "r": (0, 1), "fdeg": (0, 1)},
@@ -445,7 +447,9 @@ SIZE_CASES = [
     for sid, axes in (
         ("T1.4", ["l"]),
         ("T1.5", ["n", "l"]),
+        ("T1.7", ["n"]),
         ("C1.1cor", ["m", "n"]),
+        ("C1.2cor", ["n"]),
         ("C3.1cor", ["n"]),
         ("L2.3", ["d", "m", "n", "fdeg"]),
         ("T3.1", ["n"]),

@@ -158,6 +158,11 @@ class TestRunStatement:
         with pytest.raises(InvalidParameterError):
             run_statement("R1.6", grid={"n": ("2",)})
 
+    def test_bool_axis_values_are_rejected(self):
+        # bool is an int subclass; swept, True would be echoed as true.
+        with pytest.raises(InvalidParameterError, match="must be a sequence of integers"):
+            run_statement("R1.6", grid={"n": (True, 2), "l": (3,)})
+
     def test_bad_jobs_and_cap(self):
         with pytest.raises(InvalidParameterError):
             run_statement("R1.6", jobs=0)
@@ -167,6 +172,12 @@ class TestRunStatement:
     def test_all_skipped_grid_is_an_error(self):
         with pytest.raises(EmptyGridError, match="skipped by preconditions"):
             run_statement("T1.3", grid={"r": (-5,)})
+
+    @pytest.mark.parametrize("sid", ["T1.7", "C1.2cor"])
+    def test_negative_sizes_alone_are_an_empty_grid(self, sid):
+        # Their row sums over 0 <= k <= n are empty, so nothing is checked.
+        with pytest.raises(EmptyGridError, match="skipped by preconditions"):
+            run_statement(sid, grid={"n": (-3, -1)})
 
     def test_zero_instance_grid_is_an_error(self):
         with pytest.raises(EmptyGridError):
