@@ -205,11 +205,11 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # statement (a lower bound on alpha, a digit range, a coprimality) makes the
 # check return SKIP.
 #
-# Each verdict is written once.  A check computes its values and passes them
-# to a verdict function, and a row form passes each of its values to the
-# same one.  _at_least words every result of the form "order o reaches
-# bound b"; T1.1, T1.3 and L2.2 have their own (_t11_verdict, _t13_verdict,
-# _l22_verdict), as have the Fleck level reductions T3.1 and CONJ3.1.
+# Each verdict is written once.  _at_least forms every "order o reaches
+# bound b" result.  A check with a row form passes its values to a verdict
+# function that the row form also calls, once per value: _at_least (T1.2,
+# T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _fleck_reduction_verdict
+# (T3.1) or _conj31_verdict (CONJ3.1).
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
@@ -619,11 +619,11 @@ def _l22_terms(p: int, m: int, n: int) -> tuple:
 
 
 def _l22_verdict(terms: tuple, r: int, a: int, b: int, c: int, e=None, f=None):
-    """_l22's result from its row's _l22_terms and the sums V = num / d!,
-    V' taken at l - 1:
+    """_l22's result from its row's _l22_terms and the sums V = num / d!
+    (V' taken at l - 1) that the recurrences read, a, b, c and c, e, f:
 
-        V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),            a, b, c,
-        V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1),  c, e, f,
+        V(n-1, r) - V(n-1, r-1) == t/s * V(n, r),            t/s = n/h or 1,
+        V(n, r) + r/h * V'(n, r+m) == -t/s * V'(n-1, r+m-1),  t/s = 1 or n/h,
 
     each compared with both sides multiplied out to integers.  Without e
     and f (at l = 0) the second recurrence is not checked."""

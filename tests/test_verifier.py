@@ -157,8 +157,6 @@ class TestRunStatement:
     def test_non_integer_axis_values(self):
         with pytest.raises(InvalidParameterError):
             run_statement("R1.6", grid={"n": ("2",)})
-
-    def test_bool_axis_values_are_rejected(self):
         # bool is an int subclass; swept, True would be echoed as true.
         with pytest.raises(InvalidParameterError, match="must be a sequence of integers"):
             run_statement("R1.6", grid={"n": (True, 2), "l": (3,)})
