@@ -239,13 +239,19 @@ _SUITE_IDS = (
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    ids = args.ids.split(",") if args.ids else _SUITE_IDS
+    ids = _SUITE_IDS if args.ids is None else args.ids.split(",")
+    if "" in ids:
+        what = "no ids" if not args.ids else f"an empty id in {args.ids!r}"
+        raise InvalidParameterError(f"--ids was given {what}")
     unknown = [sid for sid in ids if sid not in STATEMENTS and sid not in SEARCHES]
     if unknown:
         raise UnknownStatementError(f"unknown statement ids: {', '.join(unknown)}")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidParameterError(f"--out-dir {args.out_dir!r}: {exc.strerror}") from exc
     statuses = set()
     for sid in ids:
         runner = search_conjecture if sid in SEARCHES else run_statement

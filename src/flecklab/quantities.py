@@ -22,11 +22,12 @@ form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
 computed from the definition and cross-checked against the closed form on
 every call.
 
-Row forms read many sums of one row at once.  _norm_sums gives the
-normalized sums of one (l, n) at a list of residues, sharing the weight
-lists; _fleck_sums gives the Fleck sums of one (alpha, n) at a list of
-residues from one fold of the binomial row (sums._class_sums).  Both hold
-every value to the same invariants as the single-value path.
+Row forms read many sums of one row at once.  _norm_sum_window gives the
+normalized sums of one (l, n) at a contiguous run of residues, sharing the
+weight lists, and keeps the latest windows for the neighbouring rows;
+_fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues
+from one fold of the binomial row (sums._class_sums).  Both hold every
+value to the same invariants as the single-value path.
 """
 
 from __future__ import annotations
@@ -83,29 +84,6 @@ def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
     return _checked_norms(p, alpha, l, n, (r,), scale, [num])[0]
 
 
-def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list[int]:
-    """_norm_sum_value at each r of rs, in order, from the definition.
-
-    A row of residues shares its weights: r's class has weight indices
-    j = i - r // m, so one list of binomial(j, l) serves every r with the
-    same quotient r // m (three lists on a -m .. 2m-1 window).
-    """
-    pm = prime_power_modulus(p, alpha)
-    if l < 0 or n < 0:
-        raise InvalidParameterError("l and n must be nonnegative")
-    m = pm.m
-    scale = math.factorial(l) * p**l
-    weights: dict[int, list[int]] = {}
-    nums = []
-    for r in rs:
-        q, c = divmod(r, m)
-        w = weights.get(q)
-        if w is None:
-            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
-        nums.append(scale * sum(map(mul, _class_binomials(n, c, m), w)))
-    return _checked_norms(p, alpha, l, n, rs, scale, nums)
-
-
 def _checked_norms(
     p: int, alpha: int, l: int, n: int, rs: Sequence[int], scale: int, nums: list[int]
 ) -> list[int]:
@@ -128,10 +106,29 @@ def _checked_norms(
 
 @lru_cache(maxsize=1 << 8)
 def _norm_sum_window(p: int, alpha: int, l: int, n: int, lo: int, hi: int) -> tuple[int, ...]:
-    """_norm_sums over r = lo .. hi-1.  A sweep's neighbouring rows read the
-    same windows again, and 2**8 windows hold the two weight degrees in
-    flight of a sweep over n < 128."""
-    return tuple(_norm_sums(p, alpha, l, n, range(lo, hi)))
+    """_norm_sum_value at r = lo .. hi-1, in order, from the definition.
+
+    The residues share their weights: r's class has weight indices
+    j = i - r // m, so one list of binomial(j, l) serves every r with the
+    same quotient r // m (three lists on a -m .. 2m-1 window).  A sweep's
+    neighbouring rows read the same windows again, and 2**8 windows hold the
+    two weight degrees in flight of a sweep over n < 128.
+    """
+    pm = prime_power_modulus(p, alpha)
+    if l < 0 or n < 0:
+        raise InvalidParameterError("l and n must be nonnegative")
+    m = pm.m
+    scale = math.factorial(l) * p**l
+    rs = range(lo, hi)
+    weights: dict[int, list[int]] = {}
+    nums = []
+    for r in rs:
+        q, c = divmod(r, m)
+        w = weights.get(q)
+        if w is None:
+            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+        nums.append(scale * sum(map(mul, _class_binomials(n, c, m), w)))
+    return tuple(_checked_norms(p, alpha, l, n, rs, scale, nums))
 
 
 def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:

@@ -11,17 +11,17 @@ the modulus) are derived on the fly and documented as such in reports.
 
 A check may also have a row form, which checks one row of the grid
 (every axis but the last fixed, the last axis's values in order) in one
-call and returns one result per value.  It shares the work the row's
-instances have in common, such as the class terms, the bound terms or the
-neighbouring rows of normalized sums.  The Fleck level reductions T3.1
-and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
-one fold of each binomial row they need (sums._class_sums), and CONJ1.2
-folds its two rows once per instance.  A row form computes only its row's
-values and passes each value's to the verdict function its check uses, so
-a verdict and its failure strings are written once.  Row forms are looked
-up by the check they were written for.  The per-instance check stays the
-statement's spec, the tests hold every row form to it, and a statement
-whose check has no row form runs the check once per value.
+call.  It computes only what the row's instances share, such as the class
+terms, the bound terms or the neighbouring rows of normalized sums, and
+passes each value's to the verdict function its check uses, so a verdict
+and its failure strings are written once.  The Fleck level reductions T3.1
+and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums, one
+fold of each binomial row they need, and CONJ1.2 folds its two rows once
+per instance.  A row form returns one result per value, or None to hand a
+row outside its hypothesis, or too sparse to share anything, back:
+Statement.check_row then runs the check once per value, as it does for a
+check with no row form.  Row forms are looked up by the check they were
+written for, and the tests hold each to its check, the statement's spec.
 
 Plain class sums are normalized in one place: T1.7, CONJ1.2 and the Fleck
 sums divide them by p to Weisman's exponent through
@@ -75,7 +75,6 @@ from .quantities import (
     _fleck_sums,
     _norm_sum_value,
     _norm_sum_window,
-    _norm_sums,
     _weisman_normalized,
     fleck_sum_value,
 )
@@ -144,13 +143,14 @@ class Statement:
     def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
         """The results of one row: prefix holds the values of every axis but
         the last, values the last axis's values under it.  The row form is
-        the one written for this entry's check, so an entry whose check is
-        swapped out (a wrapped copy, say) falls back to the default adapter."""
+        the one written for this entry's check (a swapped-in copy has none);
+        a row it hands back, or without one, is checked once per value."""
         row = _ROW_FORMS.get(self.check)
-        if row is None:
+        results = row(*prefix, values) if row else None
+        if results is None:
             check = self.check
             return [check(*prefix, v) for v in values]
-        return row(*prefix, values)
+        return results
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -209,7 +209,8 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # bound b" result.  A check with a row form passes its values to a verdict
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _fleck_reduction_verdict
-# (T3.1) or _conj31_verdict (CONJ3.1).
+# (T3.1) or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
+# for the skips in T1.3's row form (see _t13_row).
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
@@ -334,9 +335,8 @@ def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
 
 
 def _fleck_reduction_row(p, alpha, n, rs):
-    prime_power_modulus(p, alpha)
     if alpha < 2 or n < 0:
-        return [SKIP] * len(rs)
+        return None
     sas = _fleck_sums(p, alpha, n, rs)
     sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0])
     return [
@@ -449,26 +449,20 @@ def _t11_verdict(o, b1, b2):
 
 
 def _sparse(ls: Sequence[int]) -> bool:
-    """True when a row's weight degrees are too few for one pass over every
-    degree up to the largest to pay (from max >= 2 * count on, the
-    per-instance checks measure as fast or faster): its instances are then
-    checked one by one."""
-    return max(ls) >= 2 * len(ls)
+    """True when a row's weight degrees include a negative one, or are too
+    few for one pass over every degree up to the largest to pay (from max >=
+    2 * count on, the per-instance checks measure as fast or faster)."""
+    return min(ls) < 0 or max(ls) >= 2 * len(ls)
 
 
 def _t11_row(p, alpha, n, r, ls):
-    if _sparse(ls):
-        return [_t11(p, alpha, n, r, l) for l in ls]
+    if n < 0 or _sparse(ls):
+        return None
     m = prime_power_modulus(p, alpha).m
-    if n < 0:
-        return [SKIP] * len(ls)
     sums = _power_sums(_class_binomials(n, r % m, m), -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     b2 = sum(_bound_terms(p, alpha, n, r))
-    return [
-        SKIP if s is None else _t11_verdict(_int_order(p, s), fo - l + tau, b2)
-        for l, s in zip(ls, sums)
-    ]
+    return [_t11_verdict(_int_order(p, s), fo - l + tau, b2) for l, s in zip(ls, sums)]
 
 
 def _t12(p, alpha, n, r, l):
@@ -480,15 +474,13 @@ def _t12(p, alpha, n, r, l):
 
 
 def _t12_row(p, alpha, n, r, ls):
-    if _sparse(ls):
-        return [_t12(p, alpha, n, r, l) for l in ls]
+    if n < 0 or _sparse(ls):
+        return None
     m = prime_power_modulus(p, alpha).m
-    if n < 0:
-        return [SKIP] * len(ls)
     sums = _binomial_sums(_class_binomials(n, r % m, m), -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     return [
-        SKIP if s is None else _at_least(_int_order(p, s), fo - l - _factorial_order(p, l) + tau)
+        _at_least(_int_order(p, s), fo - l - _factorial_order(p, l) + tau)
         for l, s in zip(ls, sums)
     ]
 
@@ -513,10 +505,12 @@ def _t13_verdict(o, b, coeff, alt):
 
 
 def _t13_row(p, alpha, n, r, ls):
-    if _sparse(ls):
-        return [_t13(p, alpha, n, r, l) for l in ls]
+    if n < 0 or _sparse(ls):
+        return None
     m = prime_power_modulus(p, alpha).m
-    if n < 0 or r < 0:
+    if r < 0:
+        # Kept in the row: r < 0 is a third of T1.3's default rows, and
+        # handing them back costs about three times the skip here.
         return [SKIP] * len(ls)
     terms = _class_binomials(n, r % m, m)
     q = r // m
@@ -526,7 +520,7 @@ def _t13_row(p, alpha, n, r, ls):
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     return [
         SKIP
-        if coeff is None or r <= n - (l + 1) * m
+        if r <= n - (l + 1) * m
         else _t13_verdict(
             _int_order(p, coeff), fo - l - _factorial_order(p, l) + tau, coeff, (-1) ** l * alt
         )
@@ -638,15 +632,13 @@ def _l22_verdict(terms: tuple, r: int, a: int, b: int, c: int, e=None, f=None):
 
 def _l22_row(p, alpha, l, n, rs):
     m = prime_power_modulus(p, alpha).m
-    if alpha < 1 or n < 1 or l < 0:
-        return [SKIP] * len(rs)
     # One window of r covers every sum the recurrences read (r-1 .. r+m), so
     # the four rows below are also rows of the neighbouring prefixes, and
     # _norm_sum_window keeps them for those.  A row sparser than its window
-    # is checked one instance at a time.
+    # is handed back.
     lo, hi = min(rs) - 1, max(rs) + m + 1
-    if hi - lo > 2 * len(rs):
-        return [_l22(p, alpha, l, n, r) for r in rs]
+    if alpha < 1 or n < 1 or l < 0 or hi - lo > 2 * len(rs):
+        return None
     row_a = _norm_sum_window(p, alpha, l, n - 1, lo, hi)
     row_c = _norm_sum_window(p, alpha, l, n, lo, hi)
     if l > 0:
@@ -711,10 +703,11 @@ def _t21(p, alpha, l, n, r):
 
 
 def _t21_row(p, alpha, l, n, rs):
-    if n < 0 or l < 0:
-        prime_power_modulus(p, alpha)
-        return [SKIP] * len(rs)
-    nums = _norm_sums(p, alpha, l, n, rs)
+    # A contiguous run of residues is one window of normalized sums.
+    lo = rs[0]
+    if n < 0 or l < 0 or list(rs) != list(range(lo, lo + len(rs))):
+        return None
+    nums = _norm_sum_window(p, alpha, l, n, lo, lo + len(rs))
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
     fo = _factorial_order(p, _scaled_floor(n, p, e))
@@ -829,9 +822,8 @@ def _conj31_verdict(p: int, alpha: int, d: int):
 
 
 def _conj31_row(p, alpha, n, rs):
-    prime_power_modulus(p, alpha)
     if alpha < 2 or n < 0:
-        return [SKIP] * len(rs)
+        return None
     lhs = _fleck_sums(p, alpha, n, [p * r for r in rs])
     rhs = _fleck_sums(p, alpha - 1, n, rs)
     return [_conj31_verdict(p, alpha, a - b) for a, b in zip(lhs, rhs)]
@@ -977,8 +969,9 @@ _MAIN = {
 
 
 # Row forms, keyed by the check each was written for: row(*prefix, values)
-# returns check(*prefix, v) for each v of the non-empty values, in order.
-_ROW_FORMS: dict[Callable, Callable[..., list]] = {
+# returns check(*prefix, v) for each v of the non-empty values, in order, or
+# None to hand the row back to Statement.check_row, which runs the check.
+_ROW_FORMS: dict[Callable, Callable[..., "list | None"]] = {
     _t11: _t11_row,
     _t12: _t12_row,
     _t13: _t13_row,

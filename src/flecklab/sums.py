@@ -131,13 +131,12 @@ def alt_sum_binom(n: int, r: int, m: int, l: int) -> int:
 
 
 # Row forms of the weighted sums: one residue class's terms against every
-# weight degree 0..top of a row, each term run through one recurrence in the
-# degree.  The per-instance sums above stay as their oracle.
+# weight degree 0..top of a row (degrees >= 0), each term run through one
+# recurrence in the degree.  The per-instance sums above stay as their oracle.
 
 
-def _power_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list:
-    """sum_i terms[i] * (j0 + i)**l for each l in degrees, in order; None
-    for l < 0."""
+def _power_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list[int]:
+    """sum_i terms[i] * (j0 + i)**l for each l in degrees, in order."""
     top = max(degrees)
     acc = [0] * (top + 1)
     j = j0
@@ -146,12 +145,12 @@ def _power_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list:
             acc[l] += t
             t *= j
         j += 1
-    return [acc[l] if l >= 0 else None for l in degrees]
+    return [acc[l] for l in degrees]
 
 
-def _binomial_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list:
-    """sum_i terms[i] * binomial(j0 + i, l) for each l in degrees, in order;
-    None for l < 0.  binomial is extended to j < 0 as in alt_sum_binom."""
+def _binomial_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> list[int]:
+    """sum_i terms[i] * binomial(j0 + i, l) for each l in degrees, in order,
+    with binomial extended to j < 0 as in alt_sum_binom."""
     top = max(degrees)
     acc = [0] * (top + 1)
     j = j0
@@ -161,12 +160,12 @@ def _binomial_sums(terms: Sequence[int], j0: int, degrees: Sequence[int]) -> lis
             acc[l] += t
             t = t * (j - l) // (l + 1)
         j += 1
-    return [acc[l] if l >= 0 else None for l in degrees]
+    return [acc[l] for l in degrees]
 
 
-def _series_sums(terms: Sequence[int], q: int, degrees: Sequence[int]) -> list:
+def _series_sums(terms: Sequence[int], q: int, degrees: Sequence[int]) -> list[int]:
     """series_coefficient's closed form, sum_{i <= q} terms[i] *
-    binomial(l + q - i, l), for each l in degrees, in order; None for l < 0."""
+    binomial(l + q - i, l), for each l in degrees, in order."""
     head = terms[: q + 1]
     top = max(degrees)
     acc = [0] * (top + 1)
@@ -177,7 +176,7 @@ def _series_sums(terms: Sequence[int], q: int, degrees: Sequence[int]) -> list:
             acc[l] += t
             t = t * (a + l + 1) // (l + 1)
         a -= 1
-    return [acc[l] if l >= 0 else None for l in degrees]
+    return [acc[l] for l in degrees]
 
 
 def _binomial_weights(j0: int, count: int, l: int) -> list[int]:

@@ -10,10 +10,10 @@ The sweep walks the grid by rows: a row is a prefix (values of every axis
 but the last) with the last axis's values under it, fixed or derived.  One
 walker, _rows, is the only code that reads axis values, so the sweep order
 is defined once.  Each row goes to Statement.check_row in one call, which
-runs the statement's row form when it has one and otherwise the default
-adapter, the check once per value.  iter_instances is the flattening of the
-rows.  An InternalInvariantError raised in a row is named by its instance:
-the row is run again one check at a time to find it.
+runs the statement's row form, or the check once per value for a row the
+row form hands back or a statement without one.  iter_instances is the
+flattening of the rows.  An InternalInvariantError raised in a row is
+named by its instance: the row is run again one check at a time to find it.
 
 With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker, each a
@@ -74,6 +74,10 @@ def _clean_overrides(st: Statement, grid: "Mapping[str, Sequence[int]] | None") 
             raise InvalidParameterError(f"axis {axis!r} was given no values")
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
             raise InvalidParameterError(f"axis {axis!r} must be a sequence of integers")
+        # A repeated value would be swept, and counted, twice.
+        if len(set(vals)) < len(vals):
+            repeated = next(v for i, v in enumerate(vals) if v in vals[:i])
+            raise InvalidParameterError(f"axis {axis!r} repeats the value {repeated}")
         out[axis] = vals
     return out
 

@@ -182,6 +182,12 @@ class TestVerifyCommand:
         assert main(["verify", "R1.6", "--p", "2"]) == 2
         assert "has no axis" in capsys.readouterr().err
 
+    def test_repeated_axis_value_is_exit_2(self, capsys):
+        assert main(["verify", "R1.6", "--n", "0..3,2", "--l", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "axis 'n' repeats the value 2" in captured.err
+
     def test_all_skipped_grid_is_exit_2(self, capsys):
         assert main(["verify", "T1.3", "--r=-5"]) == 2
         assert "no checkable instances" in capsys.readouterr().err
@@ -240,6 +246,27 @@ class TestSuiteCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "NOPE" in captured.err
+
+    @pytest.mark.parametrize(
+        "ids, what",
+        [("", "--ids was given no ids"), ("R1.6,", "an empty id"), ("R1.6,,T1.8", "an empty id")],
+        ids=["empty", "trailing-comma", "inner-empty"],
+    )
+    def test_empty_ids_are_exit_2_before_any_sweep(self, capsys, ids, what):
+        assert main(["suite", "--ids", ids]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert what in captured.err
+
+    def test_out_dir_that_is_a_file_is_exit_2_before_any_sweep(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["suite", "--ids", "R1.6", "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out-dir {str(taken)!r}")
+        assert taken.read_text() == "kept\n"
 
     def test_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setitem(STATEMENTS, "FAKE.T", failing_statement("FAKE.T", "theorem"))

@@ -1,8 +1,11 @@
 """Row forms against the per-instance checks they stand for.
 
-A row form must return exactly [check(*prefix, v) for v in values], for
-any prefix and any values of the last axis, out-of-hypothesis ones
-included.  No default grid fails, so the report digests never see a
+Statement.check_row must return exactly [check(*prefix, v) for v in
+values], for any prefix and any values of the last axis, out-of-hypothesis
+ones included: a row form either computes the row or hands it back (None)
+to be checked once per value.  Every row of the default grids is served by
+its row form, so a row form that hands them back shows here and not only
+as lost speed.  No default grid fails, so the report digests never see a
 failure string; the perturbed-kernel cases make the failure branches run
 and hold row and check to the same (observed, expected) strings, and
 to the same InternalInvariantError where a perturbed sum breaks one.
@@ -33,10 +36,6 @@ PRIMES = (2, 3, 5, 7)
 
 def per_instance(st, prefix, values) -> list:
     return [st.check(*prefix, v) for v in values]
-
-
-def row_form(st):
-    return _ROW_FORMS[st.check]
 
 
 def outcome(fn):
@@ -142,7 +141,7 @@ def draw_row(sid, data):
 def test_row_form_equals_its_checks(sid, data):
     st = STATEMENTS[sid]
     prefix, values = draw_row(sid, data)
-    got = row_form(st)(*prefix, values)
+    got = st.check_row(prefix, values)
     assert got == per_instance(st, prefix, values)
     for v, res in zip(values, got):
         if excluded(sid, prefix, v):
@@ -152,7 +151,56 @@ def test_row_form_equals_its_checks(sid, data):
 def test_l22_skips_n_zero_and_negative_sizes():
     st = STATEMENTS["L2.2"]
     for prefix in ((2, 1, 0, 0), (3, 2, 1, -1), (2, 2, -1, 4)):
-        assert row_form(st)(*prefix, list(range(-4, 8))) == [SKIP] * 12
+        assert _ROW_FORMS[st.check](*prefix, list(range(-4, 8))) is None
+        assert st.check_row(prefix, list(range(-4, 8))) == [SKIP] * 12
+
+
+# Slices of the default grids: every axis the slice leaves out keeps its
+# default values, derived windows included.
+DEFAULT_SLICES = {
+    "T1.1": {"p": (2, 5), "n": (0, 1, 9, 64)},
+    "T1.2": {"p": (2, 5), "n": (0, 1, 9, 64)},
+    "T1.3": {"p": (2, 5), "n": (0, 1, 9, 64)},
+    "L2.2": {"p": (2, 5), "l": (0, 1, 8), "n": (1, 2, 64)},
+    "T2.1": {"p": (2, 5), "l": (0, 1, 8), "n": (0, 1, 64)},
+    "T3.1": {"n": (0, 1, 16)},
+    "CONJ3.1": {"n": (0, 1, 16)},
+}
+
+
+@pytest.mark.parametrize("sid", ROW_IDS)
+def test_default_rows_are_served_by_their_row_forms(sid):
+    st = STATEMENTS[sid]
+    row = _ROW_FORMS[st.check]
+    rows = list(_rows(st.axes, _specs(st, DEFAULT_SLICES[sid])))
+    assert rows
+    for prefix, values in rows:
+        assert row(*prefix, values) is not None, prefix
+
+
+HANDED_BACK = [
+    # sparse weight degrees, a negative degree, and n < 0
+    *[(sid, (3, 2, 10, 4), ls) for sid in L_LAST for ls in ([0, 20], [-1, 0, 1], [3, 1, -2])],
+    *[(sid, (3, 2, -1, 4), list(range(9))) for sid in L_LAST],
+    # a window sparser than its row, and n < 1 or l < 0
+    ("L2.2", (3, 1, 2, 10), [-3, 0, 9]),
+    ("L2.2", (3, 1, 2, 0), list(range(-3, 6))),
+    ("L2.2", (3, 1, -1, 10), list(range(-3, 6))),
+    # residues that are not one contiguous run, and n or l < 0
+    ("T2.1", (3, 1, 2, 10), [0, 2, 3]),
+    ("T2.1", (3, 1, 2, 10), [2, 1, 0]),
+    ("T2.1", (3, 1, 2, -1), list(range(-3, 6))),
+    ("T2.1", (3, 1, -1, 10), list(range(-3, 6))),
+    # alpha < 2 and n < 0
+    *[(sid, prefix, list(range(-2, 9))) for sid in FLECK for prefix in ((3, 1, 4), (3, 2, -1))],
+]
+
+
+@pytest.mark.parametrize("sid, prefix, values", HANDED_BACK)
+def test_rows_outside_a_row_form_are_handed_back(sid, prefix, values):
+    st = STATEMENTS[sid]
+    assert _ROW_FORMS[st.check](*prefix, values) is None
+    assert st.check_row(prefix, values) == per_instance(st, prefix, values)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +279,7 @@ def _perturbed_rows(sid):
                 for n in (5, 9, 12):
                     for r in (-1, 0, 1, 3, 6):
                         yield (p, alpha, n, r), list(range(-1, 7))
+                        yield (p, alpha, n, r), list(range(8))
                         yield (p, alpha, n, r), [-1, 6]
         return
     for p in (2, 3):
@@ -256,7 +305,7 @@ def test_perturbed_kernel_fails_alike_in_row_and_check(kernel, sid, fn, branches
     st = STATEMENTS[sid]
     seen = []
     for prefix, values in _perturbed_rows(sid):
-        got = outcome(lambda: row_form(st)(*prefix, values))
+        got = outcome(lambda: st.check_row(prefix, values))
         assert got == outcome(lambda: per_instance(st, prefix, values)), prefix
         if isinstance(got, list):
             seen.extend(" ".join(res) for res in got if isinstance(res, tuple))
@@ -287,7 +336,7 @@ def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, bran
     st = STATEMENTS[sid]
     seen = []
     for prefix, values in _perturbed_rows(sid):
-        got = outcome(lambda: row_form(st)(*prefix, values))
+        got = outcome(lambda: st.check_row(prefix, values))
         assert got == outcome(lambda: per_instance(st, prefix, values)), prefix
         if isinstance(got, list):
             seen.extend(" ".join(res) for res in got if isinstance(res, tuple))

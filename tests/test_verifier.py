@@ -161,6 +161,11 @@ class TestRunStatement:
         with pytest.raises(InvalidParameterError, match="must be a sequence of integers"):
             run_statement("R1.6", grid={"n": (True, 2), "l": (3,)})
 
+    def test_repeated_axis_value(self):
+        # Swept as given, n = 2 would be checked and counted twice.
+        with pytest.raises(InvalidParameterError, match=r"^axis 'n' repeats the value 2$"):
+            run_statement("R1.6", grid={"n": (2, 2), "l": (3,)})
+
     def test_bad_jobs_and_cap(self):
         with pytest.raises(InvalidParameterError):
             run_statement("R1.6", jobs=0)
