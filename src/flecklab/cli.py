@@ -239,12 +239,13 @@ _SUITE_IDS = (
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    ids = _SUITE_IDS if args.ids is None else args.ids.split(",")
+    ids = _SUITE_IDS if args.ids is None else [sid.strip() for sid in args.ids.split(",")]
     if "" in ids:
-        what = "no ids" if not args.ids else f"an empty id in {args.ids!r}"
+        what = "no ids" if ids == [""] else f"an empty id in {args.ids!r}"
         raise InvalidParameterError(f"--ids was given {what}")
-    unknown = [sid for sid in ids if sid not in STATEMENTS and sid not in SEARCHES]
-    if unknown:
+    if repeated := next((sid for i, sid in enumerate(ids) if sid in ids[:i]), None):
+        raise InvalidParameterError(f"--ids repeats the id {repeated}")
+    if unknown := [sid for sid in ids if sid not in STATEMENTS and sid not in SEARCHES]:
         raise UnknownStatementError(f"unknown statement ids: {', '.join(unknown)}")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:

@@ -23,8 +23,8 @@ computed from the definition and cross-checked against the closed form on
 every call.
 
 Row forms read many sums of one row at once.  _norm_sum_window gives the
-normalized sums of one (l, n) at a contiguous run of residues, sharing the
-weight lists, and keeps the latest windows for the neighbouring rows;
+normalized sums of one (l, n) at any residues, sharing the weight lists;
+its cache serves L2.2's neighbouring rows, and T2.1 reads past it.
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues
 from one fold of the binomial row (sums._class_sums).  Both hold every
 value to the same invariants as the single-value path.
@@ -74,7 +74,8 @@ def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
     Sweeps compare these by cross-multiplying and take orders as
     ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  d
     depends on (p, alpha, n) alone and is not stored: the cache holds up to
-    2**18 values, and a tuple per entry would cost several MB.
+    2**18 values, and a tuple per entry would cost several MB.  Its sweep
+    readers: T1.5, T1.5-alpha1, L2.4, L4.2, T4.1 and CONJ1.1.
     """
     pm = prime_power_modulus(p, alpha)
     if l < 0 or n < 0:
@@ -105,21 +106,19 @@ def _checked_norms(
 
 
 @lru_cache(maxsize=1 << 8)
-def _norm_sum_window(p: int, alpha: int, l: int, n: int, lo: int, hi: int) -> tuple[int, ...]:
-    """_norm_sum_value at r = lo .. hi-1, in order, from the definition.
+def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[int, ...]:
+    """_norm_sum_value at each r of rs, in order, from the definition.
 
     The residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
-    same quotient r // m (three lists on a -m .. 2m-1 window).  A sweep's
-    neighbouring rows read the same windows again, and 2**8 windows hold the
-    two weight degrees in flight of a sweep over n < 128.
+    same quotient r // m (three lists on a -m .. 2m-1 window).  The cache
+    serves L2.2, whose neighbouring rows read the same ranges of r again:
+    2**8 hold the two weight degrees in flight of a sweep over n < 128.
     """
-    pm = prime_power_modulus(p, alpha)
+    m = prime_power_modulus(p, alpha).m
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
-    m = pm.m
     scale = math.factorial(l) * p**l
-    rs = range(lo, hi)
     weights: dict[int, list[int]] = {}
     nums = []
     for r in rs:

@@ -10,15 +10,15 @@ depends on earlier axes (for example a residue window that scales with
 the modulus) are derived on the fly and documented as such in reports.
 
 A check may also have a row form, which checks one row of the grid
-(every axis but the last fixed, the last axis's values in order) in one
-call.  It computes only what the row's instances share, such as the class
-terms, the bound terms or the neighbouring rows of normalized sums, and
-passes each value's to the verdict function its check uses, so a verdict
-and its failure strings are written once.  The Fleck level reductions T3.1
-and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums, one
-fold of each binomial row they need, and CONJ1.2 folds its two rows once
-per instance.  A row form returns one result per value, or None to hand a
-row outside its hypothesis, or too sparse to share anything, back:
+(every axis but the last fixed, the last axis's values in any order) in
+one call.  It computes only what the row's instances share, such as the
+class terms, the bound terms or the normalized sums at the row's
+residues, and passes each value's to the verdict function its check
+uses, so a verdict and its failure strings are written once.  T3.1
+and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
+one fold of each binomial row they need, and CONJ1.2 folds its two rows
+once per instance.  A row form returns one result per value, or None to
+hand a row outside its hypothesis, or too sparse to share anything, back:
 Statement.check_row then runs the check once per value, as it does for a
 check with no row form.  Row forms are looked up by the check they were
 written for, and the tests hold each to its check, the statement's spec.
@@ -639,11 +639,11 @@ def _l22_row(p, alpha, l, n, rs):
     lo, hi = min(rs) - 1, max(rs) + m + 1
     if alpha < 1 or n < 1 or l < 0 or hi - lo > 2 * len(rs):
         return None
-    row_a = _norm_sum_window(p, alpha, l, n - 1, lo, hi)
-    row_c = _norm_sum_window(p, alpha, l, n, lo, hi)
+    row_a = _norm_sum_window(p, alpha, l, n - 1, range(lo, hi))
+    row_c = _norm_sum_window(p, alpha, l, n, range(lo, hi))
     if l > 0:
-        row_e = _norm_sum_window(p, alpha, l - 1, n, lo, hi)
-        row_f = _norm_sum_window(p, alpha, l - 1, n - 1, lo, hi)
+        row_e = _norm_sum_window(p, alpha, l - 1, n, range(lo, hi))
+        row_f = _norm_sum_window(p, alpha, l - 1, n - 1, range(lo, hi))
     else:  # no second recurrence
         row_e = row_f = (None,) * (hi - lo)
     terms = _l22_terms(p, m, n)
@@ -693,8 +693,8 @@ def _l25(p, alpha, n, j):
 
 
 def _t21(p, alpha, l, n, r):
+    prime_power_modulus(p, alpha)
     if n < 0 or l < 0:
-        prime_power_modulus(p, alpha)  # elsewhere _norm_sum_value checks it
         return SKIP
     num = _norm_sum_value(p, alpha, l, n, r)
     # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
@@ -703,11 +703,10 @@ def _t21(p, alpha, l, n, r):
 
 
 def _t21_row(p, alpha, l, n, rs):
-    # A contiguous run of residues is one window of normalized sums.
-    lo = rs[0]
-    if n < 0 or l < 0 or list(rs) != list(range(lo, lo + len(rs))):
+    if n < 0 or l < 0:
         return None
-    nums = _norm_sum_window(p, alpha, l, n, lo, lo + len(rs))
+    # Past the cache: no T2.1 row is read twice.
+    nums = _norm_sum_window.__wrapped__(p, alpha, l, n, rs)
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
     fo = _factorial_order(p, _scaled_floor(n, p, e))

@@ -259,6 +259,20 @@ class TestSuiteCommand:
         assert captured.err.startswith("error: ")
         assert what in captured.err
 
+    def test_ids_around_commas_are_stripped(self, tmp_path, capsys):
+        assert main(["suite", "--ids", " R1.6, T1.8 ", "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [["R1.6", "pass"], ["T1.8", "pass"]]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["R1.6.json", "T1.8.json"]
+
+    @pytest.mark.parametrize("ids", ["R1.6,R1.6", "T1.8,R1.6, R1.6"])
+    def test_repeated_id_is_exit_2_before_any_sweep(self, tmp_path, capsys, ids):
+        assert main(["suite", "--ids", ids, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --ids repeats the id R1.6\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_dir_that_is_a_file_is_exit_2_before_any_sweep(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("kept\n")

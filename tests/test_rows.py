@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from flecklab import combinatorics, statements, sums
+from flecklab import combinatorics, quantities, statements, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
 from flecklab.verifier import _rows, _specs, iter_instances, run_statement
@@ -186,9 +186,7 @@ HANDED_BACK = [
     ("L2.2", (3, 1, 2, 10), [-3, 0, 9]),
     ("L2.2", (3, 1, 2, 0), list(range(-3, 6))),
     ("L2.2", (3, 1, -1, 10), list(range(-3, 6))),
-    # residues that are not one contiguous run, and n or l < 0
-    ("T2.1", (3, 1, 2, 10), [0, 2, 3]),
-    ("T2.1", (3, 1, 2, 10), [2, 1, 0]),
+    # n or l < 0
     ("T2.1", (3, 1, 2, -1), list(range(-3, 6))),
     ("T2.1", (3, 1, -1, 10), list(range(-3, 6))),
     # alpha < 2 and n < 0
@@ -201,6 +199,43 @@ def test_rows_outside_a_row_form_are_handed_back(sid, prefix, values):
     st = STATEMENTS[sid]
     assert _ROW_FORMS[st.check](*prefix, values) is None
     assert st.check_row(prefix, values) == per_instance(st, prefix, values)
+
+
+# T2.1 reads the normalized sums at its row's residues as given: scattered,
+# unordered or repeated residues are one row, served by the row form.
+T21_SERVED = [[0, 2, 3], [2, 1, 0], [7, -3, 0, 2], [4, 4, -9]]
+
+
+@pytest.mark.parametrize("values", T21_SERVED)
+def test_t21_serves_any_residues(values):
+    st = STATEMENTS["T2.1"]
+    prefix = (3, 1, 2, 10)
+    assert _ROW_FORMS[st.check](*prefix, values) is not None
+    assert st.check_row(prefix, values) == per_instance(st, prefix, values)
+
+
+def test_t21_reads_past_the_window_cache():
+    before = quantities._norm_sum_window.cache_info()
+    _swept(STATEMENTS["T2.1"], DEFAULT_SLICES["T2.1"])
+    assert quantities._norm_sum_window.cache_info() == before
+
+
+def test_l22_computes_each_window_once(monkeypatch):
+    # The cache serves L2.2: of the windows its rows read, each distinct
+    # one is computed once and every repeat is a hit.
+    window = quantities._norm_sum_window
+    reads = []
+
+    def recorded(*key):
+        reads.append(key)
+        return window(*key)
+
+    monkeypatch.setattr(statements, "_norm_sum_window", recorded)
+    window.cache_clear()
+    _swept(STATEMENTS["L2.2"], {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(1, 20))})
+    info = window.cache_info()
+    assert info.misses == len(set(reads))
+    assert info.hits == len(reads) - info.misses > 0
 
 
 # ---------------------------------------------------------------------------
