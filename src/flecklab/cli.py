@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import partial
@@ -72,13 +71,6 @@ def _parse_coeffs(text: str) -> list[int]:
         return [int(part.strip()) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad coefficient list {text!r}") from exc
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("FLECKLAB_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _order_json(order: "int | float") -> "int | str":
@@ -289,8 +281,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs",
         type=int,
-        default=_default_jobs(),
-        help="worker processes (default from FLECKLAB_JOBS, else 1); "
+        default=1,
+        help="worker processes (default 1); "
         "reports are byte-identical at any job count",
     )
     sub.add_argument(

@@ -17,17 +17,20 @@ named by its instance: the row is run again one check at a time to find it.
 
 With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker, each a
-contiguous run of the sweep order given as prefixes of near-equal instance
+contiguous run of whole rows given as prefixes of near-equal instance
 count.  The prefixes are the instances of the grid cut down to its leading
-axes, and a worker walks the full grid with each of its prefixes pinned.
-Block results are merged in sweep order and the failure cap is applied
-after the merge, so the report is the one a single worker produces.
+axes (never the last), their counts come from one walk of the grid, and a
+worker walks the full grid with each of its prefixes pinned.  The pool
+starts no more workers than there are blocks.  Block results are merged in
+sweep order and the failure cap is applied after the merge, so the report
+is the one a single worker produces.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -51,13 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_FAILURE_CAP = 16
-
-
-def _lookup(statement_id: str) -> Statement:
-    st = STATEMENTS.get(statement_id) or SEARCHES.get(statement_id)
-    if st is None:
-        raise UnknownStatementError(f"unknown statement id {statement_id!r}")
-    return st
 
 
 def _clean_overrides(st: Statement, grid: "Mapping[str, Sequence[int]] | None") -> dict[str, tuple[int, ...]]:
@@ -138,45 +134,33 @@ def _axis_values(spec: "Sequence[int] | DerivedAxis", ctx: dict[str, int]) -> Se
     return spec.fn(ctx) if isinstance(spec, DerivedAxis) else spec
 
 
-def _pinned(specs: list, prefix: tuple[int, ...]) -> list:
-    """specs with the leading axes pinned to prefix's values, one each."""
-    return [(v,) for v in prefix] + specs[len(prefix) :]
-
-
 def _plan(
     st: Statement, overrides: dict[str, tuple[int, ...]], blocks: int
 ) -> list[tuple[list[tuple[int, ...]], int]]:
-    """Cut the sweep order into about `blocks` contiguous blocks of near-equal
-    instance count.  The prefixes are the instances of the grid cut down to
-    its leading axes, just deep enough to give at least `blocks` of them; a
-    block is a run of prefixes and its instance count, in sweep order."""
-    axes = st.axes
-    specs = _specs(st, overrides)
-    prefixes: list[tuple[int, ...]] = [()]
-    depth = 0
-    while prefixes and len(prefixes) < blocks and depth < len(axes):
+    """Cut the sweep order into about `blocks` contiguous blocks of whole rows
+    and near-equal instance count.  The prefixes are the instances of the
+    grid cut down to its leading axes, just deep enough to give at least
+    `blocks` of them but never the last axis; a block is a run of prefixes
+    and its instance count, in sweep order.  The counts come from one walk
+    of the grid: its rows under a prefix are one consecutive run, since no
+    axis repeats a value."""
+    axes, specs = st.axes, _specs(st, overrides)
+    depth, found = 0, 1
+    while found < blocks and depth < len(axes) - 1:
         depth += 1
-        prefixes = list(_instances(axes[:depth], specs[:depth]))
-    # From the split on every axis has fixed values, a tail whose size is
-    # multiplied in instead of walked; above it a prefix's count is the
-    # total row length under it, walked with the prefix pinned.
-    split = max((i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)), default=0)
-    tail = math.prod(len(spec) for spec in specs[max(depth, split) :])
-    if depth >= split:
-        sizes = [tail] * len(prefixes)
-    else:
-        sizes = [
-            tail * sum(len(values) for _, values in _rows(axes[:split], _pinned(specs[:split], q)))
-            for q in prefixes
-        ]
-    total = sum(sizes)
+        found = sum(1 for _ in _instances(axes[:depth], specs[:depth]))
+    # Past the prefix axes and the last derived axis every axis has fixed
+    # values: a tail whose size is multiplied in instead of walked.
+    walk = max([depth + 1] + [i + 1 for i, spec in enumerate(specs) if isinstance(spec, DerivedAxis)])
+    tail = math.prod(len(spec) for spec in specs[walk:])
+    runs = itertools.groupby(_rows(axes[:walk], specs[:walk]), key=lambda row: row[0][:depth])
+    sizes = [(prefix, tail * sum(len(values) for _, values in rows)) for prefix, rows in runs]
+    total = sum(size for _, size in sizes)
     plan: list[tuple[list[tuple[int, ...]], int]] = []
     run: list[tuple[int, ...]] = []
     count = done = 0
     cut = 1
-    for prefix, size in zip(prefixes, sizes):
-        if not size:
-            continue
+    for prefix, size in sizes:
         run.append(prefix)
         count += size
         done += size
@@ -196,7 +180,7 @@ def _block_rows(
     prefix's values pinned (derived axes included)."""
     specs = _specs(st, overrides)
     for prefix in prefixes:
-        yield from _rows(st.axes, _pinned(specs, prefix))
+        yield from _rows(st.axes, [(v,) for v in prefix] + specs[len(prefix) :])
 
 
 def grid_description(
@@ -269,7 +253,7 @@ def _payloads(
 
 def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
     statement_id, overrides, prefixes, cap = payload
-    st = _lookup(statement_id)
+    st = STATEMENTS.get(statement_id) or SEARCHES[statement_id]
     return _run_chunk(st, _block_rows(st, overrides, prefixes), cap)
 
 
@@ -286,7 +270,7 @@ def _sweep(
         return 0, 0, []
     checked = skipped = 0
     failures: list[dict] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         for c, s, f in pool.map(_run_block, payloads):
             checked += c
             skipped += s

@@ -307,10 +307,8 @@ class TestOutputAndDeterminism:
         assert main([*base, "--jobs", "4", "--out", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
 
-    def test_jobs_default_comes_from_environment(self, monkeypatch):
+    def test_jobs_default_is_one_whatever_the_environment(self, monkeypatch):
+        # --jobs is the one setting for the job count; no variable stands in.
         monkeypatch.setenv("FLECKLAB_JOBS", "3")
-        args = build_parser().parse_args(["verify", "R1.6"])
-        assert args.jobs == 3
-        monkeypatch.setenv("FLECKLAB_JOBS", "not-a-number")
-        args = build_parser().parse_args(["verify", "R1.6"])
-        assert args.jobs == 1
+        for command in (["verify", "R1.6"], ["conjecture", "CONJ1.1"], ["suite"]):
+            assert build_parser().parse_args(command).jobs == 1

@@ -597,7 +597,7 @@ def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, dig
 # ---------------------------------------------------------------------------
 #
 # Nearly every check decides by comparing an order with a bound.  Lowering
-# the orders the checks read (statements._int_order, padic_order and
+# the orders the checks read (statements._int_order and
 # _convolution_weight_order) by a constant fails every instance that meets
 # its bound with less than that to spare, and leaves values alone, so the
 # pins below hold each verdict's comparison and failure strings.  Each
@@ -608,7 +608,6 @@ def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, dig
 # swept under the _scaled kernel.
 
 _int_order = statements._int_order
-_padic_order = statements.padic_order
 _convolution_weight_order = statements._convolution_weight_order
 
 MAIN_SLICE = {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(13))}
@@ -683,7 +682,6 @@ def test_verdicts_under_lowered_orders_sweep_as_pinned(
     monkeypatch, sid, shift, grid, count, digest
 ):
     monkeypatch.setattr(statements, "_int_order", lambda p, x: _int_order(p, x) - shift)
-    monkeypatch.setattr(statements, "padic_order", lambda p, x: _padic_order(p, x) - shift)
     monkeypatch.setattr(
         statements,
         "_convolution_weight_order",

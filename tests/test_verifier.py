@@ -15,7 +15,7 @@ from flecklab.errors import (
     InvalidParameterError,
     UnknownStatementError,
 )
-from flecklab import statements
+from flecklab import statements, verifier
 from flecklab.statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
 from flecklab.verifier import (
     DEFAULT_FAILURE_CAP,
@@ -23,6 +23,8 @@ from flecklab.verifier import (
     _block_rows,
     _payloads,
     _plan,
+    _rows,
+    _specs,
     grid_description,
     iter_instances,
     run_statement,
@@ -228,8 +230,8 @@ class TestFailureHandling:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_invariant_error_in_a_row_form_names_its_instance(self, monkeypatch, jobs):
-        # 20 values of m give the planner enough prefixes at jobs=2 to keep
-        # the n rows whole, so the row form sees all 12 values at once.
+        # The planner keeps every row whole, so the row form sees all 12
+        # values of n at once at any job count.
         def check(m, n):
             if (m, n) == (3, 7):
                 raise InternalInvariantError("boom")
@@ -365,7 +367,9 @@ def _window(src: str, lo: int, shift: int) -> DerivedAxis:
     return DerivedAxis(f"{lo} .. {src}{shift:+d}", lambda ctx: range(lo, ctx[src] + shift))
 
 
-AXIS_VALUES = hst.lists(hst.integers(-2, 6), min_size=1, max_size=6).map(tuple)
+# Distinct values: a sweep admits no override that repeats one, and the
+# planner's one-walk count relies on it.
+AXIS_VALUES = hst.lists(hst.integers(-2, 6), min_size=1, max_size=6, unique=True).map(tuple)
 
 
 @hst.composite
@@ -418,6 +422,48 @@ class TestBlockPlan:
     )
     def test_overridden_grid_blocks_concatenate_to_the_sweep(self, st, grid, blocks):
         assert planned_sweep(st, grid, blocks) == list(iter_instances(st, grid))
+
+    @pytest.mark.parametrize("sid", list(ALL_STATEMENTS))
+    def test_default_grid_yields_each_instance_once(self, sid):
+        # Distinct prefixes, and distinct values within each row: so the rows
+        # under any prefix of the planner's are one consecutive run.
+        st = ALL_STATEMENTS[sid]
+        rows = list(_rows(st.axes, _specs(st, {})))
+        assert len({prefix for prefix, _ in rows}) == len(rows)
+        assert all(len(set(values)) == len(values) for _, values in rows)
+
+    @pytest.mark.parametrize("blocks", [16, 24])
+    def test_fewer_rows_than_blocks_plan_whole_rows(self, blocks):
+        st = STATEMENTS["T2.1"]
+        grid = {"p": (5,), "alpha": (3,), "l": (8,), "n": (64,)}
+        # One row of 375 residues stays one block: the last axis is never pinned.
+        assert _plan(st, grid, blocks) == [([(5, 3, 8, 64)], 375)]
+
+    @pytest.mark.parametrize("jobs, grid, workers", [
+        (8, {"p": (5,), "alpha": (3,), "l": (8,), "n": (64,)}, 1),
+        (3, {"p": (5,), "alpha": (3,), "l": (8,), "n": (63, 64)}, 2),
+        (2, {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}, 2),
+    ])
+    def test_pool_never_outnumbers_its_blocks(self, monkeypatch, jobs, grid, workers):
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+        parallel = run_statement("T2.1", grid=grid, jobs=jobs)
+        assert started == [workers]
+        assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
     def test_payloads_carry_prefixes_not_instances(self):
         for sid, st in ALL_STATEMENTS.items():
