@@ -16,6 +16,7 @@ import pytest
 from flecklab import statements
 from flecklab.statements import SEARCHES, STATEMENTS
 from test_rows import (
+    CARRIES_RAISED,
     FOLD_PERTURBED,
     LOWERED_PINNED,
     PERTURBED,
@@ -111,6 +112,7 @@ def test_every_catalog_id_has_a_failing_pin():
     # Weisman divisibility raises.
     failing = {c[0] for c in [*PERTURBED, *FOLD_PERTURBED, *WEISMAN_BROKEN]}
     # Pins by failure count (the count at index -2), which may be 0.
-    failing |= {c[0] for c in [*WEISMAN_PERTURBED, *RATIONAL_PINNED, *LOWERED_PINNED] if c[-2]}
+    pinned = [*WEISMAN_PERTURBED, *RATIONAL_PINNED, *LOWERED_PINNED, *CARRIES_RAISED]
+    failing |= {c[0] for c in pinned if c[-2]}
     failing |= {sid for sid, _, _, (head, _) in MUTANTS if head == "raised" or head > 0}
     assert set(CATALOG) - failing == set()

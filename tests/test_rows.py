@@ -690,6 +690,33 @@ def test_verdicts_under_lowered_orders_sweep_as_pinned(
     assert _swept({**STATEMENTS, **SEARCHES}[sid], grid) == (count, digest)
 
 
+# ---------------------------------------------------------------------------
+# bounds, through a raised carry count
+# ---------------------------------------------------------------------------
+#
+# T1.1, T1.2, T1.3 and T2.1 add a carry count (padic._carries) to every
+# bound they hold a sum to.  Raising it by 1, in statements (T2.1's row
+# form) and in sums (_bound_terms, which the other row forms and every
+# check read), fails each instance that meets its bound with nothing to
+# spare.  The default slices are swept through their row forms, so the pins
+# hold every row form to reading the bound of each sum that is not zero.
+
+CARRIES_RAISED = [
+    ("T1.1", 3118, "f80923be7c732bc1c8aba4c3dc4fa9a8d229678289a72dda864e5d29df33e552"),
+    ("T1.2", 732, "d845261c6445a7d434013c7f33741d5cdd63992f854231828fc0ec36bb94891b"),
+    ("T1.3", 345, "4d0dffb0d6630abab21f4feb9cda6a815ea598be51f6250508c050ead9ca7ead"),
+    ("T2.1", 447, "155324ee788f621af7f24ae3b94cf1a578e21d47f4cc82cae7703fa1bbf4cf04"),
+]
+
+
+@pytest.mark.parametrize("sid, count, digest", CARRIES_RAISED, ids=[c[0] for c in CARRIES_RAISED])
+def test_bounds_under_raised_carry_counts_sweep_as_pinned(monkeypatch, sid, count, digest):
+    carries = statements._carries
+    for mod in (statements, sums):
+        monkeypatch.setattr(mod, "_carries", lambda p, a, b: carries(p, a, b) + 1)
+    assert _swept(STATEMENTS[sid], DEFAULT_SLICES[sid]) == (count, digest)
+
+
 L22_SLICE = {"p": (2, 3), "alpha": (1, 2), "l": (0, 1, 2), "n": tuple(range(1, 8))}
 
 
