@@ -18,7 +18,9 @@ a..b (use --flag=-2..5 when the first value is negative).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from functools import partial
@@ -77,10 +79,30 @@ def _order_json(order: "int | float") -> "int | str":
     return order if isinstance(order, int) else "infinity"
 
 
+def _out_error(out_path: str, strerror: str) -> InvalidParameterError:
+    return InvalidParameterError(f"--out {out_path!r}: {strerror}")
+
+
+def _check_out(out_path: "str | None") -> None:
+    """Fail as _emit would, before any work, when out_path is a directory or
+    its directory does not exist."""
+    if not out_path:
+        return
+    path = Path(out_path)
+    if path.is_dir():
+        raise _out_error(out_path, os.strerror(errno.EISDIR))
+    if not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+        raise _out_error(out_path, os.strerror(code))
+
+
 def _emit(text: str, out_path: "str | None") -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _out_error(out_path, exc.strerror) from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -188,6 +210,7 @@ def _collect_grid(args: argparse.Namespace) -> dict[str, list[int]]:
 
 
 def _report_command(args: argparse.Namespace, runner) -> int:
+    _check_out(args.out)
     report = runner(
         args.id,
         grid=_collect_grid(args),

@@ -23,8 +23,10 @@ computed from the definition and cross-checked against the closed form on
 every call.
 
 Row forms read many sums of one row at once.  _norm_sum_window gives the
-normalized sums of one (l, n) at any residues, sharing the weight lists;
-its cache serves L2.2's neighbouring rows, and T2.1 reads past it.
+normalized sums of one (l, n) at any residues, sharing the weight lists,
+and gives 0 for a residue whose class is empty (r mod m > n) without a
+weight list or a kernel call; its cache serves L2.2's neighbouring rows,
+and T2.1 reads past it.
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues
 from one fold of the binomial row (sums._class_sums).  Both hold every
 value to the same invariants as the single-value path.
@@ -111,7 +113,8 @@ def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> t
 
     The residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
-    same quotient r // m (three lists on a -m .. 2m-1 window).  The cache
+    same quotient r // m (three lists on a -m .. 2m-1 window).  A class
+    past n has no terms, and its sum is 0 without either.  The cache
     serves L2.2, whose neighbouring rows read the same ranges of r again:
     2**8 hold the two weight degrees in flight of a sweep over n < 128.
     """
@@ -123,6 +126,9 @@ def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> t
     nums = []
     for r in rs:
         q, c = divmod(r, m)
+        if c > n:  # an empty class
+            nums.append(0)
+            continue
         w = weights.get(q)
         if w is None:
             w = weights[q] = _binomial_weights(-q, n // m + 1, l)

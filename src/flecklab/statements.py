@@ -22,6 +22,9 @@ hand a row outside its hypothesis, or too sparse to share anything, back:
 Statement.check_row then runs the check once per value, as it does for a
 check with no row form.  Row forms are looked up by the check they were
 written for, and the tests hold each to its check, the statement's spec.
+A residue class r mod m with r mod m > n has no terms, so its sum is 0, of
+order INFINITY, and meets every bound: the row forms of T1.1-T1.3, T2.1
+and L2.2 pass such values without computing a bound or a verdict.
 
 Plain class sums are normalized in one place: T1.7, CONJ1.2 and the Fleck
 sums divide them by p to Weisman's exponent through
@@ -212,7 +215,11 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _fleck_reduction_verdict
 # (T3.1) or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
-# for the skips in T1.3's row form (see _t13_row).
+# for the skips in T1.3's row form (see _t13_row).  Every verdict is the
+# verdict function's, but for values whose sum is 0 because their class is
+# empty (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass those, and
+# T2.1's passes every zero sum, without a bound or carry count.  The checks
+# compute them in full, and the tests hold the row forms to the checks.
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
@@ -461,7 +468,10 @@ def _t11_row(p, alpha, n, r, ls):
     if n < 0 or _sparse(ls):
         return None
     m = prime_power_modulus(p, alpha).m
-    sums = _power_sums(_class_binomials(n, r % m, m), -(r // m), ls)
+    terms = _class_binomials(n, r % m, m)
+    if not terms:  # every sum is 0, of order INFINITY
+        return [True] * len(ls)
+    sums = _power_sums(terms, -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     b2 = sum(_bound_terms(p, alpha, n, r))
     return [_t11_verdict(_int_order(p, s), fo - l + tau, b2) for l, s in zip(ls, sums)]
@@ -479,7 +489,10 @@ def _t12_row(p, alpha, n, r, ls):
     if n < 0 or _sparse(ls):
         return None
     m = prime_power_modulus(p, alpha).m
-    sums = _binomial_sums(_class_binomials(n, r % m, m), -(r // m), ls)
+    terms = _class_binomials(n, r % m, m)
+    if not terms:
+        return [True] * len(ls)
+    sums = _binomial_sums(terms, -(r // m), ls)
     fo, tau = _bound_terms(p, alpha - 1, n, r)
     return [
         _at_least(_int_order(p, s), fo - l - _factorial_order(p, l) + tau)
@@ -515,6 +528,10 @@ def _t13_row(p, alpha, n, r, ls):
         # handing them back costs about three times the skip here.
         return [SKIP] * len(ls)
     terms = _class_binomials(n, r % m, m)
+    if not terms:
+        # r > n, so no l is skipped, and the coefficient and the sum at
+        # r + m are both 0.
+        return [True] * len(ls)
     q = r // m
     # The coefficient and the class sum at r + m, each from its own formula.
     coeffs = _series_sums(terms, q, ls)
@@ -649,8 +666,12 @@ def _l22_row(p, alpha, l, n, rs):
     else:  # no second recurrence
         row_e = row_f = (None,) * (hi - lo)
     terms = _l22_terms(p, m, n)
+    # Past n, the classes r and r - 1 are empty at rows n and n - 1: all
+    # five sums are 0, and both recurrences hold.
     return [
         _l22_verdict(terms, r, row_a[i], row_a[i - 1], row_c[i], row_e[i + m], row_f[i + m - 1])
+        if r % m <= n
+        else True
         for r in rs
         for i in [r - lo]
     ]
@@ -712,9 +733,16 @@ def _t21_row(p, alpha, l, n, rs):
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
     fo = _factorial_order(p, _scaled_floor(n, p, e))
-    taus = (_carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e)) for r in rs)
+    # A zero sum (an empty class, among others) has order INFINITY.
     return [
-        _at_least(_int_order(p, x) - fo, tau, bound="carry count ") for x, tau in zip(nums, taus)
+        _at_least(
+            _int_order(p, x) - fo,
+            _carries(p, _scaled_residue(r, p, e), _scaled_residue(n - r, p, e)),
+            bound="carry count ",
+        )
+        if x
+        else True
+        for r, x in zip(rs, nums)
     ]
 
 

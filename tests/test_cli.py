@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -281,6 +282,45 @@ class TestSuiteCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: --out-dir {str(taken)!r}")
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["verify", "conjecture"])
+    @pytest.mark.parametrize(
+        "where, strerror",
+        [("missing/x.json", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_is_exit_2_before_any_sweep(
+        self, monkeypatch, tmp_path, capsys, command, where, strerror
+    ):
+        calls = []
+        fake = dataclasses.replace(
+            failing_statement("FAKE", "theorem"), check=lambda n: calls.append(n) or True
+        )
+        monkeypatch.setitem(STATEMENTS if command == "verify" else SEARCHES, "FAKE", fake)
+        out = str(tmp_path / where)
+        assert main([command, "FAKE", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out!r}: {strerror}\n"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sum", "--p", "2", "--alpha", "1", "--n", "3", "--r", "0"],
+            ["table1"],
+            ["example13", "--format", "csv"],
+        ],
+        ids=["sum", "table1", "example13"],
+    )
+    def test_unwritable_out_is_exit_2(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "x")
+        assert main([*argv, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out!r}: No such file or directory\n"
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --out {str(tmp_path)!r}: Is a directory\n"
 
     def test_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setitem(STATEMENTS, "FAKE.T", failing_statement("FAKE.T", "theorem"))

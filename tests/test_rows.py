@@ -220,6 +220,38 @@ def test_t21_reads_past_the_window_cache():
     assert quantities._norm_sum_window.cache_info() == before
 
 
+# A value whose residue class is empty (r mod m > n) sums to 0, of order
+# INFINITY: the row forms pass it without its bound, carry count or verdict.
+EMPTY_CLASS_CALLS = [
+    ("L2.2", (5, 3, 2, 10), range(-125, 250), statements, "_l22_verdict", 33),
+    ("L2.2", (5, 3, 2, 10), range(-125, 250), quantities, "_class_binomials", 168),
+    ("T2.1", (5, 3, 2, 10), range(-125, 250), statements, "_carries", 11),
+    ("T2.1", (5, 3, 2, 10), range(-125, 250), quantities, "_class_binomials", 33),
+    *[(sid, (5, 3, 10, 50), range(9), statements, "_bound_terms", 0) for sid in L_LAST],
+]
+
+
+@pytest.mark.parametrize(
+    "sid, prefix, values, mod, name, calls",
+    EMPTY_CLASS_CALLS,
+    ids=[f"{c[0]}-{c[4]}" for c in EMPTY_CLASS_CALLS],
+)
+def test_empty_classes_pass_unevaluated(monkeypatch, sid, prefix, values, mod, name, calls):
+    st = STATEMENTS[sid]
+    real, seen = getattr(mod, name), []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(mod, name, counted)
+    quantities._norm_sum_window.cache_clear()
+    got = st.check_row(prefix, list(values))
+    assert len(seen) == calls
+    monkeypatch.undo()
+    assert got == per_instance(st, prefix, values)
+
+
 def test_l22_computes_each_window_once(monkeypatch):
     # The cache serves L2.2: of the windows its rows read, each distinct
     # one is computed once and every repeat is a hit.
