@@ -215,11 +215,10 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _fleck_reduction_verdict
 # (T3.1) or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
-# for the skips in T1.3's row form (see _t13_row).  Every verdict is the
-# verdict function's, but for values whose sum is 0 because their class is
-# empty (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass those, and
-# T2.1's passes every zero sum, without a bound or carry count.  The checks
-# compute them in full, and the tests hold the row forms to the checks.
+# for the skips in T1.3's row form (see _t13_row).  Every pass is the
+# verdict function's, but for the values of an empty class, whose sum is 0
+# (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass them, and T2.1's
+# every zero sum, without a bound, a carry count or a verdict call.
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
