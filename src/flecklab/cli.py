@@ -280,7 +280,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             f"{elapsed:7.2f}s"
         )
         if out_dir:
-            (out_dir / f"{sid}.json").write_text(report.to_json() + "\n", encoding="utf-8")
+            path = out_dir / f"{sid}.json"
+            try:
+                path.write_text(report.to_json() + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise InvalidParameterError(f"--out-dir {str(path)!r}: {exc.strerror}") from exc
         statuses.add(report.status)
     return _exit_code(statuses)
 

@@ -22,11 +22,13 @@ form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
 computed from the definition and cross-checked against the closed form on
 every call.
 
-Row forms read many sums of one row at once.  _norm_sum_window gives the
+Row forms read many sums of one row at once.  _norm_sums gives the
 normalized sums of one (l, n) at any residues, sharing the weight lists,
 and gives 0 for a residue whose class is empty (r mod m > n) without a
-weight list or a kernel call; its cache serves L2.2's neighbouring rows,
-and T2.1 reads past it.
+weight list or a kernel call.  _norm_sum_window keeps them in a cache that
+serves L2.2's neighbouring rows; the row forms of T2.1, T1.5, T1.5-alpha1
+and CONJ1.1 read no row twice and take _norm_sums past it, so they keep
+none of the values they read.
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues
 from one fold of the binomial row (sums._class_sums).  Both hold every
 value to the same invariants as the single-value path.
@@ -77,63 +79,83 @@ def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
     ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  d
     depends on (p, alpha, n) alone and is not stored: the cache holds up to
     2**18 values, and a tuple per entry would cost several MB.  Its sweep
-    readers: T1.5, T1.5-alpha1, L2.4, L4.2, T4.1 and CONJ1.1.
+    readers: L2.4, L4.2 and T4.1.
     """
     pm = prime_power_modulus(p, alpha)
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
     scale = math.factorial(l) * p**l
     num = scale * alt_sum_binom(n, r, pm.m, l)
-    return _checked_norms(p, alpha, l, n, (r,), scale, [num])[0]
+    return _checked_norm(p, alpha, l, n, r, scale, _integral(p, alpha, n), num)
 
 
-def _checked_norms(
-    p: int, alpha: int, l: int, n: int, rs: Sequence[int], scale: int, nums: list[int]
-) -> list[int]:
-    """nums, the normalized sums at (l, n, r) for r in rs, after the two
-    invariants every normalized sum is held to: the alpha = 0 closed form
-    and p-integrality, ord_p(num) >= ord_p(d!)."""
-    integral = p ** _factorial_order(p, _scaled_floor(n, p, alpha - 1))
-    for r, num in zip(rs, nums):
-        # At alpha == 0 the closed form has the same denominator (p*n)! as num.
-        if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
-            raise InternalInvariantError(
-                f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
-            )
-        if num % integral:
-            raise InternalInvariantError(
-                f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
-            )
-    return nums
+def _integral(p: int, alpha: int, n: int) -> int:
+    """p**ord_p(d!), which divides the numerator of every normalized sum
+    of row n at level alpha."""
+    return p ** _factorial_order(p, _scaled_floor(n, p, alpha - 1))
 
 
-@lru_cache(maxsize=1 << 8)
-def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[int, ...]:
+def _checked_norm(
+    p: int, alpha: int, l: int, n: int, r: int, scale: int, integral: int, num: int
+) -> int:
+    """num, the normalized sum at (l, n, r), after the two invariants every
+    normalized sum is held to: the alpha = 0 closed form and p-integrality,
+    ord_p(num) >= ord_p(d!)."""
+    # At alpha == 0 the closed form has the same denominator (p*n)! as num.
+    if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
+        raise InternalInvariantError(
+            f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
+        )
+    if num % integral:
+        raise InternalInvariantError(
+            f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
+        )
+    return num
+
+
+def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> Iterator[int]:
     """_norm_sum_value at each r of rs, in order, from the definition.
 
     The residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
     same quotient r // m (three lists on a -m .. 2m-1 window).  A class
-    past n has no terms, and its sum is 0 without either.  The cache
-    serves L2.2, whose neighbouring rows read the same ranges of r again:
-    2**8 hold the two weight degrees in flight of a sweep over n < 128.
+    past n has no terms, and its sum is 0 without either.  Each value is
+    computed, and its invariants checked, as it is read, so a row form
+    that reads two of these in step with its per-instance check raises at
+    the same r.  Nothing is kept once the iterator is dropped.
     """
     m = prime_power_modulus(p, alpha).m
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
     scale = math.factorial(l) * p**l
-    weights: dict[int, list[int]] = {}
-    nums = []
-    for r in rs:
-        q, c = divmod(r, m)
-        if c > n:  # an empty class
-            nums.append(0)
-            continue
-        w = weights.get(q)
-        if w is None:
-            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
-        nums.append(scale * sum(map(mul, _class_binomials(n, c, m), w)))
-    return tuple(_checked_norms(p, alpha, l, n, rs, scale, nums))
+    integral = _integral(p, alpha, n)
+
+    def values() -> Iterator[int]:
+        weights: dict[int, list[int]] = {}
+        for r in rs:
+            q, c = divmod(r, m)
+            if c > n:  # an empty class
+                yield 0
+                continue
+            w = weights.get(q)
+            if w is None:
+                w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+            num = scale * sum(map(mul, _class_binomials(n, c, m), w))
+            # The full check only where it can fail: at alpha = 0 (the closed
+            # form), or where p**ord_p(d!) does not divide num.
+            if alpha == 0 or num % integral:
+                _checked_norm(p, alpha, l, n, r, scale, integral, num)
+            yield num
+
+    return values()
+
+
+@lru_cache(maxsize=1 << 8)
+def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[int, ...]:
+    """_norm_sums at rs, kept.  The cache serves L2.2, whose neighbouring
+    rows read the same ranges of r again: 2**8 hold the two weight degrees
+    in flight of a sweep over n < 128."""
+    return tuple(_norm_sums(p, alpha, l, n, rs))
 
 
 def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:

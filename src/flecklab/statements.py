@@ -14,14 +14,18 @@ A check may also have a row form, which checks one row of the grid
 one call.  It computes only what the row's instances share, such as the
 class terms, the bound terms or the normalized sums at the row's
 residues, and passes each value's to the verdict function its check
-uses, so a verdict and its failure strings are written once.  T3.1
+uses, so a verdict and its failure strings are written once.  T1.1-T1.3,
+L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1 and CONJ3.1 have one.  T3.1
 and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
 one fold of each binomial row they need, and CONJ1.2 folds its two rows
-once per instance.  A row form returns one result per value, or None to
-hand a row outside its hypothesis, or too sparse to share anything, back:
-Statement.check_row then runs the check once per value, as it does for a
-check with no row form.  Row forms are looked up by the check they were
-written for, and the tests hold each to its check, the statement's spec.
+once per instance.  T1.5, T1.5-alpha1 and CONJ1.1 read the normalized
+sums of their two levels from quantities._norm_sums, in step with their
+checks, and keep none of them.  A row form returns one result per value,
+or None to hand a row outside its hypothesis, or too sparse to share
+anything, back: Statement.check_row then runs the check once per value,
+as it does for a check with no row form.  Row forms are looked up by the
+check they were written for, and the tests hold each to its check, the
+statement's spec.
 A residue class r mod m with r mod m > n has no terms, so its sum is 0, of
 order INFINITY, and meets every bound: the row forms of T1.1-T1.3, T2.1
 and L2.2 pass such values without computing a bound or a verdict.
@@ -80,6 +84,7 @@ from .quantities import (
     _fleck_sums,
     _norm_sum_value,
     _norm_sum_window,
+    _norm_sums,
     _weisman_normalized,
     fleck_sum_value,
 )
@@ -173,8 +178,10 @@ def _prime_factors(m: int) -> list[int]:
 
 
 # Every rational a check reads is carried in integer form.  Normalized sums
-# are (num, d), worth num / d!: num is quantities._norm_sum_value and
-# d = scaled_floor(n, p, alpha - 1).  The other rationals of the catalog
+# are (num, d!, ord_p(d!)), worth num / d!: num is quantities._norm_sum_value
+# and d = scaled_floor(n, p, alpha - 1).  A row form reads the numerators
+# of its row from quantities._norm_sums and d!, which depends on (p, alpha,
+# n) alone, once.  The other rationals of the catalog
 # (L2.1's values over (p*n)!, the harmonic sums of L3.1, the Bernoulli
 # values of C1.1cor, T1.4's inverse sequence, L2.5's weights and CONJ1.3's
 # value) are an integer numerator and denominator.  Checks compare by
@@ -182,22 +189,51 @@ def _prime_factors(m: int) -> list[int]:
 # only to describe a failure.
 
 
-def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int]:
-    return _norm_sum_value(p, alpha, l, n, r), _scaled_floor(n, p, alpha - 1)
+def _denominator(p: int, alpha: int, n: int) -> tuple[int, int]:
+    """d! and ord_p(d!) for the normalized sums of row n at level alpha."""
+    d = _scaled_floor(n, p, alpha - 1)
+    return math.factorial(d), _factorial_order(p, d)
 
 
-def _norm_difference_order(p: int, x: tuple[int, int], c: int, y: tuple[int, int]) -> "int | float":
+def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int, int]:
+    return (_norm_sum_value(p, alpha, l, n, r), *_denominator(p, alpha, n))
+
+
+def _norm_difference_order(p: int, x: tuple[int, int, int], c: int, y: tuple[int, int, int]):
     """ord_p(x - c*y) for normalized sums x and y in integer form."""
-    (a, da), (b, db) = x, y
-    diff = a * math.factorial(db) - c * b * math.factorial(da)
-    return _int_order(p, diff) - _factorial_order(p, da) - _factorial_order(p, db)
+    (a, fa, oa), (b, fb, ob) = x, y
+    return _int_order(p, a * fb - c * b * fa) - oa - ob
 
 
-def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int | float":
-    """ord_p of V(alpha+1; l, n, r) - (-1)**{r}_p binomial({n}_p, {r}_p) V(alpha; l, n//p, r//p)."""
+def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
+    """The result of T1.5 and T1.5-alpha1 from lhs = V(alpha+1; l, n, r) and
+    rhs = V(alpha; l, n//p, r//p): the order of
+    lhs - (-1)**{r}_p binomial({n}_p, {r}_p) rhs must reach 1."""
+    c = (-1) ** (r % p) * math.comb(n % p, r % p)
+    return _at_least(_norm_difference_order(p, lhs, c, rhs), 1, "difference order")
+
+
+def _lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
     lhs = _norm_parts(p, alpha + 1, l, n, r)
-    rhs = _norm_parts(p, alpha, l, n // p, r // p)
-    return _norm_difference_order(p, lhs, (-1) ** (r % p) * math.comb(n % p, r % p), rhs)
+    return _lucas_verdict(p, n, r, lhs, _norm_parts(p, alpha, l, n // p, r // p))
+
+
+def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
+    """_lucas_reduction at each r of rs.  The right sums are read at the
+    distinct r // p only, each once and in step with the left sums, so the
+    row raises where its checks would."""
+    lhs = _norm_sums(p, alpha + 1, l, n, rs)
+    qs = list(dict.fromkeys(r // p for r in rs))
+    rhs = _norm_sums(p, alpha, l, n // p, qs)
+    right: dict[int, int] = {}
+    dl, dr = _denominator(p, alpha + 1, n), _denominator(p, alpha, n // p)
+    out = []
+    for r, a in zip(rs, lhs):
+        q = r // p
+        if q not in right:
+            right[q] = next(rhs)
+        out.append(_lucas_verdict(p, n, r, (a, *dl), (right[q], *dr)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +249,9 @@ def _lucas_difference_order(p: int, alpha: int, l: int, n: int, r: int) -> "int 
 # Each verdict is written once.  _at_least forms every "order o reaches
 # bound b" result.  A check with a row form passes its values to a verdict
 # function that the row form also calls, once per value: _at_least (T1.2,
-# T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _fleck_reduction_verdict
-# (T3.1) or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
+# T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _lucas_verdict (T1.5,
+# T1.5-alpha1), _conj11_verdict (CONJ1.1), _fleck_reduction_verdict (T3.1)
+# or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
 # for the skips in T1.3's row form (see _t13_row).  Every pass is the
 # verdict function's, but for the values of an empty class, whose sum is 0
 # (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass them, and T2.1's
@@ -239,7 +276,14 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
     prime_power_modulus(p, alpha)
     if alpha < 2 or n < 0 or l < 0:
         return SKIP
-    return _at_least(_lucas_difference_order(p, alpha, l, n, r), 1, "difference order")
+    return _lucas_reduction(p, alpha, l, n, r)
+
+
+def _t15_row(p, alpha, l, n, rs):
+    prime_power_modulus(p, alpha)
+    if alpha < 2 or n < 0 or l < 0:
+        return None
+    return _lucas_row(p, alpha, l, n, rs)
 
 
 def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t: int, r: int):
@@ -435,9 +479,9 @@ def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
     m = prime_power_modulus(2, alpha).m
     if e < 0 or not 0 <= l <= d < 2**e:
         return SKIP
-    num, dv = _norm_parts(2, alpha + 1, l, m * (2**e + d), m * c)
+    num, fv, ov = _norm_parts(2, alpha + 1, l, m * (2**e + d), m * c)
     delta = 1 if l == d else 0
-    o = _int_order(2, num - delta * math.factorial(dv)) - _factorial_order(2, dv)
+    o = _int_order(2, num - delta * fv) - ov
     return True if o >= 1 else (f"order {o} of the value minus {delta}", ">= 1")
 
 
@@ -727,8 +771,8 @@ def _t21(p, alpha, l, n, r):
 def _t21_row(p, alpha, l, n, rs):
     if n < 0 or l < 0:
         return None
-    # Past the cache: no T2.1 row is read twice.
-    nums = _norm_sum_window.__wrapped__(p, alpha, l, n, rs)
+    # Past the window cache: no T2.1 row is read twice.
+    nums = _norm_sums(p, alpha, l, n, rs)
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
     e = alpha - 1
     fo = _factorial_order(p, _scaled_floor(n, p, e))
@@ -749,10 +793,10 @@ def _l42(alpha, n, r):
     c = prime_power_modulus(2, alpha).m
     if n < 1 or n % c or r % c:
         return SKIP
-    num, d = _norm_parts(2, alpha + 1, 0, n, r)
-    if (_int_order(2, num) == _factorial_order(2, d)) == (n & (n - 1) == 0):
+    num, f, o = _norm_parts(2, alpha + 1, 0, n, r)
+    if (_int_order(2, num) == o) == (n & (n - 1) == 0):
         return True
-    return (f"value {Fraction(num, math.factorial(d))}", "odd exactly when n is a power of two")
+    return (f"value {Fraction(num, f)}", "odd exactly when n is a power of two")
 
 
 def _r16(n, l):
@@ -772,10 +816,23 @@ def _conj11(p, alpha, l, n, r):
     prime_power_modulus(p, alpha)
     if n < 0 or l < 0:
         return SKIP
-    o = _norm_difference_order(
-        p, _norm_parts(p, alpha + 1, l, p * n, p * r), 1, _norm_parts(p, alpha, l, n, r)
-    )
-    return _at_least(o, 2 if p == 3 else 3, "difference order")
+    lhs = _norm_parts(p, alpha + 1, l, p * n, p * r)
+    return _conj11_verdict(p, lhs, _norm_parts(p, alpha, l, n, r))
+
+
+def _conj11_verdict(p: int, lhs: tuple, rhs: tuple):
+    """_conj11's result from V(alpha+1; l, p n, p r) and V(alpha; l, n, r)."""
+    return _at_least(_norm_difference_order(p, lhs, 1, rhs), 2 if p == 3 else 3, "difference order")
+
+
+def _conj11_row(p, alpha, l, n, rs):
+    prime_power_modulus(p, alpha)
+    if n < 0 or l < 0:
+        return None
+    lhs = _norm_sums(p, alpha + 1, l, p * n, [p * r for r in rs])
+    rhs = _norm_sums(p, alpha, l, n, rs)
+    dl, dr = _denominator(p, alpha + 1, p * n), _denominator(p, alpha, n)
+    return [_conj11_verdict(p, (a, *dl), (b, *dr)) for a, b in zip(lhs, rhs)]
 
 
 def _conj12(p, n, s):
@@ -861,7 +918,14 @@ def _t15_alpha1(p, l, n, r):
     prime_power_modulus(p, 1)
     if n < 0 or l < 0:
         return SKIP
-    return _at_least(_lucas_difference_order(p, 1, l, n, r), 1, "difference order")
+    return _lucas_reduction(p, 1, l, n, r)
+
+
+def _t15_alpha1_row(p, l, n, rs):
+    prime_power_modulus(p, 1)
+    if n < 0 or l < 0:
+        return None
+    return _lucas_row(p, 1, l, n, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +1069,11 @@ _ROW_FORMS: dict[Callable, Callable[..., "list | None"]] = {
     _t13: _t13_row,
     _l22: _l22_row,
     _t21: _t21_row,
+    check_lucas_reduction: _t15_row,
     check_fleck_reduction: _fleck_reduction_row,
+    _conj11: _conj11_row,
     _conj31: _conj31_row,
+    _t15_alpha1: _t15_alpha1_row,
 }
 
 

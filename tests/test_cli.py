@@ -283,6 +283,17 @@ class TestSuiteCommand:
         assert captured.err.startswith(f"error: --out-dir {str(taken)!r}")
         assert taken.read_text() == "kept\n"
 
+    def test_unwritable_report_is_exit_2(self, tmp_path, capsys):
+        # The reports before it stay written; the sweeps after it never run.
+        (tmp_path / "R1.6.json").mkdir()
+        assert main(["suite", "--ids", "T1.8,R1.6,L4.1", "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert [line.split()[0] for line in captured.out.splitlines()] == ["T1.8", "R1.6"]
+        path = str(tmp_path / "R1.6.json")
+        assert captured.err == f"error: --out-dir {path!r}: Is a directory\n"
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["R1.6.json", "T1.8.json"]
+        assert (tmp_path / "T1.8.json").read_text() == run_statement("T1.8").to_json() + "\n"
+
     @pytest.mark.parametrize("command", ["verify", "conjecture"])
     @pytest.mark.parametrize(
         "where, strerror",

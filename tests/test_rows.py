@@ -24,13 +24,19 @@ from hypothesis import strategies as hst
 from flecklab import combinatorics, quantities, statements, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
-from flecklab.verifier import _rows, _specs, iter_instances, run_statement
+from flecklab.verifier import _rows, _specs, iter_instances, run_statement, search_conjecture
 
-ROW_IDS = ("T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1")
+ROW_IDS = (
+    "T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1", "T1.5", "CONJ1.1", "T1.5-alpha1",
+)  # fmt: skip
+CATALOG = {**STATEMENTS, **SEARCHES}
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
 L_LAST = ("T1.1", "T1.2", "T1.3")
 # Fleck level reductions: (p, alpha, n) prefixes, last axis r.
 FLECK = ("T3.1", "CONJ3.1")
+# Two levels of normalized sums: (p, alpha, l, n) prefixes, (p, l, n) for
+# T1.5-alpha1, last axis r.
+LIFTS = ("T1.5", "CONJ1.1", "T1.5-alpha1")
 PRIMES = (2, 3, 5, 7)
 
 
@@ -48,16 +54,17 @@ def outcome(fn):
 
 def excluded(sid: str, prefix: tuple, v: int) -> bool:
     """Out of the statement's hypothesis: a negative n or l, n = 0 for
-    L2.2 (its recurrences read the sums at n - 1), and alpha < 2 for T3.1
-    and CONJ3.1."""
-    q = dict(zip(STATEMENTS[sid].axes, prefix + (v,)))
+    L2.2 (its recurrences read the sums at n - 1), and alpha < 2 for T3.1,
+    CONJ3.1 and T1.5."""
+    q = dict(zip(CATALOG[sid].axes, prefix + (v,)))
     if sid in FLECK:
         return q["n"] < 0 or q["alpha"] < 2
-    return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0
+    low_alpha = sid == "T1.5" and q["alpha"] < 2
+    return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0 or low_alpha
 
 
 def test_row_forms_are_the_main_grid_ids():
-    with_rows = {sid for sid, st in {**STATEMENTS, **SEARCHES}.items() if st.check in _ROW_FORMS}
+    with_rows = {sid for sid, st in CATALOG.items() if st.check in _ROW_FORMS}
     assert with_rows == set(ROW_IDS)
 
 
@@ -130,16 +137,39 @@ def fleck_rows(draw):
     return prefix, rs
 
 
+@hst.composite
+def lift_rows(draw, sid):
+    """A prefix of sid, with alpha from 0 and n, l from -2, and a list of
+    residues r: scattered and unordered, with repeated values of r // p, or
+    a contiguous window such as the default one."""
+    p = draw(hst.sampled_from(PRIMES))
+    alpha = 1 if sid == "T1.5-alpha1" else draw(hst.integers(0, 3 if sid == "T1.5" else 2))
+    l = draw(hst.integers(-2, 5))
+    n = draw(hst.integers(-2, 40 if sid == "T1.5" else 30))
+    # T1.5 reads level alpha + 1 at r, CONJ1.1 level alpha at r.
+    m = p ** (alpha + (sid != "CONJ1.1"))
+    rs = draw(
+        hst.one_of(
+            hst.lists(hst.integers(-m - 3, 2 * m + 3), min_size=1, max_size=12),
+            hst.integers(-3, 1).map(lambda lo: list(range(lo, lo + min(m, n + p + 2) + 2))),
+        )
+    )
+    prefix = (p, l, n) if sid == "T1.5-alpha1" else (p, alpha, l, n)
+    return prefix, rs
+
+
 def draw_row(sid, data):
     if sid in L_LAST:
         return data.draw(l_last_rows())
+    if sid in LIFTS:
+        return data.draw(lift_rows(sid))
     return data.draw(fleck_rows() if sid in FLECK else r_last_rows())
 
 
 @pytest.mark.parametrize("sid", ROW_IDS)
 @given(data=hst.data())
 def test_row_form_equals_its_checks(sid, data):
-    st = STATEMENTS[sid]
+    st = CATALOG[sid]
     prefix, values = draw_row(sid, data)
     got = st.check_row(prefix, values)
     assert got == per_instance(st, prefix, values)
@@ -165,12 +195,15 @@ DEFAULT_SLICES = {
     "T2.1": {"p": (2, 5), "l": (0, 1, 8), "n": (0, 1, 64)},
     "T3.1": {"n": (0, 1, 16)},
     "CONJ3.1": {"n": (0, 1, 16)},
+    "T1.5": {"p": (2, 5), "n": (0, 1, 7, 30)},
+    "CONJ1.1": {"l": (0, 1, 5), "n": (0, 1, 24)},
+    "T1.5-alpha1": {"l": (0, 1, 4), "n": (0, 1, 7, 30)},
 }
 
 
 @pytest.mark.parametrize("sid", ROW_IDS)
 def test_default_rows_are_served_by_their_row_forms(sid):
-    st = STATEMENTS[sid]
+    st = CATALOG[sid]
     row = _ROW_FORMS[st.check]
     rows = list(_rows(st.axes, _specs(st, DEFAULT_SLICES[sid])))
     assert rows
@@ -191,12 +224,19 @@ HANDED_BACK = [
     ("T2.1", (3, 1, -1, 10), list(range(-3, 6))),
     # alpha < 2 and n < 0
     *[(sid, prefix, list(range(-2, 9))) for sid in FLECK for prefix in ((3, 1, 4), (3, 2, -1))],
+    # n or l < 0, and alpha < 2 for T1.5
+    *[
+        (sid, (3, *alpha, *ln), list(range(-2, 9)))
+        for sid, alpha in (("T1.5", (2,)), ("CONJ1.1", (2,)), ("T1.5-alpha1", ()))
+        for ln in ((2, -1), (-1, 4))
+    ],
+    *[("T1.5", (3, alpha, 2, 4), list(range(-2, 9))) for alpha in (0, 1)],
 ]
 
 
 @pytest.mark.parametrize("sid, prefix, values", HANDED_BACK)
 def test_rows_outside_a_row_form_are_handed_back(sid, prefix, values):
-    st = STATEMENTS[sid]
+    st = CATALOG[sid]
     assert _ROW_FORMS[st.check](*prefix, values) is None
     assert st.check_row(prefix, values) == per_instance(st, prefix, values)
 
@@ -218,6 +258,38 @@ def test_t21_reads_past_the_window_cache():
     before = quantities._norm_sum_window.cache_info()
     _swept(STATEMENTS["T2.1"], DEFAULT_SLICES["T2.1"])
     assert quantities._norm_sum_window.cache_info() == before
+
+
+# The Lucas-reduction and lift row forms read their residues as given too;
+# T1.5's and T1.5-alpha1's read each right sum once, at each distinct r // p.
+LIFT_PREFIXES = {"T1.5": (3, 2, 1, 10), "CONJ1.1": (3, 1, 1, 10), "T1.5-alpha1": (3, 1, 10)}
+LIFT_SERVED = [
+    (sid, prefix, values)
+    for sid, prefix in LIFT_PREFIXES.items()
+    for values in ([0, 2, 3], [5, 1, 4, 0], [7, -3, 8, 2, 6], [4, 4, -9, 3])
+]
+
+
+@pytest.mark.parametrize("sid, prefix, values", LIFT_SERVED)
+def test_lifts_serve_any_residues(sid, prefix, values):
+    st = CATALOG[sid]
+    assert _ROW_FORMS[st.check](*prefix, values) is not None
+    assert st.check_row(prefix, values) == per_instance(st, prefix, values)
+
+
+def test_lift_sweeps_keep_no_normalized_sum():
+    # Their row forms read every sum past both caches: a sweep that fell
+    # back to the per-instance checks would fill _norm_sum_value's memo.
+    quantities._norm_sum_value.cache_clear()
+    window = quantities._norm_sum_window.cache_info()
+    reports = [
+        run_statement("T1.5", DEFAULT_SLICES["T1.5"]),
+        search_conjecture("CONJ1.1", DEFAULT_SLICES["CONJ1.1"]),
+        search_conjecture("T1.5-alpha1", DEFAULT_SLICES["T1.5-alpha1"]),
+    ]
+    assert all(report.passed and report.checked for report in reports)
+    assert quantities._norm_sum_value.cache_info().currsize == 0
+    assert quantities._norm_sum_window.cache_info() == window
 
 
 # A value whose residue class is empty (r mod m > n) sums to 0, of order
@@ -405,6 +477,54 @@ def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, bran
     for prefix, values in _perturbed_rows(sid):
         got = outcome(lambda: st.check_row(prefix, values))
         assert got == outcome(lambda: per_instance(st, prefix, values)), prefix
+        if isinstance(got, list):
+            seen.extend(" ".join(res) for res in got if isinstance(res, tuple))
+        else:
+            seen.append(got[1])
+    # Each failure branch ran at least once.
+    for branch in branches:
+        assert any(branch in text for text in seen), branch
+
+
+# The Lucas-reduction and lift checks read normalized sums at two levels.
+# A perturbed sum that is not p-integral raises at the first r whose check
+# reads it; the row forms read both levels in step with their checks, so
+# row and check raise the same error, on scattered rows too.
+NOT_P_INTEGRAL = "normalized sum is not p-integral"
+LIFT_PERTURBED = [
+    ("T1.5", _bumped, ["difference order 0 >= 1", NOT_P_INTEGRAL]),
+    ("T1.5", _scaled, ["difference order 0 >= 1"]),
+    ("CONJ1.1", _bumped, ["difference order 1 >= 3", NOT_P_INTEGRAL]),
+    ("CONJ1.1", _scaled, ["difference order 2 >= 3", "difference order 1 >= 2"]),
+    ("T1.5-alpha1", _bumped, ["difference order 0 >= 1", NOT_P_INTEGRAL]),
+    ("T1.5-alpha1", _scaled, ["difference order 0 >= 1"]),
+]
+
+
+def _lift_rows(sid):
+    for p in (2, 3, 5):
+        for alpha in {"T1.5": (2, 3), "CONJ1.1": (1, 2), "T1.5-alpha1": (1,)}[sid]:
+            m = p ** (alpha + (sid != "CONJ1.1"))
+            for l in (0, 1, 2):
+                for n in (1, 4, 7, 10):
+                    prefix = (p, l, n) if sid == "T1.5-alpha1" else (p, alpha, l, n)
+                    window = list(range(-2, min(m, n + p + 2)))
+                    yield prefix, window
+                    yield prefix, window[::-3] + window[1::3]
+
+
+@pytest.mark.parametrize(
+    "sid, fn, branches",
+    LIFT_PERTURBED,
+    ids=[f"{c[0]}-{c[1].__name__.strip('_')}" for c in LIFT_PERTURBED],
+)
+def test_perturbed_lifts_fail_alike_in_row_and_check(kernel, sid, fn, branches):
+    kernel(fn)
+    st = CATALOG[sid]
+    seen = []
+    for prefix, values in _lift_rows(sid):
+        got = outcome(lambda: st.check_row(prefix, values))
+        assert got == outcome(lambda: per_instance(st, prefix, values)), (prefix, values)
         if isinstance(got, list):
             seen.extend(" ".join(res) for res in got if isinstance(res, tuple))
         else:
