@@ -20,9 +20,11 @@ and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
 one fold of each binomial row they need, and CONJ1.2 folds its two rows
 once per instance.  T1.5, T1.5-alpha1 and CONJ1.1 read the normalized
 sums of their two levels from quantities._norm_sums, in step with their
-checks, and keep none of them.  A row form returns one result per value,
-or None to hand a row outside its hypothesis, or too sparse to share
-anything, back: Statement.check_row then runs the check once per value,
+checks, and keep none of them.  Each of these ten entries declares its
+hypothesis on a row's prefix once (Statement.hypothesis), and a row
+outside it is skipped whole, so a row form sees only rows inside it.  It
+returns one result per value, or None to hand a row too sparse to share
+anything back: Statement.check_row then runs the check once per value,
 as it does for a check with no row form.  Row forms are looked up by the
 check they were written for, and the tests hold each to its check, the
 statement's spec.
@@ -144,17 +146,31 @@ class Statement:
     description: str
     defaults: Mapping[str, object]  # axis -> tuple of ints, or DerivedAxis
     check: Callable[..., object]
+    # The statement's hypothesis on a row's prefix (the values of every axis
+    # but the last), or None: the check and the row form see only prefixes
+    # for which it holds, and every value under any other prefix is SKIP.
+    hypothesis: "Callable[..., bool] | None" = None
 
     @property
     def axes(self) -> tuple[str, ...]:
         """The sweep axes, in the order of the default grid's keys."""
         return tuple(self.defaults)
 
+    def __call__(self, *params: int):
+        """The result of one instance, params in axes order: SKIP outside
+        the hypothesis, else the check's."""
+        if self.hypothesis and not self.hypothesis(*params[:-1]):
+            return SKIP
+        return self.check(*params)
+
     def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
         """The results of one row: prefix holds the values of every axis but
-        the last, values the last axis's values under it.  The row form is
-        the one written for this entry's check (a swapped-in copy has none);
-        a row it hands back, or without one, is checked once per value."""
+        the last, values the last axis's values under it.  A row outside the
+        hypothesis is all SKIP.  The row form is the one written for this
+        entry's check (a swapped-in copy has none); a row it hands back, or
+        without one, is checked once per value."""
+        if self.hypothesis and not self.hypothesis(*prefix):
+            return [SKIP] * len(values)
         row = _ROW_FORMS.get(self.check)
         results = row(*prefix, values) if row else None
         if results is None:
@@ -213,13 +229,8 @@ def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
     return _at_least(_norm_difference_order(p, lhs, c, rhs), 1, "difference order")
 
 
-def _lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
-    lhs = _norm_parts(p, alpha + 1, l, n, r)
-    return _lucas_verdict(p, n, r, lhs, _norm_parts(p, alpha, l, n // p, r // p))
-
-
 def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
-    """_lucas_reduction at each r of rs.  The right sums are read at the
+    """check_lucas_reduction at each r of rs.  The right sums are read at the
     distinct r // p only, each once and in step with the left sums, so the
     row raises where its checks would."""
     lhs = _norm_sums(p, alpha + 1, l, n, rs)
@@ -242,20 +253,22 @@ def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
 #
 # Preconditions follow one rule.  p and alpha define the modulus: an invalid
 # pair raises InvalidParameterError from prime_power_modulus, whether a
-# derived window or the check meets it first.  Every other hypothesis of a
-# statement (a lower bound on alpha, a digit range, a coprimality) makes the
-# check return SKIP.
+# derived window or the check meets it first, and an override with one is
+# rejected before any sweep.  Every other hypothesis of a statement is a
+# SKIP; an entry with a row form declares the part that reads only the
+# row's prefix as its hypothesis, and its check holds only the rest.
 #
 # Each verdict is written once.  _at_least forms every "order o reaches
 # bound b" result.  A check with a row form passes its values to a verdict
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _lucas_verdict (T1.5,
 # T1.5-alpha1), _conj11_verdict (CONJ1.1), _fleck_reduction_verdict (T3.1)
-# or _conj31_verdict (CONJ3.1).  Every skip is the check's own, but
-# for the skips in T1.3's row form (see _t13_row).  Every pass is the
-# verdict function's, but for the values of an empty class, whose sum is 0
-# (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass them, and T2.1's
-# every zero sum, without a bound, a carry count or a verdict call.
+# or _conj31_verdict (CONJ3.1).  Every skip is the hypothesis's or the
+# check's own (T1.3's row form also tests its series window).  Every pass
+# is the verdict function's, but for the values of an empty class, whose
+# sum is 0 (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass them,
+# and T2.1's every zero sum, without a bound, a carry count or a verdict
+# call.
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
@@ -270,20 +283,12 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
         V(alpha+1; l, n, r) == (-1)**{r}_p * binomial({n}_p, {r}_p)
                                * V(alpha; l, n//p, r//p)   (mod p)
 
-    Proven for alpha >= 2 and n, l >= 0; smaller alpha is skipped (the
-    alpha = 1 case is conjectural and lives under the search ids).
+    Proven for alpha >= 2 and n, l >= 0, T1.5's hypothesis; the alpha = 1
+    case is conjectural and lives under the search ids.
     """
     prime_power_modulus(p, alpha)
-    if alpha < 2 or n < 0 or l < 0:
-        return SKIP
-    return _lucas_reduction(p, alpha, l, n, r)
-
-
-def _t15_row(p, alpha, l, n, rs):
-    prime_power_modulus(p, alpha)
-    if alpha < 2 or n < 0 or l < 0:
-        return None
-    return _lucas_row(p, alpha, l, n, rs)
+    lhs = _norm_parts(p, alpha + 1, l, n, r)
+    return _lucas_verdict(p, n, r, lhs, _norm_parts(p, alpha, l, n // p, r // p))
 
 
 def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t: int, r: int):
@@ -367,12 +372,10 @@ def check_exact_attainment(alpha: int, n: int, l: int):
 
 
 def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
-    """Level reduction for Fleck-normalized sums, alpha >= 2, n >= 0: when
-    p | r, F(alpha; n, r) == F(alpha-1; n, r/p) mod p**((2 - [p==2])(alpha-2));
-    otherwise F(alpha; n, r) == 0 mod p**(alpha-2)."""
+    """Level reduction for Fleck-normalized sums, alpha >= 2, n >= 0 (T3.1's
+    hypothesis): when p | r, F(alpha; n, r) == F(alpha-1; n, r/p) mod
+    p**((2 - [p==2])(alpha-2)); otherwise F(alpha; n, r) == 0 mod p**(alpha-2)."""
     prime_power_modulus(p, alpha)
-    if alpha < 2 or n < 0:
-        return SKIP
     sa = fleck_sum_value(p, alpha, n, r)
     sb = fleck_sum_value(p, alpha - 1, n, r // p) if r % p == 0 else None
     return _fleck_reduction_verdict(p, alpha, sa, sb)
@@ -387,8 +390,6 @@ def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
 
 
 def _fleck_reduction_row(p, alpha, n, rs):
-    if alpha < 2 or n < 0:
-        return None
     sas = _fleck_sums(p, alpha, n, rs)
     sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0])
     return [
@@ -487,7 +488,7 @@ def check_parity_delta(alpha: int, c: int, e: int, d: int, l: int):
 
 def _t11(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
-    if n < 0 or l < 0:
+    if l < 0:
         return SKIP
     o = _int_order(p, alt_sum_power(n, r, pm.m, l))
     return _t11_verdict(o, degree_order_bound(pm, n, r, l), floor_order_bound(pm, n, r))
@@ -508,7 +509,7 @@ def _sparse(ls: Sequence[int]) -> bool:
 
 
 def _t11_row(p, alpha, n, r, ls):
-    if n < 0 or _sparse(ls):
+    if _sparse(ls):
         return None
     m = prime_power_modulus(p, alpha).m
     terms = _class_binomials(n, r % m, m)
@@ -522,14 +523,14 @@ def _t11_row(p, alpha, n, r, ls):
 
 def _t12(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
-    if n < 0 or l < 0:
+    if l < 0:
         return SKIP
     o = _int_order(p, alt_sum_binom(n, r, pm.m, l))
     return _at_least(o, integer_valued_order_bound(pm, n, r, l))
 
 
 def _t12_row(p, alpha, n, r, ls):
-    if n < 0 or _sparse(ls):
+    if _sparse(ls):
         return None
     m = prime_power_modulus(p, alpha).m
     terms = _class_binomials(n, r % m, m)
@@ -545,7 +546,7 @@ def _t12_row(p, alpha, n, r, ls):
 
 def _t13(p, alpha, n, r, l):
     pm = prime_power_modulus(p, alpha)
-    if n < 0 or l < 0 or r < 0 or r <= n - (l + 1) * pm.m:
+    if l < 0 or r <= n - (l + 1) * pm.m:
         return SKIP
     coeff = series_coefficient(pm, n, l, r)
     b = integer_valued_order_bound(pm, n, r, l)
@@ -563,13 +564,9 @@ def _t13_verdict(o, b, coeff, alt):
 
 
 def _t13_row(p, alpha, n, r, ls):
-    if n < 0 or _sparse(ls):
+    if _sparse(ls):
         return None
     m = prime_power_modulus(p, alpha).m
-    if r < 0:
-        # Kept in the row: r < 0 is a third of T1.3's default rows, and
-        # handing them back costs about three times the skip here.
-        return [SKIP] * len(ls)
     terms = _class_binomials(n, r % m, m)
     if not terms:
         # r > n, so no l is skipped, and the coefficient and the sum at
@@ -648,9 +645,6 @@ def _l21(p, n, r, l):
 
 def _l22(p, alpha, l, n, r):
     m = prime_power_modulus(p, alpha).m
-    # n >= 1 because the recurrences read the sums at n - 1.
-    if alpha < 1 or n < 1 or l < 0:
-        return SKIP
     terms = _l22_terms(p, m, n)
     a = _norm_sum_value(p, alpha, l, n - 1, r)
     b = _norm_sum_value(p, alpha, l, n - 1, r - 1)
@@ -699,7 +693,7 @@ def _l22_row(p, alpha, l, n, rs):
     # _norm_sum_window keeps them for those.  A row sparser than its window
     # is handed back.
     lo, hi = min(rs) - 1, max(rs) + m + 1
-    if alpha < 1 or n < 1 or l < 0 or hi - lo > 2 * len(rs):
+    if hi - lo > 2 * len(rs):
         return None
     row_a = _norm_sum_window(p, alpha, l, n - 1, range(lo, hi))
     row_c = _norm_sum_window(p, alpha, l, n, range(lo, hi))
@@ -760,8 +754,6 @@ def _l25(p, alpha, n, j):
 
 def _t21(p, alpha, l, n, r):
     prime_power_modulus(p, alpha)
-    if n < 0 or l < 0:
-        return SKIP
     num = _norm_sum_value(p, alpha, l, n, r)
     # At e = alpha - 1, fo is ord_p(d!) for the sum's denominator d!.
     fo, tau = _bound_terms(p, alpha - 1, n, r)
@@ -769,8 +761,6 @@ def _t21(p, alpha, l, n, r):
 
 
 def _t21_row(p, alpha, l, n, rs):
-    if n < 0 or l < 0:
-        return None
     # Past the window cache: no T2.1 row is read twice.
     nums = _norm_sums(p, alpha, l, n, rs)
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
@@ -814,8 +804,6 @@ def _r16(n, l):
 
 def _conj11(p, alpha, l, n, r):
     prime_power_modulus(p, alpha)
-    if n < 0 or l < 0:
-        return SKIP
     lhs = _norm_parts(p, alpha + 1, l, p * n, p * r)
     return _conj11_verdict(p, lhs, _norm_parts(p, alpha, l, n, r))
 
@@ -826,9 +814,6 @@ def _conj11_verdict(p: int, lhs: tuple, rhs: tuple):
 
 
 def _conj11_row(p, alpha, l, n, rs):
-    prime_power_modulus(p, alpha)
-    if n < 0 or l < 0:
-        return None
     lhs = _norm_sums(p, alpha + 1, l, p * n, [p * r for r in rs])
     rhs = _norm_sums(p, alpha, l, n, rs)
     dl, dr = _denominator(p, alpha + 1, p * n), _denominator(p, alpha, n)
@@ -895,8 +880,6 @@ def _conj13(p, alpha, n, r, j):
 
 def _conj31(p, alpha, n, r):
     prime_power_modulus(p, alpha)
-    if alpha < 2 or n < 0:
-        return SKIP
     d = fleck_sum_value(p, alpha, n, p * r) - fleck_sum_value(p, alpha - 1, n, r)
     return _conj31_verdict(p, alpha, d)
 
@@ -907,24 +890,16 @@ def _conj31_verdict(p: int, alpha: int, d: int):
 
 
 def _conj31_row(p, alpha, n, rs):
-    if alpha < 2 or n < 0:
-        return None
     lhs = _fleck_sums(p, alpha, n, [p * r for r in rs])
     rhs = _fleck_sums(p, alpha - 1, n, rs)
     return [_conj31_verdict(p, alpha, a - b) for a, b in zip(lhs, rhs)]
 
 
 def _t15_alpha1(p, l, n, r):
-    prime_power_modulus(p, 1)
-    if n < 0 or l < 0:
-        return SKIP
-    return _lucas_reduction(p, 1, l, n, r)
+    return check_lucas_reduction(p, 1, l, n, r)
 
 
 def _t15_alpha1_row(p, l, n, rs):
-    prime_power_modulus(p, 1)
-    if n < 0 or l < 0:
-        return None
     return _lucas_row(p, 1, l, n, rs)
 
 
@@ -1069,7 +1044,7 @@ _ROW_FORMS: dict[Callable, Callable[..., "list | None"]] = {
     _t13: _t13_row,
     _l22: _l22_row,
     _t21: _t21_row,
-    check_lucas_reduction: _t15_row,
+    check_lucas_reduction: _lucas_row,
     check_fleck_reduction: _fleck_reduction_row,
     _conj11: _conj11_row,
     _conj31: _conj31_row,
@@ -1087,6 +1062,7 @@ STATEMENTS: dict[str, Statement] = {
             "and the degree-free floor bound",
             _MAIN,
             _t11,
+            lambda p, alpha, n, r: n >= 0,
         ),
         Statement(
             "T1.2",
@@ -1094,6 +1070,7 @@ STATEMENTS: dict[str, Statement] = {
             "binomial-coefficient weights obey the integer-valued order bound",
             _MAIN,
             _t12,
+            lambda p, alpha, n, r: n >= 0,
         ),
         Statement(
             "T1.3",
@@ -1102,6 +1079,7 @@ STATEMENTS: dict[str, Statement] = {
             "agreement with the shifted class sum",
             _MAIN,
             _t13,
+            lambda p, alpha, n, r: n >= 0 and r >= 0,
         ),
         Statement(
             "T1.4",
@@ -1132,6 +1110,7 @@ STATEMENTS: dict[str, Statement] = {
                 "r": DerivedAxis("-2 .. min(p**(alpha+1), n+p+2)-1", _r_window_lifted),
             },
             check_lucas_reduction,
+            lambda p, alpha, l, n: alpha >= 2 and n >= 0 and l >= 0,
         ),
         Statement(
             "T1.6",
@@ -1241,6 +1220,8 @@ STATEMENTS: dict[str, Statement] = {
                 "r": _R_WINDOW,
             },
             _l22,
+            # n >= 1 because the recurrences read the sums at n - 1.
+            lambda p, alpha, l, n: alpha >= 1 and n >= 1 and l >= 0,
         ),
         Statement(
             "L2.3",
@@ -1292,6 +1273,7 @@ STATEMENTS: dict[str, Statement] = {
                 "r": _R_WINDOW,
             },
             _t21,
+            lambda p, alpha, l, n: n >= 0 and l >= 0,
         ),
         Statement(
             "L3.1",
@@ -1326,6 +1308,7 @@ STATEMENTS: dict[str, Statement] = {
                 "r": DerivedAxis("-2 .. p**alpha - 1", _fleck_r_window),
             },
             check_fleck_reduction,
+            lambda p, alpha, n: alpha >= 2 and n >= 0,
         ),
         Statement(
             "L4.1",
@@ -1384,6 +1367,7 @@ STATEMENTS: dict[str, Statement] = {
                 "r": DerivedAxis("0 .. p**alpha - 1", _r_residues),
             },
             _conj11,
+            lambda p, alpha, l, n: n >= 0 and l >= 0,
         ),
         Statement(
             "CONJ1.2",
@@ -1423,6 +1407,7 @@ STATEMENTS: dict[str, Statement] = {
                 "r": tuple(range(-2, 12)),
             },
             _conj31,
+            lambda p, alpha, n: alpha >= 2 and n >= 0,
         ),
     ]
 }
@@ -1439,6 +1424,7 @@ _T15_ALPHA1 = Statement(
         "r": DerivedAxis("-2 .. min(p**2, n+p+2)-1", _t15a1_r_window),
     },
     _t15_alpha1,
+    lambda p, l, n: n >= 0 and l >= 0,
 )
 
 SEARCHES: dict[str, Statement] = {

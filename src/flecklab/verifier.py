@@ -10,10 +10,11 @@ The sweep walks the grid by rows: a row is a prefix (values of every axis
 but the last) with the last axis's values under it, fixed or derived.  One
 walker, _rows, is the only code that reads axis values, so the sweep order
 is defined once.  Each row goes to Statement.check_row in one call, which
-runs the statement's row form, or the check once per value for a row the
-row form hands back or a statement without one.  iter_instances is the
-flattening of the rows.  An InternalInvariantError raised in a row is
-named by its instance: the row is run again one check at a time to find it.
+skips a row outside the statement's hypothesis, or runs its row form, or
+the check once per value for a row handed back or without a row form.
+iter_instances is the flattening of the rows.  An InternalInvariantError
+raised in a row is named by its instance: the row is run again one check
+at a time to find it.
 
 With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker, each a
@@ -43,6 +44,7 @@ from .errors import (
     InvalidParameterError,
     UnknownStatementError,
 )
+from .padic import prime_power_modulus
 from .statements import SEARCHES, SKIP, STATEMENTS, DerivedAxis, Statement
 
 __all__ = [
@@ -75,6 +77,12 @@ def _clean_overrides(st: Statement, grid: "Mapping[str, Sequence[int]] | None") 
             repeated = next(v for i, v in enumerate(vals) if v in vals[:i])
             raise InvalidParameterError(f"axis {axis!r} repeats the value {repeated}")
         out[axis] = vals
+    # p and alpha are a modulus wherever an axis bears the name: checked here,
+    # as rows outside a hypothesis never reach a check that would raise.
+    for p in out.get("p", ()):
+        prime_power_modulus(p, 0)
+    for alpha in out.get("alpha", ()):
+        prime_power_modulus(2, alpha)
     return out
 
 
@@ -236,7 +244,7 @@ def _named(
     raises (a row form's own) is named by the row's prefix."""
     for v in values:
         try:
-            st.check(*prefix, v)
+            st(*prefix, v)
         except InternalInvariantError as inner:
             params = dict(zip(st.axes, prefix + (v,)))
             return InternalInvariantError(f"{st.id} at {params}: {inner}")

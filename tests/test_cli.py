@@ -193,6 +193,31 @@ class TestVerifyCommand:
         assert main(["verify", "T1.3", "--r=-5"]) == 2
         assert "no checkable instances" in capsys.readouterr().err
 
+    # Rows outside a statement's hypothesis are skipped before their check
+    # runs, and an invalid p or alpha is rejected with the overrides, so
+    # these keep the outcome they had when every row reached its check.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "CONJ3.1", "--p", "3,4", "--alpha", "1"], "p must be prime, got 4"),
+            (
+                ["verify", "T1.5", "--alpha=-1,2", "--r", "0"],
+                "alpha must be a nonnegative int, got -1",
+            ),
+            (["verify", "T2.1", "--p", "4", "--n=-1", "--r", "0"], "p must be prime, got 4"),
+            (["conjecture", "T1.5-alpha1", "--p", "4", "--n=-1"], "p must be prime, got 4"),
+            (
+                ["verify", "T1.3", "--r=-1"],
+                "T1.3: the grid produced no checkable instances (7020 skipped by preconditions)",
+            ),
+        ],
+    )
+    def test_rows_outside_the_hypothesis_keep_their_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_failing_theorem_is_exit_1(self, capsys, monkeypatch):
         monkeypatch.setitem(STATEMENTS, "FAKE.T", failing_statement("FAKE.T", "theorem"))
         assert main(["verify", "FAKE.T"]) == 1

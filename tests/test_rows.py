@@ -1,14 +1,18 @@
 """Row forms against the per-instance checks they stand for.
 
-Statement.check_row must return exactly [check(*prefix, v) for v in
-values], for any prefix and any values of the last axis, out-of-hypothesis
-ones included: a row form either computes the row or hands it back (None)
-to be checked once per value.  Every row of the default grids is served by
-its row form, so a row form that hands them back shows here and not only
-as lost speed.  No default grid fails, so the report digests never see a
-failure string; the perturbed-kernel cases make the failure branches run
-and hold row and check to the same (observed, expected) strings, and
-to the same InternalInvariantError where a perturbed sum breaks one.
+Statement.check_row must return exactly [st(*prefix, v) for v in values],
+for any prefix and any values of the last axis, out-of-hypothesis ones
+included: a row outside the entry's hypothesis is all SKIP before its
+check or row form runs, and a row form either computes a row inside it or
+hands it back (None, for sparsity alone) to be checked once per value.
+excluded() below states each hypothesis again, independently of the
+catalog.  Every row of the default grids inside the hypothesis is served
+by its row form, so a row form that hands them back shows here and not
+only as lost speed.  No default grid fails, so the report digests never
+see a failure string; the perturbed-kernel cases make the failure
+branches run and hold row and check to the same (observed, expected)
+strings, and to the same InternalInvariantError where a perturbed sum
+breaks one.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ PRIMES = (2, 3, 5, 7)
 
 
 def per_instance(st, prefix, values) -> list:
-    return [st.check(*prefix, v) for v in values]
+    return [st(*prefix, v) for v in values]
 
 
 def outcome(fn):
@@ -53,19 +57,22 @@ def outcome(fn):
 
 
 def excluded(sid: str, prefix: tuple, v: int) -> bool:
-    """Out of the statement's hypothesis: a negative n or l, n = 0 for
-    L2.2 (its recurrences read the sums at n - 1), and alpha < 2 for T3.1,
-    CONJ3.1 and T1.5."""
+    """Out of the statement's hypothesis: a negative n or l, a negative r
+    for T1.3, n = 0 or alpha = 0 for L2.2 (its recurrences read the sums at
+    n - 1 and divide by p**(alpha-1)), and alpha < 2 for T3.1, CONJ3.1 and
+    T1.5."""
     q = dict(zip(CATALOG[sid].axes, prefix + (v,)))
     if sid in FLECK:
         return q["n"] < 0 or q["alpha"] < 2
-    low_alpha = sid == "T1.5" and q["alpha"] < 2
-    return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0 or low_alpha
+    low_alpha = q.get("alpha", 1) < {"T1.5": 2, "L2.2": 1}.get(sid, 0)
+    low_r = sid == "T1.3" and q["r"] < 0
+    return q["n"] < (1 if sid == "L2.2" else 0) or q["l"] < 0 or low_alpha or low_r
 
 
 def test_row_forms_are_the_main_grid_ids():
     with_rows = {sid for sid, st in CATALOG.items() if st.check in _ROW_FORMS}
     assert with_rows == set(ROW_IDS)
+    assert {sid for sid, st in CATALOG.items() if st.hypothesis} == set(ROW_IDS)
 
 
 def test_a_swapped_check_runs_per_instance():
@@ -178,11 +185,57 @@ def test_row_form_equals_its_checks(sid, data):
             assert res == SKIP, (prefix, v)
 
 
-def test_l22_skips_n_zero_and_negative_sizes():
-    st = STATEMENTS["L2.2"]
-    for prefix in ((2, 1, 0, 0), (3, 2, 1, -1), (2, 2, -1, 4)):
-        assert _ROW_FORMS[st.check](*prefix, list(range(-4, 8))) is None
-        assert st.check_row(prefix, list(range(-4, 8))) == [SKIP] * 12
+@pytest.mark.parametrize("sid", ROW_IDS)
+@given(data=hst.data())
+def test_hypothesis_is_the_prefix_part_of_excluded(sid, data):
+    prefix, _ = draw_row(sid, data)
+    # A last-axis value of 0 (a weight degree, or a residue) excludes nothing.
+    assert CATALOG[sid].hypothesis(*prefix) == (not excluded(sid, prefix, 0))
+
+
+OUTSIDE = [
+    # n < 0, and r < 0 for T1.3
+    *[(sid, (3, 2, -1, 4), list(range(9))) for sid in L_LAST],
+    ("T1.3", (3, 2, 10, -1), list(range(9))),
+    # n < 1, l < 0 or alpha < 1
+    *[
+        ("L2.2", prefix, list(range(-4, 8)))
+        for prefix in ((2, 1, 0, 0), (3, 2, 1, -1), (2, 2, -1, 4), (2, 0, 1, 3))
+    ],
+    # n or l < 0
+    ("T2.1", (3, 1, 2, -1), list(range(-3, 6))),
+    ("T2.1", (3, 1, -1, 10), list(range(-3, 6))),
+    # alpha < 2 and n < 0
+    *[(sid, prefix, list(range(-2, 9))) for sid in FLECK for prefix in ((3, 1, 4), (3, 2, -1))],
+    # n or l < 0, and alpha < 2 for T1.5
+    *[
+        (sid, (3, *alpha, *ln), list(range(-2, 9)))
+        for sid, alpha in (("T1.5", (2,)), ("CONJ1.1", (2,)), ("T1.5-alpha1", ()))
+        for ln in ((2, -1), (-1, 4))
+    ],
+    *[("T1.5", (3, alpha, 2, 4), list(range(-2, 9))) for alpha in (0, 1)],
+]
+
+
+@pytest.mark.parametrize("sid, prefix, values", OUTSIDE)
+def test_rows_outside_the_hypothesis_skip_before_any_check(monkeypatch, sid, prefix, values):
+    assert all(excluded(sid, prefix, v) for v in values)
+    calls = []
+
+    def check(*args):
+        calls.append(args)
+        return True
+
+    def row(*args):
+        calls.append(args)
+        return [True] * len(args[-1])
+
+    # The entry with its check swapped for a spy that has a row form too.
+    monkeypatch.setitem(_ROW_FORMS, check, row)
+    spied = dataclasses.replace(CATALOG[sid], check=check)
+    assert spied.check_row(prefix, values) == [SKIP] * len(values)
+    assert [spied(*prefix, v) for v in values] == [SKIP] * len(values)
+    assert calls == []
 
 
 # Slices of the default grids: every axis the slice leaves out keeps its
@@ -205,32 +258,18 @@ DEFAULT_SLICES = {
 def test_default_rows_are_served_by_their_row_forms(sid):
     st = CATALOG[sid]
     row = _ROW_FORMS[st.check]
-    rows = list(_rows(st.axes, _specs(st, DEFAULT_SLICES[sid])))
+    rows = [r for r in _rows(st.axes, _specs(st, DEFAULT_SLICES[sid])) if st.hypothesis(*r[0])]
     assert rows
     for prefix, values in rows:
         assert row(*prefix, values) is not None, prefix
 
 
+# A row form hands back only rows too sparse to share anything.
 HANDED_BACK = [
-    # sparse weight degrees, a negative degree, and n < 0
+    # sparse weight degrees, and a negative degree
     *[(sid, (3, 2, 10, 4), ls) for sid in L_LAST for ls in ([0, 20], [-1, 0, 1], [3, 1, -2])],
-    *[(sid, (3, 2, -1, 4), list(range(9))) for sid in L_LAST],
-    # a window sparser than its row, and n < 1 or l < 0
+    # a window sparser than its row
     ("L2.2", (3, 1, 2, 10), [-3, 0, 9]),
-    ("L2.2", (3, 1, 2, 0), list(range(-3, 6))),
-    ("L2.2", (3, 1, -1, 10), list(range(-3, 6))),
-    # n or l < 0
-    ("T2.1", (3, 1, 2, -1), list(range(-3, 6))),
-    ("T2.1", (3, 1, -1, 10), list(range(-3, 6))),
-    # alpha < 2 and n < 0
-    *[(sid, prefix, list(range(-2, 9))) for sid in FLECK for prefix in ((3, 1, 4), (3, 2, -1))],
-    # n or l < 0, and alpha < 2 for T1.5
-    *[
-        (sid, (3, *alpha, *ln), list(range(-2, 9)))
-        for sid, alpha in (("T1.5", (2,)), ("CONJ1.1", (2,)), ("T1.5-alpha1", ()))
-        for ln in ((2, -1), (-1, 4))
-    ],
-    *[("T1.5", (3, alpha, 2, 4), list(range(-2, 9))) for alpha in (0, 1)],
 ]
 
 

@@ -76,6 +76,10 @@ class TestRegistry:
         for st in list(STATEMENTS.values()) + list(SEARCHES.values()):
             params = tuple(inspect.signature(st.check).parameters)
             assert params == st.axes, st.id
+            # A hypothesis reads the prefix: every axis but the last.
+            if st.hypothesis:
+                params = tuple(inspect.signature(st.hypothesis).parameters)
+                assert params == st.axes[:-1], st.id
 
     def test_public_checks_are_the_catalog_checks(self):
         assert STATEMENTS["T1.5"].check is check_lucas_reduction
@@ -133,7 +137,7 @@ class TestDigitReduction:
         assert found > 0
 
     def test_needs_alpha_at_least_two(self):
-        assert check_lucas_reduction(2, 1, 0, 10, 2) == SKIP
+        assert STATEMENTS["T1.5"](2, 1, 0, 10, 2) == SKIP
 
 
 class TestDigitProductCongruence:
@@ -237,7 +241,7 @@ class TestFleckReductions:
         assert check_fleck_shift_chain(3, 2, 0, 5, 1) is True
 
     def test_validation(self):
-        assert check_fleck_reduction(2, 1, 3, 1) == SKIP
+        assert STATEMENTS["T3.1"](2, 1, 3, 1) == SKIP
         assert check_fleck_shift_chain(2, 2, 2, 4, 1) == SKIP
         assert check_fleck_shift_chain(2, 2, -1, 4, 1) == SKIP
 
@@ -331,7 +335,7 @@ class TestAdapterSkips:
 
 class TestAdapterValidation:
     def test_recurrence_adapter_needs_alpha_at_least_one(self):
-        assert STATEMENTS["L2.2"].check(p=2, alpha=0, l=1, n=3, r=0) == SKIP
+        assert STATEMENTS["L2.2"](2, 0, 1, 3, 0) == SKIP
 
     def test_convolution_adapter_needs_alpha_at_least_one(self):
         assert STATEMENTS["L2.4"].check(p=2, alpha=0, l=1, n=3, r=0) == SKIP
