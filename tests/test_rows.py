@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
-from flecklab import combinatorics, quantities, statements, sums
+from flecklab import combinatorics, padic, quantities, statements, sums
 from flecklab.errors import InternalInvariantError
 from flecklab.statements import _ROW_FORMS, SEARCHES, SKIP, STATEMENTS
 from flecklab.verifier import _rows, _specs, iter_instances, run_statement, search_conjecture
@@ -704,6 +704,97 @@ def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, 
     with pytest.raises(InternalInvariantError) as info:
         run_statement(sid, grid)
     assert str(info.value) == message
+
+
+# Weisman's exponent itself raised by 1 (padic._weisman, in every flecklab
+# module that holds it): the normalizer divides by one power of p too many
+# and raises where a class sum is not divisible by it, and at n = 0, where
+# the exponent is -1, it multiplies by one power of p too few.  C1.2cor
+# compares an order with the exponent.  Each id's report on a small slice is
+# pinned by status, failure count and the digest of its JSON, or by the
+# InternalInvariantError that named the first instance reading such a sum.
+# The residue folds of T3.1 and CONJ3.1 take their modulus from the same
+# exponent, so they must report exactly what the exact folds did.
+
+_weisman = padic._weisman
+
+
+@pytest.fixture
+def weisman_raised(monkeypatch):
+    _clear_caches()
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith("flecklab") and vars(mod).get("_weisman") is _weisman:
+            monkeypatch.setattr(mod, "_weisman", lambda p, alpha, n: _weisman(p, alpha, n) + 1)
+    yield
+    monkeypatch.undo()
+    _clear_caches()
+
+
+def _reported(sid, grid):
+    """(status, failure count, digest of the report's JSON) of sid's sweep
+    over grid, or the message of the InternalInvariantError it raised."""
+    sweep = search_conjecture if sid in SEARCHES else run_statement
+    try:
+        report = sweep(sid, grid)
+    except InternalInvariantError as exc:
+        return ("raised", str(exc))
+    digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+    return report.status, len(report.failures), digest
+
+
+WEISMAN_RAISED = [
+    (
+        "T1.7", T17_GRID,
+        ("raised", "T1.7 at {'p': 2, 'alpha': 2, 'n': 2, 's': 0, 't': 0, 'r': 0}: "
+         "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=2, r=0)"),
+    ),
+    (
+        "C1.2cor", {"alpha": (2, 3), "n": tuple(range(12))},
+        ("fail", 16, "ab6075bf8e89546881daa206f3a29362bcd5536328dccb1b9bd8af04fc22e01e"),
+    ),
+    (
+        "CONJ1.2", {"p": (2, 3), "n": tuple(range(8))},
+        ("raised", "CONJ1.2 at {'p': 2, 'n': 2, 's': 0}: "
+         "Weisman-normalized sum is not an integer at (p=2, alpha=1, N=2, r=0)"),
+    ),
+    (
+        "CONJ1.2", {"p": (2, 3, 5), "n": (0, 1)},
+        ("counterexample-found", 7,
+         "265c3b0e1fe1709bfdb76236f85683519d58a7b0e9956c1e5f6c800079bfc0b5"),
+    ),
+    (
+        "T3.1", {"p": (2, 3), "alpha": (2, 3), "n": tuple(range(8))},
+        ("raised", "T3.1 at {'p': 2, 'alpha': 2, 'n': 1, 'r': -2}: "
+         "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=2, r=-2)"),
+    ),
+    (
+        "T3.1", {"p": (2, 3, 5), "alpha": (2, 3), "n": (0,)},
+        ("pass", 0, "942ad4aeab474e76ca08ba96d75467fac6595ae5492824afa5ed5667510f2303"),
+    ),
+    (
+        "CONJ3.1", {"p": (3, 5), "alpha": (2,), "n": tuple(range(8))},
+        ("raised", "CONJ3.1 at {'p': 3, 'alpha': 2, 'n': 1, 'r': -2}: "
+         "Weisman-normalized sum is not an integer at (p=3, alpha=2, N=3, r=-6)"),
+    ),
+    (
+        "CONJ3.1", {"p": (3, 5), "alpha": (2, 3), "n": (0,)},
+        ("pass", 0, "887685b24116c3c63655cce85c792e6066a7c9f4f447212d8d42e9178c980ea7"),
+    ),
+    (
+        "C3.1cor", {"p": (2, 3), "alpha": (1, 2, 3), "n": tuple(range(6))},
+        ("raised", "C3.1cor at {'p': 2, 'alpha': 1, 'beta': 0, 'n': 1, 'r': -2}: "
+         "Weisman-normalized sum is not an integer at (p=2, alpha=1, N=1, r=-2)"),
+    ),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "sid, grid, expected",
+    WEISMAN_RAISED,
+    ids=[f"{c[0]}-{c[2][0]}" for c in WEISMAN_RAISED],
+)
+def test_raised_weisman_exponent_reports_as_pinned(weisman_raised, sid, grid, expected):
+    assert _reported(sid, grid) == expected
 
 
 # ---------------------------------------------------------------------------
