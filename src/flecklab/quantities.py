@@ -29,9 +29,11 @@ weight list or a kernel call.  _norm_sum_window keeps them in a cache that
 serves L2.2's neighbouring rows; the row forms of T2.1, T1.5, T1.5-alpha1
 and CONJ1.1 read no row twice and take _norm_sums past it, so they keep
 none of the values they read.
-_fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues
-from one fold of the binomial row (sums._class_sums).  Both hold every
-value to the same invariants as the single-value path.
+_fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues,
+mod p**(b + 1) for the bound b of the check that reads them, from one
+residue fold of the binomial row (sums._class_residues) mod p**(w + b + 1).
+Both hold every value to the same invariants as the single-value path;
+fleck_sum_value and normalized_sum_value stay exact.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .padic import (
 )
 from .sums import (
     _binomial_weights,
-    _class_sums,
+    _class_residues,
     alt_sum_binom,
     alt_sum_power,
     degree_order_bound,
@@ -201,17 +203,26 @@ def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
     return _weisman_normalized(p, alpha, row, r, plain_alt_sum(row, r, m))
 
 
-def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int]) -> Iterator[int]:
-    """_fleck_sum_value at each r of rs, in order, from one fold of the row.
+def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int], b: int) -> Iterator[int]:
+    """_fleck_sum_value mod p**(b + 1), in 0 .. p**(b+1) - 1, at each r of
+    rs, in order, for a check's bound b >= 0, from one residue fold of the
+    row.
 
-    The row is folded on the call and the fold is dropped with the
-    iterator.  Each value is normalized, and its integrality checked, as it
-    is read, so a row form that reads two of these in step with its
-    per-instance check raises at the same r.
+    The fold keeps the row's class sums mod p**(w + b + 1), w Weisman's
+    exponent: enough to check that p**w divides each sum, and to give each
+    Fleck value mod p**(b + 1).  So the order of a value, or of the
+    difference of two read with the same b, is exact when it is at most b,
+    and INFINITY (the residue 0) when it is more: a verdict "order >= b"
+    and the order its failure prints come out as from the exact values,
+    with a digit to spare.  The row is folded on the call and the fold is
+    dropped with the iterator.  Each value is normalized, and its
+    integrality checked, as it is read, so a row form that reads two of
+    these in step with its per-instance check raises at the same r.
     """
     row, m = _fleck_row(p, alpha, n)
-    sums = _class_sums(row, m)
-    return (_weisman_normalized(p, alpha, row, r, sums[r % m]) for r in rs)
+    sums = _class_residues(row, m, p, _weisman(p, alpha, row) + b + 1)
+    q = p ** (b + 1)
+    return (_weisman_normalized(p, alpha, row, r, sums[r % m]) % q for r in rs)
 
 
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:

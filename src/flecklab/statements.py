@@ -16,16 +16,18 @@ class terms, the bound terms or the normalized sums at the row's
 residues, and passes each value's to the verdict function its check
 uses, so a verdict and its failure strings are written once.  T1.1-T1.3,
 L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1 and CONJ3.1 have one.  T3.1
-and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums,
-one fold of each binomial row they need, and CONJ1.2 folds its two rows
-once per instance.  T1.5, T1.5-alpha1 and CONJ1.1 read the normalized
-sums of their two levels from quantities._norm_sums, in step with their
-checks, and keep none of them.  Each of these ten entries declares its
-hypothesis on a row's prefix once (Statement.hypothesis), and a row
-outside it is skipped whole, so a row form sees only rows inside it.  It
-returns one result per value, or None to hand a row too sparse to share
-anything back: Statement.check_row then runs the check once per value,
-as it does for a check with no row form.  Row forms are looked up by the
+and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums, one
+residue fold of each binomial row they need, mod p to one power past the
+bound their verdict holds the sums to (_fleck_reduction_bound,
+_conj31_bound); their per-instance checks read the exact sums.  CONJ1.2
+folds its two rows once per instance, exactly.  T1.5, T1.5-alpha1 and
+CONJ1.1 read the normalized sums of their two levels from
+quantities._norm_sums, in step with their checks, and keep none of them.
+Each of these ten entries declares its hypothesis on a row's prefix once
+(Statement.hypothesis), and a row outside it is skipped whole, so a row
+form sees only rows inside it.  It returns one result per value, or None
+to hand a row too sparse to share anything back: Statement.check_row then
+runs the check once per value, as it does for a check with no row form.  Row forms are looked up by the
 check they were written for, and the tests hold each to its check, the
 statement's spec.
 A residue class r mod m with r mod m > n has no terms, so its sum is 0, of
@@ -37,7 +39,8 @@ sums divide them by p to Weisman's exponent through
 quantities._weisman_normalized, which raises InternalInvariantError if
 the division is not exact, and C1.2cor reads the same exponent from
 padic._weisman.  Fleck's exponent floor((n-1)/(p-1)) is its special case
-at row p**(alpha-1) * n.  Every normalized value is an exact integer.
+at row p**(alpha-1) * n.  Every normalized value is an exact integer, or,
+in the Fleck row forms, its exact residue mod p**(b + 1).
 
 Every check in the catalog runs in integers: a rational is carried as an
 integer numerator and denominator, neither reduced, and its order is
@@ -202,7 +205,9 @@ def _prime_factors(m: int) -> list[int]:
 # values of C1.1cor, T1.4's inverse sequence, L2.5's weights and CONJ1.3's
 # value) are an integer numerator and denominator.  Checks compare by
 # cross-multiplying, take orders of the two integers, and build a Fraction
-# only to describe a failure.
+# only to describe a failure.  CONJ1.3 reads its numerator S only mod
+# p**(ord_p(D) + 2), past the order its verdict tests, and sums the exact S
+# only for a failure.
 
 
 def _denominator(p: int, alpha: int, n: int) -> tuple[int, int]:
@@ -381,17 +386,25 @@ def check_fleck_reduction(p: int, alpha: int, n: int, r: int):
     return _fleck_reduction_verdict(p, alpha, sa, sb)
 
 
+def _fleck_reduction_bound(p: int, alpha: int) -> int:
+    """T3.1's bound on the difference order when p | r; the bound alpha - 2
+    on the order otherwise is no larger."""
+    return (2 - (p == 2)) * (alpha - 2)
+
+
 def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
     """check_fleck_reduction's result from F(alpha; n, r) and, when p | r,
     F(alpha-1; n, r/p) (None otherwise)."""
     if sb is not None:
-        return _at_least(_int_order(p, sa - sb), (2 - (p == 2)) * (alpha - 2), "difference order")
+        bound = _fleck_reduction_bound(p, alpha)
+        return _at_least(_int_order(p, sa - sb), bound, "difference order")
     return _at_least(_int_order(p, sa), alpha - 2)
 
 
 def _fleck_reduction_row(p, alpha, n, rs):
-    sas = _fleck_sums(p, alpha, n, rs)
-    sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0])
+    bound = _fleck_reduction_bound(p, alpha)
+    sas = _fleck_sums(p, alpha, n, rs, bound)
+    sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0], bound)
     return [
         _fleck_reduction_verdict(p, alpha, sa, next(sbs) if r % p == 0 else None)
         for r, sa in zip(rs, sas)
@@ -869,12 +882,18 @@ def _conj13(p, alpha, n, r, j):
     l = n0 + (base - n0) % step + j * step
     r_star = r % ma
     n_star = r_star + (n - r) % ma
-    # The value S / D is a unit +-1 mod p when ord_p(S -+ D) - ord_p(D) >= 1.
-    s = alt_sum_power(n, r, ma, l)
+    # The value S / D is a unit +-1 mod p when ord_p(S -+ D) - ord_p(D) >= 1,
+    # which S mod q = p**(ord_p(D) + 2) decides: S -+ D is 0 mod q exactly
+    # when its order reaches ord_p(D) + 2, one past the bound, and below
+    # that its order is exact.  The exact S is summed only to word a failure.
     d = math.factorial(n0) * math.comb(n_star, r_star)
     od = _int_order(p, d)
-    if _int_order(p, s - d) - od >= 1 or _int_order(p, s + d) - od >= 1:
+    q = p ** (od + 2)
+    terms = _class_binomials(n, r % ma, ma)
+    s = sum(t * pow(i, l, q) for i, t in enumerate(terms, -(r // ma)))
+    if _int_order(p, (s - d) % q) - od >= 1 or _int_order(p, (s + d) % q) - od >= 1:
         return True
+    s = alt_sum_power(n, r, ma, l)
     return (f"normalized value {Fraction(s, d)}", "congruent to +1 or -1 mod p")
 
 
@@ -884,14 +903,20 @@ def _conj31(p, alpha, n, r):
     return _conj31_verdict(p, alpha, d)
 
 
+def _conj31_bound(p: int, alpha: int) -> int:
+    """CONJ3.1's bound on the difference order."""
+    return 2 * alpha - 2 - (p == 3)
+
+
 def _conj31_verdict(p: int, alpha: int, d: int):
     """_conj31's result from d = F(alpha; n, p r) - F(alpha-1; n, r)."""
-    return _at_least(_int_order(p, d), 2 * alpha - 2 - (p == 3), "difference order")
+    return _at_least(_int_order(p, d), _conj31_bound(p, alpha), "difference order")
 
 
 def _conj31_row(p, alpha, n, rs):
-    lhs = _fleck_sums(p, alpha, n, [p * r for r in rs])
-    rhs = _fleck_sums(p, alpha - 1, n, rs)
+    bound = _conj31_bound(p, alpha)
+    lhs = _fleck_sums(p, alpha, n, [p * r for r in rs], bound)
+    rhs = _fleck_sums(p, alpha - 1, n, rs, bound)
     return [_conj31_verdict(p, alpha, a - b) for a, b in zip(lhs, rhs)]
 
 

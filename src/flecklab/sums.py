@@ -28,6 +28,10 @@ sum of every class of one row folds the row instead: _class_sums(n, m) walks
 row n once by the recurrence binomial(n, k+1) = binomial(n, k) (n-k) / (k+1)
 and adds each signed term to its class k mod m, with no math.comb call.  The
 fold is made per call and never kept; plain_alt_sum stays its oracle.
+A caller that needs those sums only mod p**k takes _class_residues(n, m,
+p, k), the same walk in units mod p**k and exact orders, which keeps m
+residues of k digits instead of m sums of up to n bits; _class_sums,
+reduced mod p**k, is its oracle.
 """
 
 from __future__ import annotations
@@ -206,8 +210,8 @@ def _class_sums(n: int, m: int) -> list[int]:
     over row n (all zero for n < 0).
 
     Only half the row is walked: the term at n - k is (-1)**n times the
-    term at k.  The sums are kept in one list of m, the largest thing a
-    fold holds.
+    term at k.  The sums are kept in one list of m exact integers, of up to
+    n bits each; _class_residues keeps them mod a power of p instead.
     """
     if m < 1:
         raise _modulus_error(m)
@@ -225,6 +229,48 @@ def _class_sums(n: int, m: int) -> list[int]:
     if n >= 0 and not odd:
         out[half % m] += t  # the middle term, k = n/2
     return out
+
+
+def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
+    """_class_sums(n, m) mod p**k, each in 0 .. p**k - 1, for a prime p;
+    all zero for n < 0 or k <= 0.
+
+    The walk is _class_sums' over half the row, with (-1)**i *
+    binomial(n, i) carried as u * p**v: u a unit mod p**k and v its exact
+    p-adic order.  Each step strips the p-parts of n - i and i + 1 into v
+    and multiplies u by the rest of n - i and by the inverse of the rest of
+    i + 1.  A term with v >= k is 0 mod p**k.  Only the m residues are
+    kept, each below p**k times the number of terms of its class.
+    """
+    if m < 1:
+        raise _modulus_error(m)
+    out = [0] * m
+    if n < 0 or k <= 0:
+        return out
+    q = p**k
+    powers = [p**e for e in range(k)]
+    u, v = 1, 0
+    half = (n + 1) // 2
+    odd = n % 2
+    for i in range(half):
+        if v < k:
+            t = u * powers[v]
+            out[i % m] += t
+            if odd:
+                out[(n - i) % m] -= t
+            else:
+                out[(n - i) % m] += t
+        a, b = n - i, i + 1
+        while not a % p:
+            a //= p
+            v += 1
+        while not b % p:
+            b //= p
+            v -= 1
+        u = -u * a * pow(b, -1, q) % q
+    if not odd and v < k:
+        out[half % m] += u * powers[v]  # the middle term, i = n/2
+    return [s % q for s in out]
 
 
 def restricted_sum(spec: RestrictedSumSpec) -> "int | Fraction":

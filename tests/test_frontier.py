@@ -1,11 +1,15 @@
-"""The frontier sweeps whose sums come from row folds, pinned by digest.
+"""The frontier sweeps whose verdicts come from row folds or residues,
+pinned by digest.
 
-CONJ1.2 and CONJ3.1 read every class sum of their binomial rows from one
-fold (sums._class_sums).  On their default grids the rows are small; the
-frontier grids of perfbench/workloads.py reach rows of several thousand
-terms and moduli up to 7**4, so their reports are held here to the digests
-perfbench/record_digests.py recorded, as test_acceptance holds the default
-grids.
+CONJ1.2 reads every class sum of its binomial rows from one exact fold
+(sums._class_sums).  CONJ3.1 reads its Fleck sums from one residue fold of
+each row (sums._class_residues), mod p to one power past its bound, and
+CONJ1.3 decides each instance from its power sum mod p**(ord_p(D) + 2).
+On their default grids the rows are small; the frontier grids of
+perfbench/workloads.py reach rows of several thousand terms, moduli up to
+7**4 and weight degrees in the hundreds, so their reports are held here to
+the digests perfbench/record_digests.py recorded, as test_acceptance holds
+the default grids.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from flecklab.verifier import search_conjecture
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
-# perfbench/workloads.py's FRONTIER_GRIDS for the two ids.
+# perfbench/workloads.py's FRONTIER_GRIDS for the three ids.
 FRONTIER_GRIDS = {
     "CONJ1.2": {"p": (2, 3, 5, 7), "n": tuple(range(97))},
+    "CONJ1.3": {"p": (2, 3, 5, 7), "alpha": (0, 1, 2), "n": tuple(range(161))},
     "CONJ3.1": {"p": (3, 5, 7), "alpha": (2, 3, 4), "n": tuple(range(41))},
 }
 

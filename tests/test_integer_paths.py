@@ -48,7 +48,7 @@ from flecklab.statements import (
     check_harmonic_congruence,
 )
 from flecklab.sums import alt_sum_binom, alt_sum_power
-from flecklab.verifier import run_statement, search_conjecture
+from flecklab.verifier import iter_instances, run_statement, search_conjecture
 from test_rows import _bumped, _class_binomials, _scaled
 
 _ROUNDTRIP_N = 32
@@ -159,10 +159,13 @@ def l25_oracle(p, alpha, n, j):
     return True if o >= 0 else (f"weight order {o}", ">= 0")
 
 
-def conj13_oracle(p, alpha, n, r, j):
+def _conj13_value(p, alpha, n, r, j):
+    """CONJ1.3's exact S = alt_sum_power(n, r, p**alpha, l) at its weight
+    degree l, and D = floor(n/p**alpha)! * binomial(n*, r*); None outside
+    its hypothesis."""
     ma = prime_power_modulus(p, alpha).m
     if n < 2 * ma - 1 or j < 0:
-        return SKIP
+        return None
     n0 = n // ma
     e = 0
     while p ** (alpha + e + 1) <= n:
@@ -172,12 +175,30 @@ def conj13_oracle(p, alpha, n, r, j):
     l = n0 + (base - n0) % step + j * step
     r_star = r % ma
     n_star = r_star + (n - r) % ma
-    v = Fraction(
-        alt_sum_power(n, r, ma, l), math.factorial(n0) * math.comb(n_star, r_star)
-    )
+    return alt_sum_power(n, r, ma, l), math.factorial(n0) * math.comb(n_star, r_star)
+
+
+def conj13_oracle(p, alpha, n, r, j):
+    sd = _conj13_value(p, alpha, n, r, j)
+    if sd is None:
+        return SKIP
+    v = Fraction(*sd)
     if padic_order(p, v - 1) >= 1 or padic_order(p, v + 1) >= 1:
         return True
     return (f"normalized value {v}", "congruent to +1 or -1 mod p")
+
+
+def conj13_exact(p, alpha, n, r, j):
+    """The integer body CONJ1.3 had before it read S mod p**(ord_p(D) + 2):
+    the orders of the exact S -+ D."""
+    sd = _conj13_value(p, alpha, n, r, j)
+    if sd is None:
+        return SKIP
+    s, d = sd
+    od = padic_order(p, d)
+    if padic_order(p, s - d) - od >= 1 or padic_order(p, s + d) - od >= 1:
+        return True
+    return (f"normalized value {Fraction(s, d)}", "congruent to +1 or -1 mod p")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +332,22 @@ def test_l25_matches_its_oracle(alpha, n, data):
 )
 def test_conj13_matches_its_oracle(p, alpha, n, r, j, fn):
     assert_same(STATEMENTS["CONJ1.3"].check, conj13_oracle, (p, alpha, n, r, j), fn)
+
+
+@pytest.mark.parametrize("fn", [None, _scaled], ids=["real", "scaled"])
+def test_conj13_matches_its_exact_body_on_a_frontier_slice(fn):
+    # p = 7 and n up to 120, where the weight degrees and the order of D
+    # run as high as on the frontier grid.  The scaled kernel multiplies S
+    # by n + 1, which fails every instance with n + 1 not +-1 mod 7, so
+    # the wording of a failure is compared too.
+    st = SEARCHES["CONJ1.3"]
+    grid = {"p": (7,), "alpha": (0, 1, 2), "n": tuple(range(121))}
+    with kernel(fn):
+        got = [(inst, st.check(*inst), conj13_exact(*inst)) for inst in iter_instances(st, grid)]
+    assert len(got) > 5000
+    assert all(res == exact for _, res, exact in got), next(g for g in got if g[1] != g[2])
+    failures = sum(isinstance(res, tuple) for _, res, _ in got)
+    assert (failures == 0) == (fn is None)
 
 
 def test_scaled_bernoulli_is_the_integer_multiple():

@@ -112,10 +112,13 @@ class TestFleckNormalizedSum:
         st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]),
         st.integers(0, 30),
         st.lists(st.integers(-40, 60), max_size=12),
+        st.integers(0, 6),
     )
-    def test_row_of_sums_matches_the_single_values(self, pa, n, rs):
+    def test_row_of_sums_matches_the_single_values(self, pa, n, rs, b):
+        # The row reads each value mod p**(b+1), from residues of the row.
         p, alpha = pa
-        assert list(_fleck_sums(p, alpha, n, rs)) == [fleck_sum_value(p, alpha, n, r) for r in rs]
+        got = list(_fleck_sums(p, alpha, n, rs, b))
+        assert got == [fleck_sum_value(p, alpha, n, r) % p ** (b + 1) for r in rs]
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -124,7 +127,7 @@ class TestFleckNormalizedSum:
             fleck_sum_value(2, 1, -1, 0)
         for args in ((2, 0, 5), (2, 1, -1), (4, 1, 3)):
             with pytest.raises(InvalidParameterError):
-                _fleck_sums(*args, [0])
+                _fleck_sums(*args, [0], 1)
 
 
 class TestWeismanNormalization:

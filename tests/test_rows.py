@@ -387,6 +387,7 @@ def test_l22_computes_each_window_once(monkeypatch):
 
 _class_binomials = combinatorics._class_binomials
 _class_sums = sums._class_sums
+_class_residues = sums._class_residues
 
 
 def _bumped(n, c, m):
@@ -423,11 +424,21 @@ def _clear_caches():
                     obj.cache_clear()
 
 
+def _residues_of(fold):
+    """The residue fold that reduces fold's exact sums mod p**k."""
+
+    def residues(n, m, p, k):
+        return [s % p**k for s in fold(n, m)]
+
+    return residues
+
+
 @pytest.fixture
 def kernel(monkeypatch):
     """Install a perturbed class-sum kernel, and the same perturbation of the
     row fold if one is given, in every flecklab module that imported the
-    real ones, with every cache cleared before and after."""
+    real ones, with every cache cleared before and after.  A perturbed fold
+    is installed as the residue fold too, reduced mod p**k."""
 
     def install(fn, fold=_class_sums):
         _clear_caches()
@@ -438,6 +449,8 @@ def kernel(monkeypatch):
                 monkeypatch.setattr(mod, "_class_binomials", fn)
             if vars(mod).get("_class_sums") is _class_sums:
                 monkeypatch.setattr(mod, "_class_sums", fold)
+            if fold is not _class_sums and vars(mod).get("_class_residues") is _class_residues:
+                monkeypatch.setattr(mod, "_class_residues", _residues_of(fold))
 
     yield install
     monkeypatch.undo()
@@ -723,7 +736,9 @@ _weisman = padic._weisman
 def weisman_raised(monkeypatch):
     _clear_caches()
     for name, mod in list(sys.modules.items()):
-        if mod is not None and name.startswith("flecklab") and vars(mod).get("_weisman") is _weisman:
+        if mod is None or not name.startswith("flecklab"):
+            continue
+        if vars(mod).get("_weisman") is _weisman:
             monkeypatch.setattr(mod, "_weisman", lambda p, alpha, n: _weisman(p, alpha, n) + 1)
     yield
     monkeypatch.undo()

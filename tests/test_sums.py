@@ -13,6 +13,7 @@ from flecklab.errors import InvalidParameterError
 from flecklab.padic import INFINITY, PrimePowerModulus, padic_order
 from flecklab.sums import (
     RestrictedSumSpec,
+    _class_residues,
     _class_sums,
     alt_sum_binom,
     alt_sum_f,
@@ -113,6 +114,7 @@ class TestSumEvaluators:
             lambda: alt_sum_binom(5, 0, m, -1),
             lambda: alt_sum_f(5, 0, m, lambda x: x),
             lambda: _class_sums(5, m),
+            lambda: _class_residues(5, m, 2, 3),
         ]
         for evaluate in evaluators:
             with pytest.raises(InvalidParameterError, match="modulus must be positive"):
@@ -148,6 +150,38 @@ class TestClassSumFold:
 
     def test_negative_row_is_empty(self):
         assert _class_sums(-1, 3) == [0, 0, 0] == [plain_alt_sum(-1, c, 3) for c in range(3)]
+
+
+class TestClassResidues:
+    """_class_residues walks the row in units mod p**k and exact orders;
+    the exact fold, reduced mod p**k, is its oracle."""
+
+    @given(
+        st.sampled_from((2, 3, 5, 7)),
+        st.integers(0, 3),
+        st.one_of(st.integers(-2, 300), st.sampled_from((-2, -1, 0, 1, 2))),
+        st.integers(0, 10),
+    )
+    def test_residues_are_the_exact_sums_mod_p_to_k(self, p, a, n, k):
+        m = p**a
+        assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+
+    @pytest.mark.parametrize("p, n, k", [(2, 64, 3), (3, 81, 2), (5, 250, 2), (7, 98, 1)])
+    def test_terms_of_order_k_and_above_vanish(self, p, n, k):
+        # Most of these rows' binomials have order k or more, and each of
+        # them is 0 mod p**k.
+        vanishing = sum(padic_order(p, math.comb(n, i)) >= k for i in range(n + 1))
+        assert 2 * vanishing > n + 1
+        for a in range(4):
+            m = p**a
+            assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+
+    def test_hand_values(self):
+        assert _class_residues(0, 3, 3, 2) == [1, 0, 0]
+        assert _class_residues(4, 2, 2, 2) == [0, 0]  # 8 and -8 mod 4
+        assert _class_residues(3, 5, 5, 1) == [1, 2, 3, 4, 0]  # 1, -3, 3, -1, 0 mod 5
+        assert _class_residues(6, 4, 2, 0) == [0, 0, 0, 0]
+        assert _class_residues(-1, 3, 3, 4) == [0, 0, 0]
 
 
 class TestRestrictedSumSpec:
