@@ -239,8 +239,9 @@ def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
     binomial(n, i) carried as u * p**v: u a unit mod p**k and v its exact
     p-adic order.  Each step strips the p-parts of n - i and i + 1 into v
     and multiplies u by the rest of n - i and by the inverse of the rest of
-    i + 1.  A term with v >= k is 0 mod p**k.  Only the m residues are
-    kept, each below p**k times the number of terms of its class.
+    i + 1.  A term with v >= k is 0 mod p**k.  The walk keeps m partial
+    sums, each at most p**k times its class's number of terms in size, and
+    no term once it is added.
     """
     if m < 1:
         raise _modulus_error(m)

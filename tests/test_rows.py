@@ -726,8 +726,8 @@ def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, 
 # compares an order with the exponent.  Each id's report on a small slice is
 # pinned by status, failure count and the digest of its JSON, or by the
 # InternalInvariantError that named the first instance reading such a sum.
-# The residue folds of T3.1 and CONJ3.1 take their modulus from the same
-# exponent, so they must report exactly what the exact folds did.
+# The residue folds of T3.1's and CONJ3.1's row forms take their modulus
+# from the same exponent, so these pins hold them to it as well.
 
 _weisman = padic._weisman
 
