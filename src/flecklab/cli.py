@@ -309,8 +309,8 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes (default 1); "
-        "reports are byte-identical at any job count",
+        help="worker processes (default 1; no more than the sweep's blocks "
+        "or the machine's cores); reports are byte-identical at any job count",
     )
     sub.add_argument(
         "--failure-cap",

@@ -8,12 +8,13 @@ zero for k < 0.  Bernoulli polynomials use the B_1 = -1/2 normalization,
 i.e. B_m(x) is the unique polynomial with B_m(x+1) - B_m(x) = m*x**(m-1)
 and constant term equal to the m-th Bernoulli number.
 
-Sweeps evaluate D_m * B_m(x) instead, an integer polynomial (cached beside
-bernoulli_polynomial): D_m is the lcm of the denominators of the
-coefficients binomial(m, k) * B_k, each of which divides the denominator of
-B_k.  By von Staudt-Clausen that denominator is the product of the primes q
-with (q - 1) | k for even k >= 2 (2 for B_1, 1 for B_0 and the odd k >= 3),
-so D_m is squarefree and divides the product of the primes q <= m + 1.
+Sweeps evaluate D_m * B_m(x) instead, an integer polynomial (cached, and
+built once per m from bernoulli_polynomial): D_m is the lcm of the
+denominators of the coefficients binomial(m, k) * B_k, each of which
+divides the denominator of B_k.  By von Staudt-Clausen that denominator
+is the product of the primes q with (q - 1) | k for even k >= 2 (2 for
+B_1, 1 for B_0 and the odd k >= 3), so D_m is squarefree and divides the
+product of the primes q <= m + 1.
 """
 
 from __future__ import annotations
@@ -166,7 +167,6 @@ class Polynomial:
         return f"Polynomial({list(self.coeffs)!r})"
 
 
-@lru_cache(maxsize=None)
 def bernoulli_polynomial(m: int) -> Polynomial:
     """B_m(x) = sum_k binomial(m, k) * B_k * x**(m-k)."""
     if m < 0:

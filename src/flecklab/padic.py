@@ -45,8 +45,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-# Typed, so that a float never hits the entry of the int it equals.
-@lru_cache(maxsize=None, typed=True)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below 3.3e24."""
     _require_int("n", n)

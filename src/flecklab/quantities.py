@@ -22,18 +22,19 @@ form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
 computed from the definition and cross-checked against the closed form on
 every call.
 
-Row forms read many sums of one row at once.  _norm_sums gives the
-normalized sums of one (l, n) at any residues, sharing the weight lists,
-and gives 0 for a residue whose class is empty (r mod m > n) without a
-weight list or a kernel call.  _norm_sum_window keeps them in a cache that
-serves L2.2's neighbouring rows; the row forms of T2.1, T1.5, T1.5-alpha1
-and CONJ1.1 read no row twice and take _norm_sums past it, so they keep
-none of the values they read.
+_norm_sums is the one evaluator of the first normalization: it gives the
+numerators of one (l, n) at any residues, sharing the weight lists, gives 0
+for a residue whose class is empty (r mod m > n) without a weight list or a
+kernel call, and holds every value to both invariants.  _norm_denominator
+gives the denominator d! and its order.  _norm_sum_value keeps single
+values (L2.4, L4.2, T4.1 and the per-instance checks), and _norm_sum_window
+whole windows, which serves L2.2's neighbouring rows; the row forms of
+T2.1, T1.5, T1.5-alpha1 and CONJ1.1 read no row twice and take _norm_sums
+past both, so they keep none of the values they read.
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues,
 mod p**(b + 1) for the bound b of the check that reads them, from one
-residue fold of the binomial row (sums._class_residues) mod p**(w + b + 1).
-Both hold every value to the same invariants as the single-value path;
-fleck_sum_value and normalized_sum_value stay exact.
+residue fold of the binomial row (sums._class_residues) mod p**(w + b + 1),
+each held to the same integrality as fleck_sum_value, which stays exact.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .combinatorics import _class_binomials, binomial
 from .errors import InternalInvariantError, InvalidParameterError
@@ -53,11 +54,12 @@ from .padic import (
     _scaled_floor,
     _weisman,
     prime_power_modulus,
-    scaled_floor,
 )
 from .sums import (
     _binomial_weights,
     _class_residues,
+    # Nothing here calls alt_sum_binom: _norm_sums evaluates every normalized
+    # sum.  The name stays because perfbench's tracer test looks it up here.
     alt_sum_binom,
     alt_sum_power,
     degree_order_bound,
@@ -72,84 +74,62 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1 << 18)
-def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
-    """The normalized sum in integer form: num = l! * p**l * S, whose value
-    is num / d! with d = scaled_floor(n, p, alpha - 1), i.e. floor(n/h).
+def _norm_denominator(p: int, alpha: int, n: int) -> tuple[int, int]:
+    """d! and ord_p(d!) with d = scaled_floor(n, p, alpha - 1): the
+    denominator of every normalized sum of row n at level alpha."""
+    d = _scaled_floor(n, p, alpha - 1)
+    return math.factorial(d), _factorial_order(p, d)
+
+
+def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[int, ...]:
+    """The normalized sums of row n at each r of rs, in order, in integer
+    form: num = l! * p**l * S, whose value is num / d! (_norm_denominator).
 
     Sweeps compare these by cross-multiplying and take orders as
-    ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  d
-    depends on (p, alpha, n) alone and is not stored: the cache holds up to
-    2**18 values, and a tuple per entry would cost several MB.  Its sweep
-    readers: L2.4, L4.2 and T4.1.
-    """
-    pm = prime_power_modulus(p, alpha)
-    if l < 0 or n < 0:
-        raise InvalidParameterError("l and n must be nonnegative")
-    scale = math.factorial(l) * p**l
-    num = scale * alt_sum_binom(n, r, pm.m, l)
-    return _checked_norm(p, alpha, l, n, r, scale, _integral(p, alpha, n), num)
-
-
-def _integral(p: int, alpha: int, n: int) -> int:
-    """p**ord_p(d!), which divides the numerator of every normalized sum
-    of row n at level alpha."""
-    return p ** _factorial_order(p, _scaled_floor(n, p, alpha - 1))
-
-
-def _checked_norm(
-    p: int, alpha: int, l: int, n: int, r: int, scale: int, integral: int, num: int
-) -> int:
-    """num, the normalized sum at (l, n, r), after the two invariants every
-    normalized sum is held to: the alpha = 0 closed form and p-integrality,
-    ord_p(num) >= ord_p(d!)."""
-    # At alpha == 0 the closed form has the same denominator (p*n)! as num.
-    if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
-        raise InternalInvariantError(
-            f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
-        )
-    if num % integral:
-        raise InternalInvariantError(
-            f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
-        )
-    return num
-
-
-def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> Iterator[int]:
-    """_norm_sum_value at each r of rs, in order, from the definition.
-
-    The residues share their weights: r's class has weight indices
+    ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  The
+    residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
     same quotient r // m (three lists on a -m .. 2m-1 window).  A class
     past n has no terms, and its sum is 0 without either.  Each value is
-    computed, and its invariants checked, as it is read, so a row form
-    that reads two of these in step with its per-instance check raises at
-    the same r.  Nothing is kept once the iterator is dropped.
+    held to the two invariants of every normalized sum: the alpha = 0
+    closed form and p-integrality, ord_p(num) >= ord_p(d!).
     """
     m = prime_power_modulus(p, alpha).m
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
     scale = math.factorial(l) * p**l
-    integral = _integral(p, alpha, n)
+    integral = p ** _norm_denominator(p, alpha, n)[1]
+    weights: dict[int, list[int]] = {}
+    nums = []
+    for r in rs:
+        q, c = divmod(r, m)
+        if c > n:  # an empty class
+            nums.append(0)
+            continue
+        w = weights.get(q)
+        if w is None:
+            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+        num = scale * sum(map(mul, _class_binomials(n, c, m), w))
+        # At alpha == 0 the closed form has the same denominator (p*n)! as num.
+        if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
+            raise InternalInvariantError(
+                f"degenerate-regime closed form disagrees at (p={p}, l={l}, n={n}, r={r})"
+            )
+        if num % integral:
+            raise InternalInvariantError(
+                f"normalized sum is not p-integral at (p={p}, alpha={alpha}, l={l}, n={n}, r={r})"
+            )
+        nums.append(num)
+    return tuple(nums)
 
-    def values() -> Iterator[int]:
-        weights: dict[int, list[int]] = {}
-        for r in rs:
-            q, c = divmod(r, m)
-            if c > n:  # an empty class
-                yield 0
-                continue
-            w = weights.get(q)
-            if w is None:
-                w = weights[q] = _binomial_weights(-q, n // m + 1, l)
-            num = scale * sum(map(mul, _class_binomials(n, c, m), w))
-            # The full check only where it can fail: at alpha = 0 (the closed
-            # form), or where p**ord_p(d!) does not divide num.
-            if alpha == 0 or num % integral:
-                _checked_norm(p, alpha, l, n, r, scale, integral, num)
-            yield num
 
-    return values()
+@lru_cache(maxsize=1 << 18)
+def _norm_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> int:
+    """_norm_sums at the one residue r, kept.  d depends on (p, alpha, n)
+    alone and is not stored: the cache holds up to 2**18 values, and a
+    tuple per entry would cost several MB.  Its sweep readers: L2.4, L4.2
+    and T4.1."""
+    return _norm_sums(p, alpha, l, n, (r,))[0]
 
 
 @lru_cache(maxsize=1 << 8)
@@ -157,7 +137,7 @@ def _norm_sum_window(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> t
     """_norm_sums at rs, kept.  The cache serves L2.2, whose neighbouring
     rows read the same ranges of r again: 2**8 hold the two weight degrees
     in flight of a sweep over n < 128."""
-    return tuple(_norm_sums(p, alpha, l, n, rs))
+    return _norm_sums(p, alpha, l, n, rs)
 
 
 def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction:
@@ -168,7 +148,7 @@ def normalized_sum_value(p: int, alpha: int, l: int, n: int, r: int) -> Fraction
     internal error, never a caller error.
     """
     num = _norm_sum_value(p, alpha, l, n, r)
-    return Fraction(num, math.factorial(scaled_floor(n, p, alpha - 1)))
+    return Fraction(num, _norm_denominator(p, alpha, n)[0])
 
 
 def _fleck_row(p: int, alpha: int, n: int) -> tuple[int, int]:
@@ -203,7 +183,7 @@ def _fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:
     return _weisman_normalized(p, alpha, row, r, plain_alt_sum(row, r, m))
 
 
-def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int], b: int) -> Iterator[int]:
+def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int], b: int) -> list[int]:
     """_fleck_sum_value mod p**(b + 1), in 0 .. p**(b+1) - 1, at each r of
     rs, in order, for a check's bound b >= 0, from one residue fold of the
     row.
@@ -214,15 +194,12 @@ def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int], b: int) -> Iterat
     difference of two read with the same b, is exact when it is at most b,
     and INFINITY (the residue 0) when it is more: a verdict "order >= b"
     and the order its failure prints come out as from the exact values,
-    with a digit to spare.  The row is folded on the call and the fold is
-    dropped with the iterator.  Each value is normalized, and its
-    integrality checked, as it is read, so a row form that reads two of
-    these in step with its per-instance check raises at the same r.
+    with a digit to spare.  The fold is dropped once the values are read.
     """
     row, m = _fleck_row(p, alpha, n)
     sums = _class_residues(row, m, p, _weisman(p, alpha, row) + b + 1)
     q = p ** (b + 1)
-    return (_weisman_normalized(p, alpha, row, r, sums[r % m]) % q for r in rs)
+    return [_weisman_normalized(p, alpha, row, r, sums[r % m]) % q for r in rs]
 
 
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:

@@ -22,14 +22,18 @@ bound their verdict holds the sums to (_fleck_reduction_bound,
 _conj31_bound); their per-instance checks read the exact sums.  CONJ1.2
 folds its two rows once per instance, exactly.  T1.5, T1.5-alpha1 and
 CONJ1.1 read the normalized sums of their two levels from
-quantities._norm_sums, in step with their checks, and keep none of them.
+quantities._norm_sums, the one evaluator of normalized sums, and keep none
+of them.
 Each of these ten entries declares its hypothesis on a row's prefix once
 (Statement.hypothesis), and a row outside it is skipped whole, so a row
 form sees only rows inside it.  It returns one result per value, or None
 to hand a row too sparse to share anything back: Statement.check_row then
-runs the check once per value, as it does for a check with no row form.  Row forms are looked up by the
-check they were written for, and the tests hold each to its check, the
-statement's spec.
+runs the check once per value, as it does for a check with no row form.
+Row forms are looked up by the check they were written for, and the tests
+hold each to its check, the statement's spec.  A row form reads its whole
+row before any verdict, so an InternalInvariantError it raises need not
+be the one its first raising check would; a sweep names such an error by
+running the row again one check at a time (verifier._named).
 A residue class r mod m with r mod m > n has no terms, so its sum is 0, of
 order INFINITY, and meets every bound: the row forms of T1.1-T1.3, T2.1
 and L2.2 pass such values without computing a bound or a verdict.
@@ -76,7 +80,6 @@ from .padic import (
     _carries,
     _factorial_order,
     _int_order,
-    _scaled_floor,
     _scaled_residue,
     _weisman,
     # No check calls padic_order: each reads _int_order once p is validated.
@@ -87,6 +90,7 @@ from .padic import (
 from .quantities import (
     _convolution_weight_order,
     _fleck_sums,
+    _norm_denominator,
     _norm_sum_value,
     _norm_sum_window,
     _norm_sums,
@@ -198,26 +202,21 @@ def _prime_factors(m: int) -> list[int]:
 
 # Every rational a check reads is carried in integer form.  Normalized sums
 # are (num, d!, ord_p(d!)), worth num / d!: num is quantities._norm_sum_value
-# and d = scaled_floor(n, p, alpha - 1).  A row form reads the numerators
-# of its row from quantities._norm_sums and d!, which depends on (p, alpha,
-# n) alone, once.  The other rationals of the catalog
-# (L2.1's values over (p*n)!, the harmonic sums of L3.1, the Bernoulli
-# values of C1.1cor, T1.4's inverse sequence, L2.5's weights and CONJ1.3's
-# value) are an integer numerator and denominator.  Checks compare by
-# cross-multiplying, take orders of the two integers, and build a Fraction
-# only to describe a failure.  CONJ1.3 reads its numerator S only mod
-# p**(ord_p(D) + 2), past the order its verdict tests, and sums the exact S
-# only for a failure.
-
-
-def _denominator(p: int, alpha: int, n: int) -> tuple[int, int]:
-    """d! and ord_p(d!) for the normalized sums of row n at level alpha."""
-    d = _scaled_floor(n, p, alpha - 1)
-    return math.factorial(d), _factorial_order(p, d)
+# and (d!, ord_p(d!)) is quantities._norm_denominator, which depends on
+# (p, alpha, n) alone.  A row form reads the numerators of its row from
+# quantities._norm_sums and the denominator once.  L2.1 evaluates its own
+# numerators over the same (p*n)!, as it checks the closed form that
+# _norm_sums holds them to.  The other rationals of the catalog (the
+# harmonic sums of L3.1, the Bernoulli values of C1.1cor, T1.4's inverse
+# sequence, L2.5's weights and CONJ1.3's value) are an integer numerator
+# and denominator.  Checks compare by cross-multiplying, take orders of the
+# two integers, and build a Fraction only to describe a failure.  CONJ1.3
+# reads its numerator S only mod p**(ord_p(D) + 2), past the order its
+# verdict tests, and sums the exact S only for a failure.
 
 
 def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int, int]:
-    return (_norm_sum_value(p, alpha, l, n, r), *_denominator(p, alpha, n))
+    return (_norm_sum_value(p, alpha, l, n, r), *_norm_denominator(p, alpha, n))
 
 
 def _norm_difference_order(p: int, x: tuple[int, int, int], c: int, y: tuple[int, int, int]):
@@ -235,21 +234,13 @@ def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
 
 
 def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
-    """check_lucas_reduction at each r of rs.  The right sums are read at the
-    distinct r // p only, each once and in step with the left sums, so the
-    row raises where its checks would."""
+    """check_lucas_reduction at each r of rs.  The right sums are read once
+    at each distinct r // p."""
     lhs = _norm_sums(p, alpha + 1, l, n, rs)
     qs = list(dict.fromkeys(r // p for r in rs))
-    rhs = _norm_sums(p, alpha, l, n // p, qs)
-    right: dict[int, int] = {}
-    dl, dr = _denominator(p, alpha + 1, n), _denominator(p, alpha, n // p)
-    out = []
-    for r, a in zip(rs, lhs):
-        q = r // p
-        if q not in right:
-            right[q] = next(rhs)
-        out.append(_lucas_verdict(p, n, r, (a, *dl), (right[q], *dr)))
-    return out
+    rhs = dict(zip(qs, _norm_sums(p, alpha, l, n // p, qs)))
+    dl, dr = _norm_denominator(p, alpha + 1, n), _norm_denominator(p, alpha, n // p)
+    return [_lucas_verdict(p, n, r, (a, *dl), (rhs[r // p], *dr)) for r, a in zip(rs, lhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +395,10 @@ def _fleck_reduction_verdict(p: int, alpha: int, sa: int, sb: "int | None"):
 def _fleck_reduction_row(p, alpha, n, rs):
     bound = _fleck_reduction_bound(p, alpha)
     sas = _fleck_sums(p, alpha, n, rs, bound)
-    sbs = _fleck_sums(p, alpha - 1, n, [r // p for r in rs if r % p == 0], bound)
+    qs = [r // p for r in rs if r % p == 0]
+    sbs = dict(zip(qs, _fleck_sums(p, alpha - 1, n, qs, bound)))
     return [
-        _fleck_reduction_verdict(p, alpha, sa, next(sbs) if r % p == 0 else None)
+        _fleck_reduction_verdict(p, alpha, sa, sbs[r // p] if r % p == 0 else None)
         for r, sa in zip(rs, sas)
     ]
 
@@ -647,9 +639,9 @@ def _l21(p, n, r, l):
     scale = math.factorial(l) * p**l
     direct = scale * alt_sum_binom(n, r, m, l)
     closed = scale * (-1) ** n * binomial(-r, l - n)
-    if direct == closed and _int_order(p, direct) >= _factorial_order(p, p * n):
+    denom, od = _norm_denominator(p, 0, n)
+    if direct == closed and _int_order(p, direct) >= od:
         return True
-    denom = math.factorial(p * n)
     return (
         f"direct value {Fraction(direct, denom)}",
         f"closed form {Fraction(closed, denom)}, p-integral",
@@ -658,7 +650,7 @@ def _l21(p, n, r, l):
 
 def _l22(p, alpha, l, n, r):
     m = prime_power_modulus(p, alpha).m
-    terms = _l22_terms(p, m, n)
+    terms = _l22_terms(p, alpha, n)
     a = _norm_sum_value(p, alpha, l, n - 1, r)
     b = _norm_sum_value(p, alpha, l, n - 1, r - 1)
     c = _norm_sum_value(p, alpha, l, n, r)
@@ -672,13 +664,15 @@ def _l22(p, alpha, l, n, r):
     return _l22_verdict(terms, r, a, b, c, e, f)
 
 
-def _l22_terms(p: int, m: int, n: int) -> tuple:
-    """What the recurrences read of (p, alpha, n) alone: h = m/p, d0! and d1!
-    (d0 = floor(n/h), d1 = floor((n-1)/h)) and each one's t/s as (t, s)."""
-    h = m // p
+def _l22_terms(p: int, alpha: int, n: int) -> tuple:
+    """What the recurrences read of (p, alpha, n) alone: h = p**(alpha-1),
+    the denominators d0! and d1! of rows n and n - 1 (d0 = floor(n/h),
+    d1 = floor((n-1)/h)) and each one's t/s as (t, s)."""
+    h = p**alpha // p
     ratio, one = (n, h), (1, 1)
     factors = (ratio, one) if n % h == 0 else (one, ratio)
-    return h, math.factorial(n // h), math.factorial((n - 1) // h), *factors
+    f0, f1 = _norm_denominator(p, alpha, n)[0], _norm_denominator(p, alpha, n - 1)[0]
+    return h, f0, f1, *factors
 
 
 def _l22_verdict(terms: tuple, r: int, a: int, b: int, c: int, e=None, f=None):
@@ -715,7 +709,7 @@ def _l22_row(p, alpha, l, n, rs):
         row_f = _norm_sum_window(p, alpha, l - 1, n - 1, range(lo, hi))
     else:  # no second recurrence
         row_e = row_f = (None,) * (hi - lo)
-    terms = _l22_terms(p, m, n)
+    terms = _l22_terms(p, alpha, n)
     # Past n, the classes r and r - 1 are empty at rows n and n - 1: all
     # five sums are 0, and both recurrences hold.
     return [
@@ -739,7 +733,6 @@ def _l24(p, alpha, l, n, r):
     m = prime_power_modulus(p, alpha).m
     if alpha < 1 or n < 0 or l < 0:
         return SKIP
-    h = m // p
     lhs = _norm_sum_value(p, alpha, l, n, r)
     # Term j is binomial(n,j) floor(j/h)! floor((n-j)/h)! / floor(n/h)!
     # times V(0; j, r) = t0 / floor(j/h)! times a sum of V(l; n-j, .), each
@@ -754,8 +747,8 @@ def _l24(p, alpha, l, n, r):
         rhs += math.comb(n, j) * t0 * inner
     if lhs == rhs:
         return True
-    lhs_v, rhs_v = Fraction(lhs, math.factorial(n // h)), Fraction(rhs, math.factorial(n // h))
-    return (f"{lhs_v}", f"self-convolution value {rhs_v}")
+    f = _norm_denominator(p, alpha, n)[0]
+    return (f"{Fraction(lhs, f)}", f"self-convolution value {Fraction(rhs, f)}")
 
 
 def _l25(p, alpha, n, j):
@@ -776,9 +769,10 @@ def _t21(p, alpha, l, n, r):
 def _t21_row(p, alpha, l, n, rs):
     # Past the window cache: no T2.1 row is read twice.
     nums = _norm_sums(p, alpha, l, n, rs)
-    # The terms _bound_terms(p, alpha - 1, n, r) gives, fo once per row.
+    # The terms _bound_terms(p, alpha - 1, n, r) gives, fo = ord_p(d!) once
+    # per row.
     e = alpha - 1
-    fo = _factorial_order(p, _scaled_floor(n, p, e))
+    fo = _norm_denominator(p, alpha, n)[1]
     # A zero sum (an empty class, among others) has order INFINITY.
     return [
         _at_least(
@@ -829,7 +823,7 @@ def _conj11_verdict(p: int, lhs: tuple, rhs: tuple):
 def _conj11_row(p, alpha, l, n, rs):
     lhs = _norm_sums(p, alpha + 1, l, p * n, [p * r for r in rs])
     rhs = _norm_sums(p, alpha, l, n, rs)
-    dl, dr = _denominator(p, alpha + 1, p * n), _denominator(p, alpha, n)
+    dl, dr = _norm_denominator(p, alpha + 1, p * n), _norm_denominator(p, alpha, n)
     return [_conj11_verdict(p, (a, *dl), (b, *dr)) for a, b in zip(lhs, rhs)]
 
 

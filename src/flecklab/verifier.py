@@ -14,7 +14,9 @@ skips a row outside the statement's hypothesis, or runs its row form, or
 the check once per value for a row handed back or without a row form.
 iter_instances is the flattening of the rows.  An InternalInvariantError
 raised in a row is named by its instance: the row is run again one check
-at a time to find it.
+at a time, and the first check that raises names it.  A row form reads
+its whole row before any verdict, so this rule, not the row form's order
+of reads, is what decides the instance a user sees.
 
 With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker, each a
@@ -22,7 +24,7 @@ contiguous run of whole rows given as prefixes of near-equal instance
 count.  The prefixes are the instances of the grid cut down to its leading
 axes (never the last), their counts come from one walk of the grid, and a
 worker walks the full grid with each of its prefixes pinned.  The pool
-starts no more workers than there are blocks.  Block results are merged in
+starts no more workers than there are blocks or the machine has cores.  Block results are merged in
 sweep order and the failure cap is applied after the merge, so the report
 is the one a single worker produces.
 """
@@ -34,6 +36,7 @@ import io
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -278,7 +281,10 @@ def _sweep(
         return 0, 0, []
     checked = skipped = 0
     failures: list[dict] = []
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+    # A large job count plans up to a block per row; reports do not depend
+    # on the job count, so the pool is bounded by the cores too.
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for c, s, f in pool.map(_run_block, payloads):
             checked += c
             skipped += s

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from flecklab.combinatorics import binomial
@@ -22,6 +22,7 @@ from flecklab.padic import (
 from flecklab.quantities import (
     _fleck_sums,
     _norm_sum_value,
+    _norm_sums,
     _weisman_normalized,
     convolution_weight,
     fleck_sum_value,
@@ -30,6 +31,17 @@ from flecklab.quantities import (
 )
 
 prime_power = st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (2, 0), (3, 0)])
+
+
+def defined_num(p, alpha, l, n, r):
+    """Oracle: l! * p**l times the class sum, term by term over all k."""
+    m = p**alpha
+    s = sum(
+        (-1) ** k * math.comb(n, k) * binomial((k - r) // m, l)
+        for k in range(n + 1)
+        if k % m == r % m
+    )
+    return math.factorial(l) * p**l * s
 
 
 class TestNormalizedBinomialSum:
@@ -65,18 +77,25 @@ class TestNormalizedBinomialSum:
     def test_integer_form_matches_the_definition(self, pa, l, n, r):
         # Oracle: the class sum term by term over all k, then the Fraction.
         p, alpha = pa
-        m = p**alpha
-        s = sum(
-            (-1) ** k * math.comb(n, k) * binomial((k - r) // m, l)
-            for k in range(n + 1)
-            if k % m == r % m
-        )
         d = n * p if alpha == 0 else n // p ** (alpha - 1)
-        num = math.factorial(l) * p**l * s
+        num = defined_num(p, alpha, l, n, r)
         assert _norm_sum_value(p, alpha, l, n, r) == num
         value = Fraction(num, math.factorial(d))
         assert normalized_sum_value(p, alpha, l, n, r) == value
         assert padic_order(p, num) - factorial_order(p, d) == padic_order(p, value)
+
+    # Rows of scattered, unordered and repeated residues.  The examples hold
+    # empty classes (r mod m > n) at several quotients r // m, several r
+    # sharing one quotient, and alpha = 0, where the closed form is checked.
+    @given(prime_power, st.integers(0, 6), st.integers(0, 40), st.lists(st.integers(-20, 30)))
+    @example((3, 2), 1, 4, [8, 5, 6, 5, -1, 17, 0, -4, 8])
+    @example((2, 3), 2, 5, [7, 6, 3, -1, 15, -10, 6, 0])
+    @example((3, 0), 3, 2, [4, -1, 4, 0, 2])
+    @example((2, 1), 0, 0, [])
+    def test_rows_match_the_definition(self, pa, l, n, rs):
+        p, alpha = pa
+        want = tuple(defined_num(p, alpha, l, n, r) for r in rs)
+        assert _norm_sums(p, alpha, l, n, rs) == want
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

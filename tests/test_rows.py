@@ -507,7 +507,10 @@ def test_perturbed_kernel_fails_alike_in_row_and_check(kernel, sid, fn, branches
 
 # The Fleck row forms read their sums from the row fold, the checks from
 # the kernel: both are perturbed alike.  A perturbed Fleck sum that is no
-# longer an integer raises, and row and check must raise the same error.
+# longer an integer raises.  A row form reads its whole row before any
+# verdict, so it need not raise where its first raising check would: that
+# row and check raise the same error here is checked, not given by
+# construction.
 NOT_INTEGER = "Weisman-normalized sum is not an integer"
 FOLD_PERTURBED = [
     ("T3.1", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
@@ -540,8 +543,9 @@ def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, bran
 
 # The Lucas-reduction and lift checks read normalized sums at two levels.
 # A perturbed sum that is not p-integral raises at the first r whose check
-# reads it; the row forms read both levels in step with their checks, so
-# row and check raise the same error, on scattered rows too.
+# reads it.  The row forms read each level's whole row at once, so that row
+# and check raise the same error, on scattered rows too, is checked here,
+# not given by the order of their reads.
 NOT_P_INTEGRAL = "normalized sum is not p-integral"
 LIFT_PERTURBED = [
     ("T1.5", _bumped, ["difference order 0 >= 1", NOT_P_INTEGRAL]),
@@ -584,6 +588,38 @@ def test_perturbed_lifts_fail_alike_in_row_and_check(kernel, sid, fn, branches):
     # Each failure branch ran at least once.
     for branch in branches:
         assert any(branch in text for text in seen), branch
+
+
+# What a user sees of such an error is the sweep's: the verifier runs the
+# raising row again one check at a time and names the first instance that
+# raises, at any job count.  One lift row and one Fleck row, each a one-row
+# grid with its residues out of order.
+NAMED_IN_A_ROW = [
+    (
+        "T1.5", _bumped, _class_sums,
+        {"p": (2,), "alpha": (2,), "l": (0,), "n": (8,), "r": (5, -2, 3)},
+        "T1.5 at {'p': 2, 'alpha': 2, 'l': 0, 'n': 8, 'r': 5}: "
+        "normalized sum is not p-integral at (p=2, alpha=3, l=0, n=8, r=5)",
+    ),
+    (
+        "T3.1", _bumped, _bumped_fold,
+        {"p": (3,), "alpha": (2,), "n": (5,), "r": (4, 0, -2)},
+        "T3.1 at {'p': 3, 'alpha': 2, 'n': 5, 'r': 4}: "
+        "Weisman-normalized sum is not an integer at (p=3, alpha=2, N=15, r=4)",
+    ),
+]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("sid, fn, fold, grid, message", NAMED_IN_A_ROW, ids=["T1.5", "T3.1"])
+def test_perturbed_row_errors_are_named_in_a_sweep(kernel, sid, fn, fold, grid, message, jobs):
+    kernel(fn, fold)
+    st = STATEMENTS[sid]
+    prefix, values = next(_rows(st.axes, _specs(st, grid)))
+    assert outcome(lambda: st.check_row(prefix, values))[0] == "raised"
+    with pytest.raises(InternalInvariantError) as info:
+        run_statement(sid, grid, jobs=jobs)
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

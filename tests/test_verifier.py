@@ -32,6 +32,30 @@ from flecklab.verifier import (
 )
 
 
+def in_process_pool(monkeypatch, cores):
+    """Swap the verifier's pool for one that runs its blocks in this process,
+    with os.cpu_count() reporting cores; returns the list of max_workers
+    each pool was started with."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+    return started
+
+
 def synthetic_check(n):
     """Fails on n % 3 == 2, skips on n % 3 == 1, passes otherwise."""
     if n % 3 == 2:
@@ -445,23 +469,19 @@ class TestBlockPlan:
         (2, {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}, 2),
     ])
     def test_pool_never_outnumbers_its_blocks(self, monkeypatch, jobs, grid, workers):
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-        monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+        started = in_process_pool(monkeypatch, cores=64)
         parallel = run_statement("T2.1", grid=grid, jobs=jobs)
+        assert started == [workers]
+        assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
+
+    @pytest.mark.parametrize("cores, workers", [(3, 3), (1, 1), (None, 1)])
+    def test_pool_never_outnumbers_the_cores(self, monkeypatch, cores, workers):
+        # 90 rows, so a large job count plans 90 blocks; the fake pool runs
+        # them in this process, and no worker is started.
+        grid = {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}
+        assert len(_payloads(STATEMENTS["T2.1"], grid, 10_000, DEFAULT_FAILURE_CAP)) == 90
+        started = in_process_pool(monkeypatch, cores)
+        parallel = run_statement("T2.1", grid=grid, jobs=10_000)
         assert started == [workers]
         assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
