@@ -39,22 +39,39 @@ __all__ = [
 ]
 
 # Term lists of this many (n, class, modulus) keys are kept; a sweep over a
-# residue window revisits the same few hundred classes for every weight.
+# residue window revisits the same few hundred classes for every weight.  On
+# a miss a class is sliced from its binomial row, so it holds the row's ints.
 CLASS_TERMS_MEMO = 1 << 10
+# Signed binomial rows of this many n are kept: every row a suite pass or a
+# frontier pass reads (at most about 240, the longest n = 1500).
+BINOMIAL_ROW_MEMO = 1 << 8
+
+
+@lru_cache(maxsize=BINOMIAL_ROW_MEMO)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """The signed row (-1)**k * binomial(n, k) for k = 0 .. n (empty for
+    n < 0).  Its first half comes from binomial(n, k+1) == binomial(n, k) *
+    (n-k) / (k+1); the rest mirrors it, as (-1)**(n-k) = (-1)**n * (-1)**k."""
+    if n < 0:
+        return ()
+    half, c = [1], 1
+    for k in range(n // 2):
+        c = c * (n - k) // (k + 1)
+        half.append(c if k % 2 else -c)
+    tail = half[: (n + 1) // 2][::-1]
+    return tuple(half + ([-t for t in tail] if n % 2 else tail))
 
 
 @lru_cache(maxsize=CLASS_TERMS_MEMO)
 def _class_binomials(n: int, c: int, m: int) -> tuple[int, ...]:
-    """The signed binomials (-1)**k * binomial(n, k) for k = c, c+m, ... <= n.
+    """The signed binomials (-1)**k * binomial(n, k) for k = c, c+m, ... <= n
+    (c >= 0, m >= 1): the class c mod m of _binomial_row(n).
 
     This is the one class-sum kernel: every alternating sum over a residue
     class multiplies these terms by its weights.  Callers pass c = r % m; term
     i then has k = c + i*m, so its weight index (k - r) / m is i - r // m.
     """
-    terms = []
-    for k in range(c, n + 1, m):
-        terms.append(-math.comb(n, k) if k % 2 else math.comb(n, k))
-    return tuple(terms)
+    return _binomial_row(n)[c::m]
 
 
 def binomial(x: "int | Fraction", k: int) -> "int | Fraction":

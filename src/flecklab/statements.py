@@ -15,16 +15,20 @@ one call.  It computes only what the row's instances share, such as the
 class terms, the bound terms or the normalized sums at the row's
 residues, and passes each value's to the verdict function its check
 uses, so a verdict and its failure strings are written once.  T1.1-T1.3,
-L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1 and CONJ3.1 have one.  T3.1
-and CONJ3.1 read every Fleck sum of a row from quantities._fleck_sums, one
-residue fold of each binomial row they need, mod p to one power past the
-bound their verdict holds the sums to (_fleck_reduction_bound,
-_conj31_bound); their per-instance checks read the exact sums.  CONJ1.2
-folds its two rows once per instance, exactly.  T1.5, T1.5-alpha1 and
-CONJ1.1 read the normalized sums of their two levels from
-quantities._norm_sums, the one evaluator of normalized sums, and keep none
-of them.
-Each of these ten entries declares its hypothesis on a row's prefix once
+L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1, CONJ3.1 and CONJ1.3 have
+one.  T3.1 and CONJ3.1 read every Fleck sum of a row from
+quantities._fleck_sums, one residue fold of each binomial row they need,
+mod p to one power past the bound their verdict holds the sums to
+(_fleck_reduction_bound, _conj31_bound); their per-instance checks read
+the exact sums.  CONJ1.2 folds its two rows once per instance, exactly.
+T1.5, T1.5-alpha1 and CONJ1.1 read the normalized sums of their two
+levels from quantities._norm_sums, the one evaluator of normalized sums,
+and keep none of them; _difference_verdict decides their "order >= bound"
+by one divisibility test.  CONJ1.3's row form reads D, od = ord_p(D) and
+the class terms mod p**(od + 1) once, steps each weight i**l from one j to
+the next by a factor i**step (both read from _power_weights, which the
+rows of one (p, alpha, n) share), and decides each sum mod p**(od + 1).
+Each of these eleven entries declares its hypothesis on a row's prefix once
 (Statement.hypothesis), and a row outside it is skipped whole, so a row
 form sees only rows inside it.  It returns one result per value, or None
 to hand a row too sparse to share anything back: Statement.check_row then
@@ -64,6 +68,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
@@ -211,18 +217,28 @@ def _prime_factors(m: int) -> list[int]:
 # sequence, L2.5's weights and CONJ1.3's value) are an integer numerator
 # and denominator.  Checks compare by cross-multiplying, take orders of the
 # two integers, and build a Fraction only to describe a failure.  CONJ1.3
-# reads its numerator S only mod p**(ord_p(D) + 2), past the order its
-# verdict tests, and sums the exact S only for a failure.
+# reads its numerator S only mod p**(ord_p(D) + 1), the power its verdict
+# tests, and sums the exact S only for a failure.
 
 
 def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int, int]:
     return (_norm_sum_value(p, alpha, l, n, r), *_norm_denominator(p, alpha, n))
 
 
-def _norm_difference_order(p: int, x: tuple[int, int, int], c: int, y: tuple[int, int, int]):
-    """ord_p(x - c*y) for normalized sums x and y in integer form."""
+def _reaches(p: int, x: int, k: int) -> bool:
+    """ord_p(x) >= k for k >= 0, by one divisibility test."""
+    return x % p**k == 0
+
+
+def _difference_verdict(p: int, x: tuple, c: int, y: tuple, need: int):
+    """True when ord_p(x - c*y) = ord_p(a*fb - c*b*fa) - oa - ob reaches need
+    for normalized sums x = a / fa and y = b / fb, that is when p**(oa + ob +
+    need) divides a*fb - c*b*fa; else _at_least's pair, from the exact order."""
     (a, fa, oa), (b, fb, ob) = x, y
-    return _int_order(p, a * fb - c * b * fa) - oa - ob
+    diff = a * fb - c * b * fa
+    if _reaches(p, diff, oa + ob + need):
+        return True
+    return _at_least(_int_order(p, diff) - oa - ob, need, "difference order")
 
 
 def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
@@ -230,7 +246,7 @@ def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
     rhs = V(alpha; l, n//p, r//p): the order of
     lhs - (-1)**{r}_p binomial({n}_p, {r}_p) rhs must reach 1."""
     c = (-1) ** (r % p) * math.comb(n % p, r % p)
-    return _at_least(_norm_difference_order(p, lhs, c, rhs), 1, "difference order")
+    return _difference_verdict(p, lhs, c, rhs, 1)
 
 
 def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
@@ -258,13 +274,13 @@ def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
 # bound b" result.  A check with a row form passes its values to a verdict
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _lucas_verdict (T1.5,
-# T1.5-alpha1), _conj11_verdict (CONJ1.1), _fleck_reduction_verdict (T3.1)
-# or _conj31_verdict (CONJ3.1).  Every skip is the hypothesis's or the
-# check's own (T1.3's row form also tests its series window).  Every pass
-# is the verdict function's, but for the values of an empty class, whose
-# sum is 0 (r mod m > n): the row forms of T1.1-T1.3 and L2.2 pass them,
-# and T2.1's every zero sum, without a bound, a carry count or a verdict
-# call.
+# T1.5-alpha1), _conj11_verdict (CONJ1.1), _fleck_reduction_verdict (T3.1),
+# _conj31_verdict (CONJ3.1) or _conj13_verdict (CONJ1.3).  Every skip is
+# the hypothesis's or the check's own (T1.3's row form also tests its series
+# window, CONJ1.3's its j >= 0).  Every pass is the verdict function's, but
+# for the values of an empty class, whose sum is 0 (r mod m > n): the row
+# forms of T1.1-T1.3 and L2.2 pass them, and T2.1's every zero sum, without
+# a bound, a carry count or a verdict call.
 
 
 def _at_least(o: "int | float", need: int, what: str = "order", bound: str = ""):
@@ -817,7 +833,7 @@ def _conj11(p, alpha, l, n, r):
 
 def _conj11_verdict(p: int, lhs: tuple, rhs: tuple):
     """_conj11's result from V(alpha+1; l, p n, p r) and V(alpha; l, n, r)."""
-    return _at_least(_norm_difference_order(p, lhs, 1, rhs), 2 if p == 3 else 3, "difference order")
+    return _difference_verdict(p, lhs, 1, rhs, 2 if p == 3 else 3)
 
 
 def _conj11_row(p, alpha, l, n, rs):
@@ -865,30 +881,68 @@ def _conj12(p, n, s):
 
 def _conj13(p, alpha, n, r, j):
     ma = prime_power_modulus(p, alpha).m
-    if n < 2 * ma - 1 or j < 0:
+    if j < 0:
         return SKIP
+    l0, step, d, od = _conj13_terms(p, alpha, n, r)
+    l = l0 + j * step
+    q = p ** (od + 1)
+    terms = _class_binomials(n, r % ma, ma)
+    s = sum(t * pow(i, l, q) for i, t in enumerate(terms, -(r // ma)))
+    return _conj13_verdict(p, alpha, n, r, l, d, od, s)
+
+
+def _conj13_terms(p: int, alpha: int, n: int, r: int) -> tuple[int, int, int, int]:
+    """What CONJ1.3 reads of a row's prefix: the weight degree l0 at j = 0, its
+    step (l = l0 + j * step), and D = floor(n/m)! * binomial(n*, r*) with its order."""
+    ma = p**alpha
     n0 = n // ma
     e = 0
     while p ** (alpha + e + 1) <= n:
         e += 1
     step = (p - 1) * p**e
-    base = r // ma + (n - r) // ma
-    l = n0 + (base - n0) % step + j * step
+    l0 = n0 + (r // ma + (n - r) // ma - n0) % step
     r_star = r % ma
-    n_star = r_star + (n - r) % ma
-    # The value S / D is a unit +-1 mod p when ord_p(S -+ D) - ord_p(D) >= 1,
-    # which S mod q = p**(ord_p(D) + 2) decides: S -+ D is 0 mod q exactly
-    # when its order reaches ord_p(D) + 2, one past the bound, and below
-    # that its order is exact.  The exact S is summed only to word a failure.
-    d = math.factorial(n0) * math.comb(n_star, r_star)
-    od = _int_order(p, d)
-    q = p ** (od + 2)
-    terms = _class_binomials(n, r % ma, ma)
-    s = sum(t * pow(i, l, q) for i, t in enumerate(terms, -(r // ma)))
-    if _int_order(p, (s - d) % q) - od >= 1 or _int_order(p, (s + d) % q) - od >= 1:
+    d = math.factorial(n0) * math.comb(r_star + (n - r) % ma, r_star)
+    return l0, step, d, _int_order(p, d)
+
+
+def _conj13_verdict(p, alpha, n, r, l, d, od, s):
+    """_conj13's result from s == S mod p**(od + 1), od = ord_p(D): the
+    value S / D is a unit +-1 mod p when ord_p(S -+ D) - od >= 1, that is
+    when p**(od + 1) divides S -+ D, which s decides.  The exact S is
+    summed only to word a failure."""
+    if _reaches(p, s - d, od + 1) or _reaches(p, s + d, od + 1):
         return True
-    s = alt_sum_power(n, r, ma, l)
+    s = alt_sum_power(n, r, p**alpha, l)
     return (f"normalized value {Fraction(s, d)}", "congruent to +1 or -1 mod p")
+
+
+@lru_cache(maxsize=1 << 4)
+def _power_weights(i0: int, count: int, l: int, q: int) -> tuple[int, ...]:
+    """i**l mod q for i = i0 .. i0 + count - 1.  The rows of one (p, alpha,
+    n) mostly share their weights, so CONJ1.3's row form reads them here."""
+    return tuple(pow(i, l, q) for i in range(i0, i0 + count))
+
+
+def _conj13_row(p, alpha, n, r, js):
+    """_conj13 at each j of js, in any order: the terms are reduced mod q once,
+    and the weights at j + 1 are those at j times i**step."""
+    ma = prime_power_modulus(p, alpha).m
+    l0, step, d, od = _conj13_terms(p, alpha, n, r)
+    q = p ** (od + 1)
+    terms = [t % q for t in _class_binomials(n, r % ma, ma)]
+    i0 = -(r // ma)
+    results, last = {}, None
+    for j in sorted({j for j in js if j >= 0}):
+        if j - 1 == last:
+            factors = _power_weights(i0, len(terms), step, q)
+            weights = [w * f % q for w, f in zip(weights, factors)]
+        else:
+            weights = _power_weights(i0, len(terms), l0 + j * step, q)
+        s = sum(map(mul, terms, weights))
+        results[j] = _conj13_verdict(p, alpha, n, r, l0 + j * step, d, od, s)
+        last = j
+    return [results.get(j, SKIP) for j in js]
 
 
 def _conj31(p, alpha, n, r):
@@ -1066,6 +1120,7 @@ _ROW_FORMS: dict[Callable, Callable[..., "list | None"]] = {
     check_lucas_reduction: _lucas_row,
     check_fleck_reduction: _fleck_reduction_row,
     _conj11: _conj11_row,
+    _conj13: _conj13_row,
     _conj31: _conj31_row,
     _t15_alpha1: _t15_alpha1_row,
 }
@@ -1413,6 +1468,7 @@ STATEMENTS: dict[str, Statement] = {
                 "j": (0, 1, 2),
             },
             _conj13,
+            lambda p, alpha, n, r: n >= 2 * prime_power_modulus(p, alpha).m - 1,
         ),
         Statement(
             "CONJ3.1",

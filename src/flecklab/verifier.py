@@ -19,14 +19,15 @@ its whole row before any verdict, so this rule, not the row form's order
 of reads, is what decides the instance a user sees.
 
 With one worker the sweep streams its rows.  With more, the parent never
-builds the instance list: it plans about 8 blocks per worker, each a
-contiguous run of whole rows given as prefixes of near-equal instance
-count.  The prefixes are the instances of the grid cut down to its leading
-axes (never the last), their counts come from one walk of the grid, and a
-worker walks the full grid with each of its prefixes pinned.  The pool
-starts no more workers than there are blocks or the machine has cores.  Block results are merged in
-sweep order and the failure cap is applied after the merge, so the report
-is the one a single worker produces.
+builds the instance list: it plans about 8 blocks per worker, at most one
+worker per core, each block a contiguous run of whole rows given as
+prefixes of near-equal instance count.  The prefixes are the instances of
+the grid cut down to its leading axes (never the last), their counts come
+from one walk of the grid, and a worker walks the full grid with each of
+its prefixes pinned.  The pool starts no more workers than there are
+blocks or cores.  Block results are merged in sweep order and the failure
+cap is applied after the merge, so the report is the one a single worker
+produces.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -258,8 +258,10 @@ def _payloads(
     st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
 ) -> list[tuple]:
     """What each worker is sent: (statement id, overrides, prefixes,
-    failure cap), one per planned block, in sweep order."""
-    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, 8 * jobs)]
+    failure cap), one per planned block, in sweep order.  The blocks are
+    planned for the workers the pool can start, at most one per core."""
+    workers = min(jobs, os.cpu_count() or 1)
+    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, 8 * workers)]
 
 
 def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
@@ -276,13 +278,16 @@ def _sweep(
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
         return _run_chunk(st, _rows(st.axes, _specs(st, overrides)), cap)
+    # Imported here: the pool's modules cost a fifth of the package's import.
+    from concurrent.futures import ProcessPoolExecutor
+
     payloads = _payloads(st, overrides, jobs, cap)
     if not payloads:
         return 0, 0, []
     checked = skipped = 0
     failures: list[dict] = []
-    # A large job count plans up to a block per row; reports do not depend
-    # on the job count, so the pool is bounded by the cores too.
+    # Reports do not depend on the job count, so the pool is bounded by the
+    # cores and by the blocks.
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for c, s, f in pool.map(_run_block, payloads):

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flecklab import combinatorics
 from flecklab.combinatorics import (
     Polynomial,
+    _binomial_row,
+    _class_binomials,
     bernoulli_number,
     bernoulli_polynomial,
     binomial,
@@ -171,6 +174,32 @@ class TestPolynomial:
     def test_repr_round_trips_through_eval(self):
         f = Polynomial((1, 0, 5))
         assert eval(repr(f)) == f
+
+
+class TestClassBinomials:
+    """The class-sum kernel against its definition: the signed binomials
+    (-1)**k * binomial(n, k) for k = c, c+m, ... <= n, each from math.comb."""
+
+    @given(st.integers(-3, 300), st.integers(0, 310), st.integers(1, 310))
+    def test_matches_the_definition(self, n, c, m):
+        want = tuple((-1) ** k * math.comb(n, k) for k in range(c, n + 1, m))
+        assert _class_binomials(n, c, m) == want
+
+    @given(st.integers(-3, 300))
+    def test_row_is_the_unit_class(self, n):
+        assert _binomial_row(n) == tuple((-1) ** k * math.comb(n, k) for k in range(n + 1))
+        assert _class_binomials(n, 0, 1) == _binomial_row(n)
+
+    def test_classes_share_the_row_and_past_n_are_empty(self):
+        row = _binomial_row(40)
+        terms = _class_binomials.__wrapped__(40, 3, 7)  # a miss
+        assert len(terms) == 6 and all(t is row[k] for k, t in zip(range(3, 41, 7), terms))
+        assert _class_binomials(40, 41, 3) == () == _class_binomials(-1, 0, 1)
+        assert _class_binomials(5, 2, 9) == (math.comb(5, 2),)
+
+    def test_memos_are_bounded(self):
+        assert _binomial_row.cache_info().maxsize == combinatorics.BINOMIAL_ROW_MEMO
+        assert _class_binomials.cache_info().maxsize == combinatorics.CLASS_TERMS_MEMO
 
 
 class TestBinomialInversion:

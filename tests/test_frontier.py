@@ -1,10 +1,11 @@
-"""The frontier sweeps whose verdicts come from row folds or residues,
-pinned by digest.
+"""The frontier sweeps, pinned by digest.
 
 CONJ1.2 reads every class sum of its binomial rows from one exact fold
 (sums._class_sums).  CONJ3.1 reads its Fleck sums from one residue fold of
 each row (sums._class_residues), mod p to one power past its bound, and
-CONJ1.3 decides each instance from its power sum mod p**(ord_p(D) + 2).
+CONJ1.3 decides each instance from its power sum mod p**(ord_p(D) + 1), a
+row of j at a time.  CONJ1.1 and T1.5-alpha1 read the normalized sums of
+two levels and decide their lift congruences by one divisibility test.
 On their default grids the rows are small; the frontier grids of
 perfbench/workloads.py reach rows of several thousand terms, moduli up to
 7**4 and weight degrees in the hundreds, so their reports are held here to
@@ -24,11 +25,13 @@ from flecklab.verifier import search_conjecture
 
 DIGESTS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
-# perfbench/workloads.py's FRONTIER_GRIDS for the three ids.
+# perfbench/workloads.py's FRONTIER_GRIDS, all five ids.
 FRONTIER_GRIDS = {
+    "CONJ1.1": {"p": (3, 5, 7), "alpha": (1, 2), "l": tuple(range(6)), "n": tuple(range(65))},
     "CONJ1.2": {"p": (2, 3, 5, 7), "n": tuple(range(97))},
     "CONJ1.3": {"p": (2, 3, 5, 7), "alpha": (0, 1, 2), "n": tuple(range(161))},
     "CONJ3.1": {"p": (3, 5, 7), "alpha": (2, 3, 4), "n": tuple(range(41))},
+    "T1.5-alpha1": {"p": (2, 3, 5, 7), "l": tuple(range(5)), "n": tuple(range(129))},
 }
 
 

@@ -48,7 +48,7 @@ from flecklab.statements import (
     check_harmonic_congruence,
 )
 from flecklab.sums import alt_sum_binom, alt_sum_power
-from flecklab.verifier import iter_instances, run_statement, search_conjecture
+from flecklab.verifier import _rows, _specs, run_statement, search_conjecture
 from test_rows import _bumped, _class_binomials, _scaled
 
 _ROUNDTRIP_N = 32
@@ -189,8 +189,8 @@ def conj13_oracle(p, alpha, n, r, j):
 
 
 def conj13_exact(p, alpha, n, r, j):
-    """The integer body CONJ1.3 had before it read S mod p**(ord_p(D) + 2):
-    the orders of the exact S -+ D."""
+    """The integer body CONJ1.3 had before it read S mod a power of p: the
+    orders of the exact S -+ D."""
     sd = _conj13_value(p, alpha, n, r, j)
     if sd is None:
         return SKIP
@@ -331,22 +331,31 @@ def test_l25_matches_its_oracle(alpha, n, data):
     fn=KERNELS,
 )
 def test_conj13_matches_its_oracle(p, alpha, n, r, j, fn):
-    assert_same(STATEMENTS["CONJ1.3"].check, conj13_oracle, (p, alpha, n, r, j), fn)
+    # The statement, not its bare check: n >= 2 p**alpha - 1 is its
+    # hypothesis on a row's prefix.
+    assert_same(STATEMENTS["CONJ1.3"], conj13_oracle, (p, alpha, n, r, j), fn)
 
 
 @pytest.mark.parametrize("fn", [None, _scaled], ids=["real", "scaled"])
 def test_conj13_matches_its_exact_body_on_a_frontier_slice(fn):
     # p = 7 and n up to 120, where the weight degrees and the order of D
-    # run as high as on the frontier grid.  The scaled kernel multiplies S
-    # by n + 1, which fails every instance with n + 1 not +-1 mod 7, so
-    # the wording of a failure is compared too.
+    # run as high as on the frontier grid, through the check and through
+    # the row form.  The scaled kernel multiplies S by n + 1, which fails
+    # every instance with n + 1 not +-1 mod 7, so the wording of a failure
+    # is compared too.
     st = SEARCHES["CONJ1.3"]
     grid = {"p": (7,), "alpha": (0, 1, 2), "n": tuple(range(121))}
     with kernel(fn):
-        got = [(inst, st.check(*inst), conj13_exact(*inst)) for inst in iter_instances(st, grid)]
+        got = [
+            (prefix + (j,), res, st(*prefix, j), conj13_exact(*prefix, j))
+            for prefix, js in _rows(st.axes, _specs(st, grid))
+            for j, res in zip(js, st.check_row(prefix, js))
+        ]
     assert len(got) > 5000
-    assert all(res == exact for _, res, exact in got), next(g for g in got if g[1] != g[2])
-    failures = sum(isinstance(res, tuple) for _, res, _ in got)
+    assert all(row == one == exact for _, row, one, exact in got), next(
+        g for g in got if not g[1] == g[2] == g[3]
+    )
+    failures = sum(isinstance(res, tuple) for _, res, _, _ in got)
     assert (failures == 0) == (fn is None)
 
 

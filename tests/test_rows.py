@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -32,6 +34,7 @@ from flecklab.verifier import _rows, _specs, iter_instances, run_statement, sear
 
 ROW_IDS = (
     "T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1", "T1.5", "CONJ1.1", "T1.5-alpha1",
+    "CONJ1.3",
 )  # fmt: skip
 CATALOG = {**STATEMENTS, **SEARCHES}
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
@@ -59,9 +62,11 @@ def outcome(fn):
 def excluded(sid: str, prefix: tuple, v: int) -> bool:
     """Out of the statement's hypothesis: a negative n or l, a negative r
     for T1.3, n = 0 or alpha = 0 for L2.2 (its recurrences read the sums at
-    n - 1 and divide by p**(alpha-1)), and alpha < 2 for T3.1, CONJ3.1 and
-    T1.5."""
+    n - 1 and divide by p**(alpha-1)), alpha < 2 for T3.1, CONJ3.1 and
+    T1.5, and for CONJ1.3 n < 2 p**alpha - 1 or a negative j."""
     q = dict(zip(CATALOG[sid].axes, prefix + (v,)))
+    if sid == "CONJ1.3":
+        return q["n"] < 2 * q["p"] ** q["alpha"] - 1 or q["j"] < 0
     if sid in FLECK:
         return q["n"] < 0 or q["alpha"] < 2
     low_alpha = q.get("alpha", 1) < {"T1.5": 2, "L2.2": 1}.get(sid, 0)
@@ -165,7 +170,26 @@ def lift_rows(draw, sid):
     return prefix, rs
 
 
+@hst.composite
+def unit_value_rows(draw):
+    """(p, alpha, n, r) with n from just below CONJ1.3's hypothesis and r
+    from below 0 to past p**alpha, and a list of j: scattered, unordered and
+    repeated, negative ones among them, or the default 0, 1, 2."""
+    p, alpha = draw(hst.sampled_from(PRIMES)), draw(hst.integers(0, 2))
+    m = p**alpha
+    n, r = draw(hst.integers(2 * m - 4, 2 * m + 60)), draw(hst.integers(-m - 3, 2 * m + 3))
+    js = draw(
+        hst.one_of(
+            hst.lists(hst.integers(-2, 6), min_size=1, max_size=8),
+            hst.just([0, 1, 2]),
+        )
+    )
+    return (p, alpha, n, r), js
+
+
 def draw_row(sid, data):
+    if sid == "CONJ1.3":
+        return data.draw(unit_value_rows())
     if sid in L_LAST:
         return data.draw(l_last_rows())
     if sid in LIFTS:
@@ -193,6 +217,30 @@ def test_hypothesis_is_the_prefix_part_of_excluded(sid, data):
     assert CATALOG[sid].hypothesis(*prefix) == (not excluded(sid, prefix, 0))
 
 
+def _sum_residue(p, alpha, n, r, l, d, od, s):
+    """In place of CONJ1.3's verdict: the weight degree and the residue of
+    the power sum it would decide."""
+    return l, s % p ** (od + 1)
+
+
+def _skewed(n, c, m):
+    """The kernel with i added to term i: where CONJ1.3 holds, S mod
+    p**(ord_p(D) + 1) is +-D at every j, so a sum read at the wrong j shows
+    only once the terms are perturbed."""
+    return tuple(t + i for i, t in enumerate(_class_binomials(n, c, m)))
+
+
+@given(row=unit_value_rows())
+def test_conj13_row_reads_the_sums_of_its_check(row):
+    # The row form is held to the residue of each power sum its check reads.
+    prefix, js = row
+    st = SEARCHES["CONJ1.3"]
+    with mock.patch.object(statements, "_conj13_verdict", _sum_residue), mock.patch.object(
+        statements, "_class_binomials", _skewed
+    ):
+        assert st.check_row(prefix, js) == per_instance(st, prefix, js)
+
+
 OUTSIDE = [
     # n < 0, and r < 0 for T1.3
     *[(sid, (3, 2, -1, 4), list(range(9))) for sid in L_LAST],
@@ -214,6 +262,8 @@ OUTSIDE = [
         for ln in ((2, -1), (-1, 4))
     ],
     *[("T1.5", (3, alpha, 2, 4), list(range(-2, 9))) for alpha in (0, 1)],
+    # n < 2 p**alpha - 1, and j < 0
+    *[("CONJ1.3", prefix, [2, -1, 0, 1]) for prefix in ((3, 2, 16, 0), (2, 1, 2, 5), (7, 0, 0, 0))],
 ]
 
 
@@ -251,6 +301,7 @@ DEFAULT_SLICES = {
     "T1.5": {"p": (2, 5), "n": (0, 1, 7, 30)},
     "CONJ1.1": {"l": (0, 1, 5), "n": (0, 1, 24)},
     "T1.5-alpha1": {"l": (0, 1, 4), "n": (0, 1, 7, 30)},
+    "CONJ1.3": {"p": (2, 3), "alpha": (1, 2)},
 }
 
 
@@ -539,6 +590,42 @@ def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, bran
     # Each failure branch ran at least once.
     for branch in branches:
         assert any(branch in text for text in seen), branch
+
+
+def _norm_difference_order(p, x, c, y):
+    """ord_p(x - c*y) for normalized sums x and y in integer form: the order
+    the lift verdicts read before they decided by divisibility."""
+    (a, fa, oa), (b, fb, ob) = x, y
+    return padic.padic_order(p, a * fb - c * b * fa) - oa - ob
+
+
+@hst.composite
+def normalized_pairs(draw):
+    """p, x and y in integer form (num, d!, ord_p(d!)) and c, with x - c*y
+    zero (y = x and c = 1, or both numerators 0) two times in three."""
+    p = draw(hst.sampled_from(PRIMES))
+
+    def normalized(num):
+        d = draw(hst.integers(0, 14))
+        return num, math.factorial(d), padic._factorial_order(p, d)
+
+    def numerator():
+        return draw(hst.integers(-(10**6), 10**6)) * p ** draw(hst.integers(0, 8))
+
+    x = normalized(numerator())
+    kind = draw(hst.sampled_from(["same", "zeros", "any"]))
+    if kind == "same":
+        return p, x, 1, x
+    if kind == "zeros":
+        return p, normalized(0), draw(hst.integers(-3, 3)), normalized(0)
+    return p, x, draw(hst.integers(-3, 3)), normalized(numerator())
+
+
+@given(pair=normalized_pairs(), need=hst.integers(0, 6))
+def test_difference_verdict_is_the_order_verdict(pair, need):
+    p, x, c, y = pair
+    want = statements._at_least(_norm_difference_order(p, x, c, y), need, "difference order")
+    assert statements._difference_verdict(p, x, c, y, need) == want
 
 
 # The Lucas-reduction and lift checks read normalized sums at two levels.
@@ -933,7 +1020,10 @@ def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, dig
 # the orders the checks read (statements._int_order and
 # _convolution_weight_order) by a constant fails every instance that meets
 # its bound with less than that to spare, and leaves values alone, so the
-# pins below hold each verdict's comparison and failure strings.  Each
+# pins below hold each verdict's comparison and failure strings.  The lift
+# verdicts (T1.5, T1.5-alpha1, CONJ1.1) decide "order >= k" by one
+# divisibility test (statements._reaches) and read the exact order only for
+# a failure, so the test is raised to k + shift with them.  Each
 # slice is swept through Statement.check_row, so the row forms run.  C1.1cor
 # subtracts two of the orders it reads from the third, and L3.2's bound is
 # twice an order it reads, so those two are swept with the orders raised
@@ -941,6 +1031,7 @@ def test_rational_order_checks_sweep_as_pinned(kernel, sid, fn, grid, count, dig
 # swept under the _scaled kernel.
 
 _int_order = statements._int_order
+_reaches = statements._reaches
 _convolution_weight_order = statements._convolution_weight_order
 
 MAIN_SLICE = {"p": (2, 3), "alpha": (1, 2), "n": tuple(range(13))}
@@ -1015,6 +1106,7 @@ def test_verdicts_under_lowered_orders_sweep_as_pinned(
     monkeypatch, sid, shift, grid, count, digest
 ):
     monkeypatch.setattr(statements, "_int_order", lambda p, x: _int_order(p, x) - shift)
+    monkeypatch.setattr(statements, "_reaches", lambda p, x, k: _reaches(p, x, k + shift))
     monkeypatch.setattr(
         statements,
         "_convolution_weight_order",

@@ -329,8 +329,13 @@ class TestAdapterSkips:
         assert check(p=3, n=7, s=0) is True
 
     def test_unit_value_adapter_skips_small_n(self):
-        check = SEARCHES["CONJ1.3"].check
-        assert check(p=2, alpha=2, n=5, r=0, j=0) == SKIP
+        # n >= 2 p**alpha - 1 is the hypothesis on a row's prefix, and j >= 0
+        # the check's own.
+        st = SEARCHES["CONJ1.3"]
+        assert st(2, 2, 5, 0, 0) == SKIP
+        assert not st.hypothesis(2, 2, 6, 0)
+        assert st.hypothesis(2, 2, 7, 0)
+        assert st.check(p=2, alpha=2, n=7, r=0, j=-1) == SKIP
 
 
 class TestAdapterValidation:

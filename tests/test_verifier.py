@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -51,7 +52,8 @@ def in_process_pool(monkeypatch, cores):
         def map(self, fn, payloads):
             return map(fn, payloads)
 
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", InProcessPool)
+    # The verifier imports the pool class when a sweep first needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
     return started
 
@@ -353,6 +355,21 @@ class TestParallelDeterminism:
         assert serial.to_csv() == parallel.to_csv()
         assert serial.checked > 0
 
+    # Override grids whose reports must not depend on the job count, swept
+    # through a real pool.  CONJ1.3's row form reads j as given (here out of
+    # order, with a negative value) on rows inside and outside its
+    # hypothesis n >= 2 p**alpha - 1.
+    JOB_COUNT_GRIDS = [
+        ("CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}),
+    ]
+
+    @pytest.mark.parametrize("sid, grid", JOB_COUNT_GRIDS, ids=[c[0] for c in JOB_COUNT_GRIDS])
+    def test_override_grid_reports_do_not_depend_on_the_job_count(self, sid, grid):
+        sweep = run_statement if sid in STATEMENTS else search_conjecture
+        serial = sweep(sid, grid=grid, jobs=1)
+        assert serial.checked > 0 and serial.skipped > 0
+        assert sweep(sid, grid=grid, jobs=2).to_json() == serial.to_json()
+
 
 def planned_sweep(st: Statement, overrides, blocks: int):
     """The planned blocks' instances, concatenated, after checking that each
@@ -474,12 +491,22 @@ class TestBlockPlan:
         assert started == [workers]
         assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
+    @pytest.mark.parametrize("cores, blocks", [(3, 24), (1, 8), (None, 8), (64, 76)])
+    def test_a_large_job_count_plans_for_the_cores(self, monkeypatch, cores, blocks):
+        # 90 rows: planned from 10,000 jobs as given they would be 90 one-row
+        # blocks.  Planned from the workers the cores allow, they are about 8
+        # per core (64 cores ask for 512, and the 90 rows cut into 76).
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+        grid = {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}
+        payloads = _payloads(STATEMENTS["T2.1"], grid, 10_000, DEFAULT_FAILURE_CAP)
+        assert len(payloads) == blocks
+        assert payloads == _payloads(STATEMENTS["T2.1"], grid, cores or 1, DEFAULT_FAILURE_CAP)
+
     @pytest.mark.parametrize("cores, workers", [(3, 3), (1, 1), (None, 1)])
     def test_pool_never_outnumbers_the_cores(self, monkeypatch, cores, workers):
-        # 90 rows, so a large job count plans 90 blocks; the fake pool runs
-        # them in this process, and no worker is started.
+        # The fake pool runs the blocks in this process, and no worker is
+        # started.
         grid = {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}
-        assert len(_payloads(STATEMENTS["T2.1"], grid, 10_000, DEFAULT_FAILURE_CAP)) == 90
         started = in_process_pool(monkeypatch, cores)
         parallel = run_statement("T2.1", grid=grid, jobs=10_000)
         assert started == [workers]
