@@ -356,18 +356,50 @@ class TestParallelDeterminism:
         assert serial.checked > 0
 
     # Override grids whose reports must not depend on the job count, swept
-    # through a real pool.  CONJ1.3's row form reads j as given (here out of
-    # order, with a negative value) on rows inside and outside its
-    # hypothesis n >= 2 p**alpha - 1.
+    # through real worker processes; the third value says whether the grid
+    # has skips.  T2.1, T1.5, CONJ1.1 and T1.5-alpha1 read scattered,
+    # unordered residues as given, each level of a row at once (T1.5's and
+    # T1.5-alpha1's share values of r // p).  T2.1's grid of one row stays
+    # one block.  The next five grids hold rows outside their statements'
+    # hypotheses, which are skipped whole before any check or row form
+    # runs.  Then two frontier grids decided from residues: CONJ3.1's
+    # largest residue folds (p = 7, alpha = 4) and CONJ1.3 at p = 7 up to
+    # n = 120.  CONJ1.3's row form reads j as given (out of order, with a
+    # negative value) on rows inside and outside n >= 2 p**alpha - 1.
     JOB_COUNT_GRIDS = [
-        ("CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}),
+        pytest.param("T2.1", {"r": (7, -3, 0, 2)}, False, id="T2.1-scattered"),
+        pytest.param("T1.5", {"r": (9, -2, 5, 4, 0)}, False, id="T1.5-scattered"),
+        pytest.param("CONJ1.1", {"r": (4, -2, 0, 7)}, False, id="CONJ1.1-scattered"),
+        pytest.param("T1.5-alpha1", {"r": (9, -2, 5, 4, 0)}, False, id="T1.5-alpha1-scattered"),
+        pytest.param("T2.1", {"p": (5,), "alpha": (3,), "l": (8,), "n": (64,)}, False, id="T2.1-one-row"),
+        pytest.param("T1.5", {"alpha": (1, 2, 3), "n": tuple(range(13))}, True, id="T1.5-low-alpha"),
+        pytest.param("L2.2", {"n": tuple(range(5))}, True, id="L2.2-small-n"),
+        pytest.param("T1.1", {"n": tuple(range(-2, 7))}, True, id="T1.1-negative-n"),
+        pytest.param("CONJ3.1", {"alpha": (1, 2, 3)}, True, id="CONJ3.1-low-alpha"),
+        pytest.param(
+            "T1.3", {"n": tuple(range(-1, 7)), "r": tuple(range(-3, 6))}, True, id="T1.3-negative-n-r"
+        ),
+        pytest.param(
+            "CONJ3.1", {"p": (7,), "alpha": (4,), "n": tuple(range(36, 41))}, False,
+            id="CONJ3.1-frontier-rows",
+        ),
+        pytest.param(
+            "CONJ1.3", {"p": (7,), "alpha": (0, 1, 2), "n": tuple(range(100, 121))}, False,
+            id="CONJ1.3-frontier-rows",
+        ),
+        pytest.param(
+            "CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}, True,
+            id="CONJ1.3-scattered-j",
+        ),
     ]
 
-    @pytest.mark.parametrize("sid, grid", JOB_COUNT_GRIDS, ids=[c[0] for c in JOB_COUNT_GRIDS])
-    def test_override_grid_reports_do_not_depend_on_the_job_count(self, sid, grid):
-        sweep = run_statement if sid in STATEMENTS else search_conjecture
+    @pytest.mark.parametrize("sid, grid, skips", JOB_COUNT_GRIDS)
+    def test_override_grid_reports_do_not_depend_on_the_job_count(self, sid, grid, skips):
+        # The conjectures are swept as `flecklab conjecture` sweeps them.
+        sweep = search_conjecture if sid in SEARCHES else run_statement
         serial = sweep(sid, grid=grid, jobs=1)
-        assert serial.checked > 0 and serial.skipped > 0
+        assert serial.checked > 0
+        assert (serial.skipped > 0) == skips
         assert sweep(sid, grid=grid, jobs=2).to_json() == serial.to_json()
 
 
