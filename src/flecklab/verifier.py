@@ -19,15 +19,17 @@ its whole row before any verdict, so this rule, not the row form's order
 of reads, is what decides the instance a user sees.
 
 With one worker the sweep streams its rows.  With more, the parent never
-builds the instance list: it plans about 8 blocks per worker, at most one
-worker per core, each block a contiguous run of whole rows given as
-prefixes of near-equal instance count.  The prefixes are the instances of
-the grid cut down to its leading axes (never the last), their counts come
-from one walk of the grid, and a worker walks the full grid with each of
-its prefixes pinned.  The pool starts no more workers than there are
-blocks or cores.  Block results are merged in sweep order and the failure
-cap is applied after the merge, so the report is the one a single worker
-produces.
+builds the instance list: it plans about 8 blocks per worker (at most
+1,024), each a contiguous run of whole rows named by prefixes of the grid's
+leading axes (never the last), counted in one walk of the grid.  It forks
+no more workers than there are blocks or cores, and none for one.  Every
+block index is in one pipe before the forks; each child, its blocks
+inherited and not pickled, reads the next index when free, stops at EOF or
+its first exception and sends its results back as one pickle.  Every child
+is reaped before the sweep returns, killed first if the parent is
+interrupted.  Blocks are merged in sweep order, the lowest block's error is
+raised, and the failure cap is applied after the merge, so the report is
+the one a single worker produces.
 """
 
 from __future__ import annotations
@@ -257,17 +259,77 @@ def _named(
 def _payloads(
     st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
 ) -> list[tuple]:
-    """What each worker is sent: (statement id, overrides, prefixes,
-    failure cap), one per planned block, in sweep order.  The blocks are
-    planned for the workers the pool can start, at most one per core."""
-    workers = min(jobs, os.cpu_count() or 1)
-    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, 8 * workers)]
+    """What each worker runs: (statement id, overrides, prefixes, failure
+    cap), one per planned block, in sweep order: about 8 blocks for each
+    worker (at most one per core), and at most 1,024 blocks in all."""
+    blocks = min(8 * min(jobs, os.cpu_count() or 1), 1024)
+    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, blocks)]
 
 
 def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
     statement_id, overrides, prefixes, cap = payload
     st = STATEMENTS.get(statement_id) or SEARCHES[statement_id]
     return _run_chunk(st, _block_rows(st, overrides, prefixes), cap)
+
+
+def _fan_out(payloads: list[tuple], workers: int) -> list[tuple[int, int, list[dict]]]:
+    """Each payload's _run_block result, in order, from forked workers or the parent."""
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [_run_block(payload) for payload in payloads]
+    import pickle  # here, so that importing the package does no new work
+    import signal
+    # Every index (1,024 fit one page of pipe) is written before a fork.
+    todo, tickets = os.pipe()
+    os.write(tickets, b"".join(i.to_bytes(4, "little") for i in range(len(payloads))))
+    os.close(tickets)
+    pids, outs, sent = [], [], []
+    try:
+        for _ in range(workers):
+            out, into = os.pipe()
+            outs.append(out)
+            if (pid := os.fork()) == 0:
+                _work(payloads, todo, into)
+            os.close(into)
+            pids.append(pid)
+        for out in outs:
+            with open(out, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    finally:
+        for fd in [todo, *outs]:
+            os.close(fd)
+        for pid in pids[len(sent) :]:  # not read to EOF: the parent was interrupted
+            os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = dict(item for data in sent if data for item in pickle.loads(data))
+    for i in range(len(payloads)):
+        res = results.get(i) or RuntimeError(f"block {i} has no result; worker exit statuses {codes}")
+        if isinstance(res, BaseException):
+            raise res
+    return [results[i] for i in range(len(payloads))]
+
+
+def _work(payloads: list[tuple], todo: int, into: int) -> None:
+    """A forked child's work, sent to into as one pickle of [(index, result or
+    exception)]; os._exit, so no atexit handler or stdio flush runs twice."""
+    import pickle
+    done = []
+    try:
+        while ticket := os.read(todo, 4):
+            i = int.from_bytes(ticket, "little")
+            try:
+                done.append((i, _run_block(payloads[i])))
+            except BaseException as exc:
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # unpicklable: sent as its type and message
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                done.append((i, exc))
+                break
+        with open(into, "wb", closefd=False) as pipe:
+            pickle.dump(done, pipe)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _sweep(
@@ -278,23 +340,10 @@ def _sweep(
 ) -> tuple[int, int, list[dict]]:
     if jobs <= 1:
         return _run_chunk(st, _rows(st.axes, _specs(st, overrides)), cap)
-    # Imported here: the pool's modules cost a fifth of the package's import.
-    from concurrent.futures import ProcessPoolExecutor
-
     payloads = _payloads(st, overrides, jobs, cap)
-    if not payloads:
-        return 0, 0, []
-    checked = skipped = 0
-    failures: list[dict] = []
-    # Reports do not depend on the job count, so the pool is bounded by the
-    # cores and by the blocks.
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for c, s, f in pool.map(_run_block, payloads):
-            checked += c
-            skipped += s
-            failures.extend(f)
-    return checked, skipped, failures[:cap]
+    # Reports do not depend on the job count: workers are bounded by cores and blocks.
+    blocks = _fan_out(payloads, min(jobs, len(payloads), os.cpu_count() or 1))
+    return sum(b[0] for b in blocks), sum(b[1] for b in blocks), [f for b in blocks for f in b[2]][:cap]
 
 
 def delimited(rows: Iterable[Sequence[str]], delimiter: str) -> str:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import itertools
 import json
+import os
 import pickle
+import signal
+import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -34,26 +37,16 @@ from flecklab.verifier import (
 
 
 def in_process_pool(monkeypatch, cores):
-    """Swap the verifier's pool for one that runs its blocks in this process,
-    with os.cpu_count() reporting cores; returns the list of max_workers
-    each pool was started with."""
+    """Swap the verifier's fan-out for one that runs its blocks in this
+    process, with os.cpu_count() reporting cores; returns the worker count
+    each sweep fanned out to."""
     started = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def fan_out(payloads, workers):
+        started.append(workers)
+        return [verifier._run_block(payload) for payload in payloads]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return map(fn, payloads)
-
-    # The verifier imports the pool class when a sweep first needs one.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verifier, "_fan_out", fan_out)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
     return started
 
@@ -534,6 +527,13 @@ class TestBlockPlan:
         assert len(payloads) == blocks
         assert payloads == _payloads(STATEMENTS["T2.1"], grid, cores or 1, DEFAULT_FAILURE_CAP)
 
+    def test_blocks_are_at_most_1024(self, monkeypatch):
+        # Their indices, 4 bytes each, then fit the one page any pipe holds,
+        # so the parent writes them all before it forks a worker.
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4096)
+        payloads = _payloads(STATEMENTS["T1.1"], {}, 4096, DEFAULT_FAILURE_CAP)
+        assert 512 < len(payloads) <= 1024
+
     @pytest.mark.parametrize("cores, workers", [(3, 3), (1, 1), (None, 1)])
     def test_pool_never_outnumbers_the_cores(self, monkeypatch, cores, workers):
         # The fake pool runs the blocks in this process, and no worker is
@@ -556,3 +556,133 @@ class TestBlockPlan:
         first = [v for v in iter_instances(PAIRS) if pair_check(*v) is not True][:5]
         assert [tuple(f["params"].values()) for f in parallel.failures] == first
         assert parallel.to_json() == serial.to_json()
+
+
+def grid_statement(check) -> Statement:
+    """A synthetic statement of 20 rows of 12 values: about one or two rows
+    in each of the 16 blocks two workers are planned."""
+    return Statement(
+        id="FAKE.F",
+        kind="theorem",
+        description="synthetic statement for fan-out tests",
+        defaults={"m": tuple(range(20)), "n": tuple(range(12))},
+        check=check,
+    )
+
+
+def kill_own_worker_at(parent: int, where: tuple[int, int]):
+    """A check that sends SIGKILL to its own process at `where`, in a forked
+    worker only."""
+
+    def check(m, n):
+        if (m, n) == where and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return True
+
+    return check
+
+
+def raise_at(where: tuple[int, int]):
+    def check(m, n):
+        if (m, n) == where:
+            raise ValueError(f"raised at {where}")
+        return True
+
+    return check
+
+
+class TestFanOut:
+    """A parallel sweep's workers: two forked children on any machine, every
+    one of them reaped by the end of each test."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def sweep(monkeypatch, check, jobs=2):
+        monkeypatch.setitem(STATEMENTS, "FAKE.F", grid_statement(check))
+        return run_statement("FAKE.F", jobs=jobs)
+
+    def test_the_lowest_block_error_is_raised(self, monkeypatch):
+        def check(m, n):
+            if (m, n) == (1, 0):
+                time.sleep(0.2)  # the higher block raises first
+                raise ValueError("low")
+            if (m, n) == (18, 0):
+                raise ValueError("high")
+            return True
+
+        with pytest.raises(ValueError, match="^low$"):
+            self.sweep(monkeypatch, check)
+
+    def test_a_killed_worker_is_named_with_its_block(self, monkeypatch):
+        message = r"^block 0 has no result; worker exit statuses \[(-9, 0|0, -9)\]$"
+        with pytest.raises(RuntimeError, match=message):
+            self.sweep(monkeypatch, kill_own_worker_at(os.getpid(), (0, 0)))
+
+    def test_an_unpicklable_error_comes_back_as_its_type_and_message(self, monkeypatch):
+        class Unpicklable(Exception):
+            pass
+
+        def check(m, n):
+            if (m, n) == (5, 0):
+                raise Unpicklable("raised at m=5")
+            return True
+
+        with pytest.raises(RuntimeError, match="^Unpicklable: raised at m=5$"):
+            self.sweep(monkeypatch, check)
+
+    def test_an_interrupted_parent_kills_and_reaps_its_workers(self, monkeypatch):
+        parent = os.getpid()
+
+        def check(m, n):
+            if (m, n) == (0, 0) and os.getpid() != parent:
+                # Past the forks: an interrupt inside one is lost in its
+                # at-fork hooks (Python reports it as unraisable).
+                time.sleep(0.3)
+                os.kill(parent, signal.SIGINT)
+                time.sleep(60)
+            return True
+
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep(monkeypatch, check)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    @pytest.mark.parametrize("outcome", ["pass", "raise", "kill"])
+    def test_a_sweep_leaves_no_file_descriptor_open(self, monkeypatch, outcome):
+        check = {
+            "pass": lambda m, n: True,
+            "raise": raise_at((7, 0)),
+            "kill": kill_own_worker_at(os.getpid(), (7, 0)),
+        }[outcome]
+        before = sorted(os.listdir("/proc/self/fd"))
+        try:
+            self.sweep(monkeypatch, check)
+        except (ValueError, RuntimeError):
+            assert outcome != "pass"
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
+    def test_a_parallel_sweep_warns_of_nothing(self, monkeypatch):
+        # Python 3.12 warns on a fork in a process that runs threads.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.sweep(monkeypatch, lambda m, n: True).checked == 240
+
+    @pytest.mark.parametrize("cores, grid", [(1, {}), (2, {"m": (9,)})])
+    def test_one_worker_forks_no_child(self, monkeypatch, cores, grid):
+        # One core, or one block: the blocks run in the parent, in order.
+        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(verifier.os, "fork", None)
+        monkeypatch.setitem(STATEMENTS, "FAKE.F", grid_statement(raise_at((9, 0))))
+        serial = run_statement("FAKE.F", grid={**grid, "n": (1, 2)}, jobs=1)
+        assert run_statement("FAKE.F", grid={**grid, "n": (1, 2)}, jobs=2) == serial
+        with pytest.raises(ValueError, match=r"^raised at \(9, 0\)$"):
+            run_statement("FAKE.F", grid=grid, jobs=2)
+
+    def test_without_fork_the_parent_runs_the_blocks(self, monkeypatch):
+        monkeypatch.delattr(verifier.os, "fork")
+        assert self.sweep(monkeypatch, lambda m, n: True).checked == 240
