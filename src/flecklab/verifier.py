@@ -22,14 +22,14 @@ With one worker the sweep streams its rows.  With more, the parent never
 builds the instance list: it plans about 8 blocks per worker (at most
 1,024), each a contiguous run of whole rows named by prefixes of the grid's
 leading axes (never the last), counted in one walk of the grid.  It forks
-no more workers than there are blocks or cores, and none for one.  Every
-block index is in one pipe before the forks; each child, its blocks
-inherited and not pickled, reads the next index when free, stops at EOF or
-its first exception and sends its results back as one pickle.  Every child
-is reaped before the sweep returns, killed first if the parent is
-interrupted.  Blocks are merged in sweep order, the lowest block's error is
-raised, and the failure cap is applied after the merge, so the report is
-the one a single worker produces.
+at most one worker per block and per core; for one, or without os.fork,
+the parent runs the blocks.  Every block index is in one pipe before the
+forks; each child, its blocks inherited and not pickled, reads the next
+index when free, stops at EOF or its first exception and sends its results
+back as one pickle.  Every child is reaped (killed first if the parent is
+interrupted) before the lowest block's error, or one naming a block left
+without a result, is raised.  Blocks merge in sweep order and the failure
+cap is applied after the merge: the report is the one a single worker makes.
 """
 
 from __future__ import annotations
@@ -309,8 +309,8 @@ def _fan_out(payloads: list[tuple], workers: int) -> list[tuple[int, int, list[d
 
 
 def _work(payloads: list[tuple], todo: int, into: int) -> None:
-    """A forked child's work, sent to into as one pickle of [(index, result or
-    exception)]; os._exit, so no atexit handler or stdio flush runs twice."""
+    """Run blocks until EOF or any exception, which the parent raises (an
+    interrupt too); leave by os._exit, so no atexit handler or flush runs twice."""
     import pickle
     done = []
     try:
