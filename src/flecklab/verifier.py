@@ -19,17 +19,16 @@ its whole row before any verdict, so this rule, not the row form's order
 of reads, is what decides the instance a user sees.
 
 With one worker the sweep streams its rows.  With more, the parent never
-builds the instance list: it plans about 8 blocks per worker (at most
-1,024), each a contiguous run of whole rows named by prefixes of the grid's
-leading axes (never the last), counted in one walk of the grid.  It forks
-at most one worker per block and per core; for one, or without os.fork,
-the parent runs the blocks.  Every block index is in one pipe before the
-forks; each child, its blocks inherited and not pickled, reads the next
-index when free, stops at EOF or its first exception and sends its results
-back as one pickle.  Every child is reaped (killed first if the parent is
-interrupted) before the lowest block's error, or one naming a block left
-without a result, is raised.  Blocks merge in sweep order and the failure
-cap is applied after the merge: the report is the one a single worker makes.
+builds the instance list: it plans about 8 blocks per worker, each a run of
+whole rows named by prefixes of the grid's leading axes (never the last),
+counted in one walk.  It forks at most one worker per block and per core;
+with one, or without os.fork, it runs the blocks itself.  Every block index
+is in one pipe before the forks; each child, its blocks inherited and not
+pickled, reads the next index when free, stops at EOF or its first exception
+and sends its results back as one pickle.  Every child is reaped (killed
+first if the parent is interrupted) before the lowest block's error, or one
+naming a block left without a result, is raised.  Blocks merge in sweep
+order before the failure cap applies: the report is one worker's.
 """
 
 from __future__ import annotations
@@ -259,9 +258,8 @@ def _named(
 def _payloads(
     st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
 ) -> list[tuple]:
-    """What each worker runs: (statement id, overrides, prefixes, failure
-    cap), one per planned block, in sweep order: about 8 blocks for each
-    worker (at most one per core), and at most 1,024 blocks in all."""
+    """(statement id, overrides, prefixes, failure cap) for each planned block,
+    in sweep order: about 8 per worker (one per core at most), 1,024 at most."""
     blocks = min(8 * min(jobs, os.cpu_count() or 1), 1024)
     return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, blocks)]
 
@@ -301,11 +299,11 @@ def _fan_out(payloads: list[tuple], workers: int) -> list[tuple[int, int, list[d
             os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     results = dict(item for data in sent if data for item in pickle.loads(data))
-    for i in range(len(payloads)):
-        res = results.get(i) or RuntimeError(f"block {i} has no result; worker exit statuses {codes}")
-        if isinstance(res, BaseException):
-            raise res
-    return [results[i] for i in range(len(payloads))]
+    lost = f"has no result; worker exit statuses {codes}"
+    merged = [results.get(i) or RuntimeError(f"block {i} {lost}") for i in range(len(payloads))]
+    if errors := [res for res in merged if isinstance(res, BaseException)]:
+        raise errors[0]
+    return merged
 
 
 def _work(payloads: list[tuple], todo: int, into: int) -> None:

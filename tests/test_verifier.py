@@ -382,7 +382,7 @@ class TestParallelDeterminism:
         ),
         pytest.param(
             "CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}, True,
-            id="CONJ1.3-scattered-j",
+            id="CONJ1.3",
         ),
     ]
 
@@ -603,9 +603,9 @@ class TestFanOut:
             os.waitpid(-1, os.WNOHANG)
 
     @staticmethod
-    def sweep(monkeypatch, check, jobs=2):
+    def sweep(monkeypatch, check):
         monkeypatch.setitem(STATEMENTS, "FAKE.F", grid_statement(check))
-        return run_statement("FAKE.F", jobs=jobs)
+        return run_statement("FAKE.F", jobs=2)
 
     def test_the_lowest_block_error_is_raised(self, monkeypatch):
         def check(m, n):
@@ -674,7 +674,8 @@ class TestFanOut:
 
     @pytest.mark.parametrize("cores, grid", [(1, {}), (2, {"m": (9,)})])
     def test_one_worker_forks_no_child(self, monkeypatch, cores, grid):
-        # One core, or one block: the blocks run in the parent, in order.
+        # One core, or one block: the blocks run in the parent, in order (a
+        # fork would call None and raise TypeError).
         monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(verifier.os, "fork", None)
         monkeypatch.setitem(STATEMENTS, "FAKE.F", grid_statement(raise_at((9, 0))))
