@@ -18,17 +18,20 @@ at a time, and the first check that raises names it.  A row form reads
 its whole row before any verdict, so this rule, not the row form's order
 of reads, is what decides the instance a user sees.
 
-With one worker the sweep streams its rows.  With more, the parent never
-builds the instance list: it plans about 8 blocks per worker, each a run of
-whole rows named by prefixes of the grid's leading axes (never the last),
-counted in one walk.  It forks at most one worker per block and per core;
-with one, or without os.fork, it runs the blocks itself.  Every block index
-is in one pipe before the forks; each child, its blocks inherited and not
-pickled, reads the next index when free, stops at EOF or its first exception
-and sends its results back as one pickle.  Every child is reaped (killed
-first if the parent is interrupted) before the lowest block's error, or one
-naming a block left without a result, is raised.  Blocks merge in sweep
-order before the failure cap applies: the report is one worker's.
+A sweep's workers are the job count bounded by the cores, or one without
+os.fork.  With one worker the sweep streams its rows and plans nothing.
+With more, the parent never builds the instance list: it plans about 8
+blocks per worker, each a run of whole rows named by prefixes of the
+grid's leading axes (never the last), counted in one walk; a plan of one
+block streams too.  Otherwise _fan_out runs one closure per block index in
+at most one forked child per block and per core, at least two.  Every
+index is in one pipe before the forks, made with SIGINT held; each child,
+the closure inherited and not pickled, reads the next index when free,
+stops at EOF or its first exception and sends its results back as one
+pickle.  Every child is reaped (killed first if the parent is interrupted)
+before the lowest block's error, or one naming a block left without a
+result, is raised.  Blocks merge in sweep order before the failure cap
+applies: the report is one worker's.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyGridError,
@@ -255,40 +258,26 @@ def _named(
     return InternalInvariantError(f"{st.id} at {dict(zip(st.axes, prefix))}: {exc}")
 
 
-def _payloads(
-    st: Statement, overrides: dict[str, tuple[int, ...]], jobs: int, cap: int
-) -> list[tuple]:
-    """(statement id, overrides, prefixes, failure cap) for each planned block,
-    in sweep order: about 8 per worker (one per core at most), 1,024 at most."""
-    blocks = min(8 * min(jobs, os.cpu_count() or 1), 1024)
-    return [(st.id, overrides, prefixes, cap) for prefixes, _ in _plan(st, overrides, blocks)]
-
-
-def _run_block(payload: tuple) -> tuple[int, int, list[dict]]:
-    statement_id, overrides, prefixes, cap = payload
-    st = STATEMENTS.get(statement_id) or SEARCHES[statement_id]
-    return _run_chunk(st, _block_rows(st, overrides, prefixes), cap)
-
-
-def _fan_out(payloads: list[tuple], workers: int) -> list[tuple[int, int, list[dict]]]:
-    """Each payload's _run_block result, in order, from forked workers or the parent."""
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [_run_block(payload) for payload in payloads]
+def _fan_out(run: Callable[[int], object], count: int, workers: int) -> list:
+    """run(i) for every i < count, in index order, from `workers` forked children."""
     import pickle  # here, so that importing the package does no new work
     import signal
     # Every index (1,024 fit one page of pipe) is written before a fork.
     todo, tickets = os.pipe()
-    os.write(tickets, b"".join(i.to_bytes(4, "little") for i in range(len(payloads))))
+    os.write(tickets, b"".join(i.to_bytes(4, "little") for i in range(count)))
     os.close(tickets)
     pids, outs, sent = [], [], []
+    # Held while forking: a SIGINT in the at-fork hooks would be lost.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for _ in range(workers):
             out, into = os.pipe()
             outs.append(out)
             if (pid := os.fork()) == 0:
-                _work(payloads, todo, into)
+                _work(run, todo, into, mask)
             os.close(into)
             pids.append(pid)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for out in outs:
             with open(out, "rb", closefd=False) as pipe:
                 sent.append(pipe.read())
@@ -298,24 +287,27 @@ def _fan_out(payloads: list[tuple], workers: int) -> list[tuple[int, int, list[d
         for pid in pids[len(sent) :]:  # not read to EOF: the parent was interrupted
             os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     results = dict(item for data in sent if data for item in pickle.loads(data))
     lost = f"has no result; worker exit statuses {codes}"
-    merged = [results.get(i) or RuntimeError(f"block {i} {lost}") for i in range(len(payloads))]
+    merged = [results[i] if i in results else RuntimeError(f"block {i} {lost}") for i in range(count)]
     if errors := [res for res in merged if isinstance(res, BaseException)]:
         raise errors[0]
     return merged
 
 
-def _work(payloads: list[tuple], todo: int, into: int) -> None:
+def _work(run: Callable[[int], object], todo: int, into: int, mask: set) -> None:
     """Run blocks until EOF or any exception, which the parent raises (an
     interrupt too); leave by os._exit, so no atexit handler or flush runs twice."""
     import pickle
+    import signal
     done = []
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while ticket := os.read(todo, 4):
             i = int.from_bytes(ticket, "little")
             try:
-                done.append((i, _run_block(payloads[i])))
+                done.append((i, run(i)))
             except BaseException as exc:
                 try:
                     pickle.loads(pickle.dumps(exc))
@@ -336,11 +328,16 @@ def _sweep(
     jobs: int,
     cap: int,
 ) -> tuple[int, int, list[dict]]:
-    if jobs <= 1:
-        return _run_chunk(st, _rows(st.axes, _specs(st, overrides)), cap)
-    payloads = _payloads(st, overrides, jobs, cap)
     # Reports do not depend on the job count: workers are bounded by cores and blocks.
-    blocks = _fan_out(payloads, min(jobs, len(payloads), os.cpu_count() or 1))
+    workers = min(jobs, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    plan = _plan(st, overrides, min(8 * workers, 1024)) if workers > 1 else []
+    if len(plan) <= 1:
+        return _run_chunk(st, _rows(st.axes, _specs(st, overrides)), cap)
+    blocks = _fan_out(
+        lambda i: _run_chunk(st, _block_rows(st, overrides, plan[i][0]), cap),
+        len(plan),
+        min(workers, len(plan)),
+    )
     return sum(b[0] for b in blocks), sum(b[1] for b in blocks), [f for b in blocks for f in b[2]][:cap]
 
 

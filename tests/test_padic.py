@@ -47,6 +47,14 @@ class TestIsPrime:
         assert not is_prime(2**67 - 1)  # 193707721 * 761838257287
         assert not is_prime(561)  # Carmichael
 
+    def test_carmichael_numbers_without_a_witness_factor(self):
+        # No factor is a witness, so trial division passes them all and the
+        # Miller-Rabin rounds, with n - 1 split into 2**s * d, must decide.
+        for n in (252601, 410041, 1152271):  # 41*61*101, 41*73*137, 43*127*211
+            assert not is_prime(n), n
+        with pytest.raises(InvalidParameterError):
+            prime_power_modulus(252601, 1)
+
     def test_beyond_deterministic_range_is_rejected(self):
         with pytest.raises(InvalidParameterError):
             is_prime(10**25)

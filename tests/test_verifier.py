@@ -4,7 +4,6 @@ import dataclasses
 import itertools
 import json
 import os
-import pickle
 import signal
 import time
 import warnings
@@ -25,7 +24,6 @@ from flecklab.verifier import (
     DEFAULT_FAILURE_CAP,
     VerificationReport,
     _block_rows,
-    _payloads,
     _plan,
     _rows,
     _specs,
@@ -38,13 +36,13 @@ from flecklab.verifier import (
 
 def in_process_pool(monkeypatch, cores):
     """Swap the verifier's fan-out for one that runs its blocks in this
-    process, with os.cpu_count() reporting cores; returns the worker count
-    each sweep fanned out to."""
+    process, with os.cpu_count() reporting cores; returns the (workers,
+    blocks) of each sweep that fanned out."""
     started = []
 
-    def fan_out(payloads, workers):
-        started.append(workers)
-        return [verifier._run_block(payload) for payload in payloads]
+    def fan_out(run, count, workers):
+        started.append((workers, count))
+        return [run(i) for i in range(count)]
 
     monkeypatch.setattr(verifier, "_fan_out", fan_out)
     monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
@@ -396,6 +394,51 @@ class TestParallelDeterminism:
         assert sweep(sid, grid=grid, jobs=2).to_json() == serial.to_json()
 
 
+ROW_FORM_IDS = [sid for sid, st in ALL_STATEMENTS.items() if st.check in statements._ROW_FORMS]
+
+
+@hst.composite
+def row_form_grids(draw):
+    """A row-form id and small overrides of its axes: every axis but a
+    derived last one, which is overridden or kept.  At most 54 rows."""
+    sid = draw(hst.sampled_from(ROW_FORM_IDS))
+    st = ALL_STATEMENTS[sid]
+    pools = {"p": (2, 3, 5), "alpha": range(4)}
+    grid = {}
+    for axis in st.axes:
+        if axis == st.axes[-1] and isinstance(st.defaults[axis], DerivedAxis) and draw(hst.booleans()):
+            continue
+        pool = pools.get(axis, range(-2, 13))
+        size = 2 if axis in pools else 3
+        grid[axis] = tuple(draw(hst.lists(hst.sampled_from(pool), min_size=1, max_size=size, unique=True)))
+    return sid, grid
+
+
+def sweep_outcome(sid, grid, jobs):
+    """The report's JSON, or the error's type and message."""
+    sweep = search_conjecture if sid in SEARCHES else run_statement
+    try:
+        return sweep(sid, grid=grid, jobs=jobs).to_json()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestRowFormBlocks:
+    @settings(max_examples=50, deadline=None)
+    @given(row_form_grids())
+    def test_one_row_blocks_report_as_one_worker(self, case):
+        # 64 cores ask for 512 blocks: one a row on these grids.
+        sid, grid = case
+        st = ALL_STATEMENTS[sid]
+        serial = sweep_outcome(sid, grid, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            fanned = in_process_pool(patch, cores=64)
+            assert sweep_outcome(sid, grid, 64) == serial
+        if fanned:
+            rows = sum(1 for _ in _rows(st.axes, _specs(st, grid)))
+            assert fanned == [(min(64, rows), rows)]
+
+
 def planned_sweep(st: Statement, overrides, blocks: int):
     """The planned blocks' instances, concatenated, after checking that each
     block's count is the number of instances it yields."""
@@ -505,49 +548,56 @@ class TestBlockPlan:
         # One row of 375 residues stays one block: the last axis is never pinned.
         assert _plan(st, grid, blocks) == [([(5, 3, 8, 64)], 375)]
 
-    @pytest.mark.parametrize("jobs, grid, workers", [
-        (8, {"p": (5,), "alpha": (3,), "l": (8,), "n": (64,)}, 1),
-        (3, {"p": (5,), "alpha": (3,), "l": (8,), "n": (63, 64)}, 2),
-        (2, {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}, 2),
+    @pytest.mark.parametrize("jobs, grid, started", [
+        # One row is one block: streamed, with no fan-out.
+        (8, {"p": (5,), "alpha": (3,), "l": (8,), "n": (64,)}, []),
+        (3, {"p": (5,), "alpha": (3,), "l": (8,), "n": (63, 64)}, [(2, 2)]),
+        (2, {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}, [(2, 16)]),
     ])
-    def test_pool_never_outnumbers_its_blocks(self, monkeypatch, jobs, grid, workers):
-        started = in_process_pool(monkeypatch, cores=64)
+    def test_pool_never_outnumbers_its_blocks(self, monkeypatch, jobs, grid, started):
+        fanned = in_process_pool(monkeypatch, cores=64)
         parallel = run_statement("T2.1", grid=grid, jobs=jobs)
-        assert started == [workers]
+        assert fanned == started
         assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
-    @pytest.mark.parametrize("cores, blocks", [(3, 24), (1, 8), (None, 8), (64, 76)])
+    @pytest.mark.parametrize("cores, blocks", [(3, [24]), (1, []), (None, []), (64, [76])])
     def test_a_large_job_count_plans_for_the_cores(self, monkeypatch, cores, blocks):
         # 90 rows: planned from 10,000 jobs as given they would be 90 one-row
         # blocks.  Planned from the workers the cores allow, they are about 8
-        # per core (64 cores ask for 512, and the 90 rows cut into 76).
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: cores)
+        # per core (64 cores ask for 512, and the 90 rows cut into 76); one
+        # core plans nothing.
         grid = {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}
-        payloads = _payloads(STATEMENTS["T2.1"], grid, 10_000, DEFAULT_FAILURE_CAP)
-        assert len(payloads) == blocks
-        assert payloads == _payloads(STATEMENTS["T2.1"], grid, cores or 1, DEFAULT_FAILURE_CAP)
+        fanned = in_process_pool(monkeypatch, cores)
+        parallel = run_statement("T2.1", grid=grid, jobs=10_000)
+        run_statement("T2.1", grid=grid, jobs=cores or 1)
+        assert [count for _, count in fanned] == blocks * 2
+        assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
     def test_blocks_are_at_most_1024(self, monkeypatch):
         # Their indices, 4 bytes each, then fit the one page any pipe holds,
-        # so the parent writes them all before it forks a worker.
-        monkeypatch.setattr(verifier.os, "cpu_count", lambda: 4096)
-        payloads = _payloads(STATEMENTS["T1.1"], {}, 4096, DEFAULT_FAILURE_CAP)
-        assert 512 < len(payloads) <= 1024
+        # so the parent writes them all before it forks a worker.  4,096
+        # cores would ask for 32,768 blocks of the 4,096 rows.
+        fanned = in_process_pool(monkeypatch, cores=4096)
+        monkeypatch.setitem(STATEMENTS, "FAKE.F", grid_statement(lambda m, n: True))
+        assert run_statement("FAKE.F", grid={"m": tuple(range(4096)), "n": (0,)}, jobs=4096).checked == 4096
+        assert fanned == [(1024, 1024)]
 
-    @pytest.mark.parametrize("cores, workers", [(3, 3), (1, 1), (None, 1)])
+    @pytest.mark.parametrize("cores, workers", [(3, [3]), (1, []), (None, [])])
     def test_pool_never_outnumbers_the_cores(self, monkeypatch, cores, workers):
-        # The fake pool runs the blocks in this process, and no worker is
-        # started.
+        # The fake pool runs the blocks in this process; with one core the
+        # sweep streams and never reaches it.
         grid = {"p": (5,), "alpha": (1, 2, 3), "l": (8,), "n": tuple(range(30))}
-        started = in_process_pool(monkeypatch, cores)
+        fanned = in_process_pool(monkeypatch, cores)
         parallel = run_statement("T2.1", grid=grid, jobs=10_000)
-        assert started == [workers]
+        assert [started for started, _ in fanned] == workers
         assert parallel.to_json() == run_statement("T2.1", grid=grid).to_json()
 
-    def test_payloads_carry_prefixes_not_instances(self):
+    def test_default_plans_name_at_most_1024_prefixes(self):
+        # The workers inherit the plan, nothing is pickled on the way out,
+        # and a plan stays small next to its grid: the largest, T1.1-T1.3's,
+        # names 780 prefixes for 41,145 rows.
         for sid, st in ALL_STATEMENTS.items():
-            payloads = _payloads(st, {}, 2, DEFAULT_FAILURE_CAP)
-            assert sum(len(pickle.dumps(p)) for p in payloads) < 128 * 1024, sid
+            assert sum(len(prefixes) for prefixes, _ in _plan(st, {}, 16)) <= 1024, sid
 
     def test_failure_cap_keeps_the_first_failures_in_sweep_order(self, monkeypatch):
         monkeypatch.setitem(STATEMENTS, "FAKE.P", PAIRS)
@@ -650,6 +700,18 @@ class TestFanOut:
 
         with pytest.raises(KeyboardInterrupt):
             self.sweep(monkeypatch, check)
+
+    def test_an_interrupt_during_the_forks_is_raised(self, monkeypatch):
+        # Sent from an at-fork hook, in the parent, before the first fork.
+        # A hook cannot be unregistered: emptied, this one does nothing.
+        armed = [os.getpid()]
+        os.register_at_fork(before=lambda: armed and os.kill(armed.pop(), signal.SIGINT))
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                self.sweep(monkeypatch, lambda m, n: True)
+            assert not armed
+        finally:
+            armed.clear()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
     @pytest.mark.parametrize("outcome", ["pass", "raise", "kill"])
