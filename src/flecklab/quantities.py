@@ -25,12 +25,13 @@ every call.
 _norm_sums is the one evaluator of the first normalization: it gives the
 numerators of one (l, n) at any residues, sharing the weight lists, gives 0
 for a residue whose class is empty (r mod m > n) without a weight list or a
-kernel call, and holds every value to both invariants.  _norm_denominator
-gives the denominator d! and its order.  _norm_sum_value keeps single
-values (L2.4, L4.2, T4.1 and the per-instance checks), and _norm_sum_window
-whole windows, which serves L2.2's neighbouring rows; the row forms of
-T2.1, T1.5, T1.5-alpha1 and CONJ1.1 read no row twice and take _norm_sums
-past both, so they keep none of the values they read.
+kernel call, and holds every value to both invariants.  _norm_index is
+the one definition of d, and _norm_denominator gives the denominator d!
+and its order; a reader of the order alone builds no d!.  _norm_sum_value
+keeps single values (L2.4, L4.2, T4.1 and the per-instance checks), and
+_norm_sum_window whole windows, which serves L2.2's neighbouring rows; the
+row forms of T2.1, T1.5, T1.5-alpha1 and CONJ1.1 read no row twice and
+take _norm_sums past both, so they keep none of the values they read.
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues,
 mod p**(b + 1) for the bound b of the check that reads them, from one
 residue fold of the binomial row (sums._class_residues) mod p**(w + b + 1),
@@ -74,10 +75,16 @@ __all__ = [
 ]
 
 
+def _norm_index(p: int, alpha: int, n: int) -> int:
+    """d = scaled_floor(n, p, alpha - 1): every normalized sum of row n at
+    level alpha has denominator d!."""
+    return _scaled_floor(n, p, alpha - 1)
+
+
 def _norm_denominator(p: int, alpha: int, n: int) -> tuple[int, int]:
-    """d! and ord_p(d!) with d = scaled_floor(n, p, alpha - 1): the
-    denominator of every normalized sum of row n at level alpha."""
-    d = _scaled_floor(n, p, alpha - 1)
+    """d! and ord_p(d!) with d = _norm_index(p, alpha, n): the denominator
+    of every normalized sum of row n at level alpha."""
+    d = _norm_index(p, alpha, n)
     return math.factorial(d), _factorial_order(p, d)
 
 
@@ -98,7 +105,7 @@ def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[i
     if l < 0 or n < 0:
         raise InvalidParameterError("l and n must be nonnegative")
     scale = math.factorial(l) * p**l
-    integral = p ** _norm_denominator(p, alpha, n)[1]
+    integral = p ** _factorial_order(p, _norm_index(p, alpha, n))
     weights: dict[int, list[int]] = {}
     nums = []
     for r in rs:

@@ -15,20 +15,27 @@ one call.  It computes only what the row's instances share, such as the
 class terms, the bound terms or the normalized sums at the row's
 residues, and passes each value's to the verdict function its check
 uses, so a verdict and its failure strings are written once.  T1.1-T1.3,
-L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1, CONJ3.1 and CONJ1.3 have
-one.  T3.1 and CONJ3.1 read every Fleck sum of a row from
+L2.2, T2.1, T1.5, T1.5-alpha1, CONJ1.1, T3.1, CONJ3.1, CONJ1.2 and
+CONJ1.3 have one.  T3.1 and CONJ3.1 read every Fleck sum of a row from
 quantities._fleck_sums, one residue fold of each binomial row they need,
 mod p to one power past the bound their verdict holds the sums to
 (_fleck_reduction_bound, _conj31_bound); their per-instance checks read
-the exact sums.  CONJ1.2 folds its two rows once per instance, exactly.
+the exact sums.  CONJ1.2's check folds its two rows, p*n + s mod p**2 and
+n mod p, once per instance, exactly; its row form folds row n once and row
+p*n + s once, at the row's least digit s, and reaches each next digit's
+row by Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2] (a property of
+binomial rows, not the digit congruence it checks); both hand the sums to
+_conj12_verdict.
 T1.5, T1.5-alpha1 and CONJ1.1 read the normalized sums of their two
 levels from quantities._norm_sums, the one evaluator of normalized sums,
 and keep none of them; _difference_verdict decides their "order >= bound"
 by one divisibility test.  CONJ1.3's row form reads D, od = ord_p(D) and
 the class terms mod p**(od + 1) once, steps each weight i**l from one j to
 the next by a factor i**step (both read from _power_weights, which the
-rows of one (p, alpha, n) share), and decides each sum mod p**(od + 1).
-Each of these eleven entries declares its hypothesis on a row's prefix once
+rows of one (p, alpha, n) share, and which powers only the primes of a
+window from i = 0 up and multiplies every other weight from two smaller
+ones), and decides each sum mod p**(od + 1).
+Each of these twelve entries declares its hypothesis on a row's prefix once
 (Statement.hypothesis), and a row outside it is skipped whole, so a row
 form sees only rows inside it.  It returns one result per value, or None
 to hand a row too sparse to share anything back: Statement.check_row then
@@ -97,6 +104,7 @@ from .quantities import (
     _convolution_weight_order,
     _fleck_sums,
     _norm_denominator,
+    _norm_index,
     _norm_sum_value,
     _norm_sum_window,
     _norm_sums,
@@ -210,15 +218,17 @@ def _prime_factors(m: int) -> list[int]:
 # are (num, d!, ord_p(d!)), worth num / d!: num is quantities._norm_sum_value
 # and (d!, ord_p(d!)) is quantities._norm_denominator, which depends on
 # (p, alpha, n) alone.  A row form reads the numerators of its row from
-# quantities._norm_sums and the denominator once.  L2.1 evaluates its own
-# numerators over the same (p*n)!, as it checks the closed form that
+# quantities._norm_sums and the denominator once (T2.1 only its order,
+# from d = quantities._norm_index, as _norm_sums does).  L2.1 evaluates its
+# own numerators over the same (p*n)!, as it checks the closed form that
 # _norm_sums holds them to.  The other rationals of the catalog (the
 # harmonic sums of L3.1, the Bernoulli values of C1.1cor, T1.4's inverse
 # sequence, L2.5's weights and CONJ1.3's value) are an integer numerator
 # and denominator.  Checks compare by cross-multiplying, take orders of the
 # two integers, and build a Fraction only to describe a failure.  CONJ1.3
 # reads its numerator S only mod p**(ord_p(D) + 1), the power its verdict
-# tests, and sums the exact S only for a failure.
+# tests, and sums the exact S only for a failure; its row form's weights
+# i**l mod that power are powered at primes only (_power_weights).
 
 
 def _norm_parts(p: int, alpha: int, l: int, n: int, r: int) -> tuple[int, int, int]:
@@ -788,7 +798,7 @@ def _t21_row(p, alpha, l, n, rs):
     # The terms _bound_terms(p, alpha - 1, n, r) gives, fo = ord_p(d!) once
     # per row.
     e = alpha - 1
-    fo = _norm_denominator(p, alpha, n)[1]
+    fo = _factorial_order(p, _norm_index(p, alpha, n))
     # A zero sum (an empty class, among others) has order INFINITY.
     return [
         _at_least(
@@ -847,16 +857,17 @@ def _conj12(p, n, s):
     prime_power_modulus(p, 2)
     if n < 0 or not 0 <= s < p:
         return SKIP
-    # lhs_val reads up to every class p*r + t of row p*n + s mod p**2, so
-    # the row is folded once.
-    big_n = p * n + s
-    top = _class_sums(big_n, p * p)
+    return _conj12_verdict(p, n, s, _class_sums(p * n + s, p * p), _class_sums(n, p))
+
+
+def _conj12_verdict(p: int, n: int, s: int, top: Sequence[int], low: Sequence[int]):
+    """_conj12's result from the class sums of row p*n + s mod p**2 (top)
+    and of row n mod p (low), each normalized only where it is read."""
 
     def lhs_val(t: int, r: int) -> int:
-        return _weisman_normalized(p, 2, big_n, p * r + t, top[p * r + t])
+        return _weisman_normalized(p, 2, p * n + s, p * r + t, top[p * r + t])
 
     if n % p == 0 or (n - 1) % (p - 1) != 0:
-        low = _class_sums(n, p)
         for r in range(p):
             rhs = _weisman_normalized(p, 1, n, r, low[r])
             for t in range(p):
@@ -877,6 +888,25 @@ def _conj12(p, n, s):
         if got != list(range(1, p)):
             return (f"residues {got}", f"a permutation of 1..{p - 1}")
     return True
+
+
+def _conj12_row(p, n, ss):
+    """_conj12 at each s of ss, in any order: row p*n + s is folded once, at
+    the least s in 0 .. p-1, and each next row from the one before by
+    Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2]; row n is folded once."""
+    prime_power_modulus(p, 2)
+    wanted = {s for s in ss if 0 <= s < p}
+    results = {}
+    if wanted:
+        low = _class_sums(n, p)
+        lo = min(wanted)
+        top = _class_sums(p * n + lo, p * p)
+        for s in range(lo, max(wanted) + 1):
+            if s > lo:
+                top = [a - b for a, b in zip(top, [top[-1], *top[:-1]])]
+            if s in wanted:
+                results[s] = _conj12_verdict(p, n, s, top, low)
+    return [results.get(s, SKIP) for s in ss]
 
 
 def _conj13(p, alpha, n, r, j):
@@ -920,8 +950,33 @@ def _conj13_verdict(p, alpha, n, r, l, d, od, s):
 @lru_cache(maxsize=1 << 4)
 def _power_weights(i0: int, count: int, l: int, q: int) -> tuple[int, ...]:
     """i**l mod q for i = i0 .. i0 + count - 1.  The rows of one (p, alpha,
-    n) mostly share their weights, so CONJ1.3's row form reads them here."""
-    return tuple(pow(i, l, q) for i in range(i0, i0 + count))
+    n) mostly share their weights, so CONJ1.3's row form reads them here.
+    i -> i**l is completely multiplicative, so for i0 >= 0 only a prime i
+    (and 0, 1) is powered, and any other i is the product of the weights
+    at its least prime factor f and at i / f, both below it."""
+    if i0 < 0 or count < 3:
+        return tuple(pow(i, l, q) for i in range(i0, i0 + count))
+    end = i0 + count
+    least = _least_factors(1 << (end - 1).bit_length())
+    w = [pow(0, l, q), pow(1, l, q)]
+    for i in range(2, end):
+        f = least[i]
+        w.append(pow(i, l, q) if f == i else w[f] * w[i // f] % q)
+    return tuple(w[i0:])
+
+
+@lru_cache(maxsize=None)
+def _least_factors(size: int) -> tuple[int, ...]:
+    """The least prime factor of each i < size (0 and 1 their own), by a
+    sieve; read at power-of-two sizes, so one entry serves every size up to
+    its own."""
+    least = list(range(size))
+    for f in range(2, math.isqrt(size - 1) + 1):
+        if least[f] == f:
+            for i in range(f * f, size, f):
+                if least[i] == i:
+                    least[i] = f
+    return tuple(least)
 
 
 def _conj13_row(p, alpha, n, r, js):
@@ -1120,6 +1175,7 @@ _ROW_FORMS: dict[Callable, Callable[..., "list | None"]] = {
     check_lucas_reduction: _lucas_row,
     check_fleck_reduction: _fleck_reduction_row,
     _conj11: _conj11_row,
+    _conj12: _conj12_row,
     _conj13: _conj13_row,
     _conj31: _conj31_row,
     _t15_alpha1: _t15_alpha1_row,
@@ -1454,6 +1510,7 @@ STATEMENTS: dict[str, Statement] = {
                 "s": DerivedAxis("0 .. p-1", _digits),
             },
             _conj12,
+            lambda p, n: n >= 0,
         ),
         Statement(
             "CONJ1.3",

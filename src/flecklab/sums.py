@@ -31,7 +31,12 @@ fold is made per call and never kept; plain_alt_sum stays its oracle.
 A caller that needs those sums only mod p**k takes _class_residues(n, m,
 p, k), the same walk in units mod p**k and exact orders, which keeps m
 residues of k digits instead of m sums of up to n bits; _class_sums,
-reduced mod p**k, is its oracle.
+reduced mod p**k, is its oracle.  Every such walk at p divides by the same
+denominators 1, 2, 3, ..., so it reads their p-free parts' inverses and
+orders from one table per prime (_unit_inverses), kept through an
+lru_cache: grown in place to the longest half-row walked so far, and
+Newton-lifted when a walk asks for more digits than it holds.  A walk
+inverts nothing the table already covers.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -231,17 +237,53 @@ def _class_sums(n: int, m: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=1 << 4)
+def _unit_inverse_table(p: int) -> list:
+    """[K, inv, ords] for the prime p, grown in place by _unit_inverses;
+    held here so that clearing the caches drops it."""
+    return [0, [], bytearray()]
+
+
+def _unit_inverses(p: int, k: int, count: int) -> tuple[list[int], bytearray]:
+    """inv and ords with at least count entries: inv[i] the inverse mod p**K
+    of the p-free part b of i + 1, for K the largest k asked for so far
+    (k >= 1), and ords[i] = ord_p(i + 1).  When b < i + 1, inv[i] is the same
+    object as inv[b - 1], so only units are stored.  A table short of k
+    digits is Newton-lifted, each step x -> x * (2 - b * x) doubling its
+    digits up to k; a short one is extended by one pow per new unit."""
+    table = _unit_inverse_table(p)
+    top, inv, ords = table
+    while top < k:
+        top = min(2 * top, k) if top else k
+        q = p**top
+        for i, v in enumerate(ords):
+            b = (i + 1) // p**v
+            inv[i] = inv[b - 1] if v else inv[i] * (2 - b * inv[i]) % q
+    table[0] = top
+    if len(inv) < count:
+        q = p**top
+        for i in range(len(inv), count):
+            b, v = i + 1, 0
+            while not b % p:
+                b //= p
+                v += 1
+            inv.append(inv[b - 1] if v else pow(b, -1, q))
+            ords.append(v)
+    return inv, ords
+
+
 def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
     """_class_sums(n, m) mod p**k, each in 0 .. p**k - 1, for a prime p;
     all zero for n < 0 or k <= 0.
 
     The walk is _class_sums' over half the row, with (-1)**i *
     binomial(n, i) carried as u * p**v: u a unit mod p**k and v its exact
-    p-adic order.  Each step strips the p-parts of n - i and i + 1 into v
-    and multiplies u by the rest of n - i and by the inverse of the rest of
-    i + 1.  A term with v >= k is 0 mod p**k.  The walk keeps m partial
-    sums, each at most p**k times its class's number of terms in size, and
-    no term once it is added.
+    p-adic order.  Each step strips the p-part of n - i into v, multiplies
+    u by the rest, and divides by i + 1 through the table of
+    _unit_inverses: its order comes off v and u is multiplied by its
+    p-free part's inverse.  A term with v >= k is 0 mod p**k.  The walk
+    keeps m partial sums, each at most p**k times its class's number of
+    terms in size, and no term once it is added.
     """
     if m < 1:
         raise _modulus_error(m)
@@ -253,6 +295,7 @@ def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
     u, v = 1, 0
     half = (n + 1) // 2
     odd = n % 2
+    inv, ords = _unit_inverses(p, k, half)
     for i in range(half):
         if v < k:
             t = u * powers[v]
@@ -261,14 +304,12 @@ def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
                 out[(n - i) % m] -= t
             else:
                 out[(n - i) % m] += t
-        a, b = n - i, i + 1
+        a = n - i
         while not a % p:
             a //= p
             v += 1
-        while not b % p:
-            b //= p
-            v -= 1
-        u = -u * a * pow(b, -1, q) % q
+        v -= ords[i]
+        u = -u * a * inv[i] % q
     if not odd and v < k:
         out[half % m] += u * powers[v]  # the middle term, i = n/2
     return [s % q for s in out]

@@ -28,8 +28,9 @@ at most one forked child per block and per core, at least two.  Every
 index is in one pipe before the forks, made with SIGINT held; each child,
 the closure inherited and not pickled, reads the next index when free,
 stops at EOF or its first exception and sends its results back as one
-pickle.  Every child is reaped (killed first if the parent is interrupted)
-before the lowest block's error, or one naming a block left without a
+pickle, an exception with its formatted traceback.  Every child is reaped
+(killed first if the parent is interrupted) before the lowest block's
+error, raised from that traceback, or one naming a block left without a
 result, is raised.  Blocks merge in sweep order before the failure cap
 applies: the report is one worker's.
 """
@@ -288,7 +289,12 @@ def _fan_out(run: Callable[[int], object], count: int, workers: int) -> list:
             os.kill(pid, signal.SIGKILL)
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-    results = dict(item for data in sent if data for item in pickle.loads(data))
+    results = {}
+    for data in sent:
+        for i, res, *tb in pickle.loads(data) if data else ():
+            if tb:  # an exception, with the worker's traceback as its cause
+                res.__cause__ = _RemoteTraceback(tb[0])
+            results[i] = res
     lost = f"has no result; worker exit statuses {codes}"
     merged = [results[i] if i in results else RuntimeError(f"block {i} {lost}") for i in range(count)]
     if errors := [res for res in merged if isinstance(res, BaseException)]:
@@ -296,9 +302,17 @@ def _fan_out(run: Callable[[int], object], count: int, workers: int) -> list:
     return merged
 
 
+class _RemoteTraceback(Exception):
+    """A worker's formatted traceback, the __cause__ of the exception it sent."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def _work(run: Callable[[int], object], todo: int, into: int, mask: set) -> None:
     """Run blocks until EOF or any exception, which the parent raises (an
-    interrupt too); leave by os._exit, so no atexit handler or flush runs twice."""
+    interrupt too) with this worker's formatted traceback; leave by
+    os._exit, so no atexit handler or flush runs twice."""
     import pickle
     import signal
     done = []
@@ -309,11 +323,14 @@ def _work(run: Callable[[int], object], todo: int, into: int, mask: set) -> None
             try:
                 done.append((i, run(i)))
             except BaseException as exc:
+                import traceback
+
+                tb = traceback.format_exc()
                 try:
                     pickle.loads(pickle.dumps(exc))
                 except Exception:  # unpicklable: sent as its type and message
                     exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                done.append((i, exc))
+                done.append((i, exc, f'\n"""\n{tb}"""'))
                 break
         with open(into, "wb", closefd=False) as pipe:
             pickle.dump(done, pipe)

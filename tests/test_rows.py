@@ -34,7 +34,7 @@ from flecklab.verifier import _rows, _specs, iter_instances, run_statement, sear
 
 ROW_IDS = (
     "T1.1", "T1.2", "T1.3", "L2.2", "T2.1", "T3.1", "CONJ3.1", "T1.5", "CONJ1.1", "T1.5-alpha1",
-    "CONJ1.3",
+    "CONJ1.2", "CONJ1.3",
 )  # fmt: skip
 CATALOG = {**STATEMENTS, **SEARCHES}
 # Main-grid ids whose last axis is the weight degree l; the others end in r.
@@ -63,8 +63,11 @@ def excluded(sid: str, prefix: tuple, v: int) -> bool:
     """Out of the statement's hypothesis: a negative n or l, a negative r
     for T1.3, n = 0 or alpha = 0 for L2.2 (its recurrences read the sums at
     n - 1 and divide by p**(alpha-1)), alpha < 2 for T3.1, CONJ3.1 and
-    T1.5, and for CONJ1.3 n < 2 p**alpha - 1 or a negative j."""
+    T1.5, for CONJ1.2 a negative n or a digit s outside 0 .. p-1, and for
+    CONJ1.3 n < 2 p**alpha - 1 or a negative j."""
     q = dict(zip(CATALOG[sid].axes, prefix + (v,)))
+    if sid == "CONJ1.2":
+        return q["n"] < 0 or not 0 <= q["s"] < q["p"]
     if sid == "CONJ1.3":
         return q["n"] < 2 * q["p"] ** q["alpha"] - 1 or q["j"] < 0
     if sid in FLECK:
@@ -187,7 +190,23 @@ def unit_value_rows(draw):
     return (p, alpha, n, r), js
 
 
+@hst.composite
+def digit_rows(draw):
+    """(p, n) with n from -2, and a list of digits s: scattered, unordered
+    and repeated, some outside 0 .. p-1, or the default 0 .. p-1."""
+    p = draw(hst.sampled_from(PRIMES))
+    ss = draw(
+        hst.one_of(
+            hst.lists(hst.integers(-2, p + 1), min_size=1, max_size=10),
+            hst.just(list(range(p))),
+        )
+    )
+    return (p, draw(hst.integers(-2, 60))), ss
+
+
 def draw_row(sid, data):
+    if sid == "CONJ1.2":
+        return data.draw(digit_rows())
     if sid == "CONJ1.3":
         return data.draw(unit_value_rows())
     if sid in L_LAST:
@@ -262,6 +281,8 @@ OUTSIDE = [
         for ln in ((2, -1), (-1, 4))
     ],
     *[("T1.5", (3, alpha, 2, 4), list(range(-2, 9))) for alpha in (0, 1)],
+    # n < 0, and s outside 0 .. p-1
+    *[("CONJ1.2", (p, -1), [-1, 0, p - 1, p]) for p in (2, 5)],
     # n < 2 p**alpha - 1, and j < 0
     *[("CONJ1.3", prefix, [2, -1, 0, 1]) for prefix in ((3, 2, 16, 0), (2, 1, 2, 5), (7, 0, 0, 0))],
 ]
@@ -301,6 +322,7 @@ DEFAULT_SLICES = {
     "T1.5": {"p": (2, 5), "n": (0, 1, 7, 30)},
     "CONJ1.1": {"l": (0, 1, 5), "n": (0, 1, 24)},
     "T1.5-alpha1": {"l": (0, 1, 4), "n": (0, 1, 7, 30)},
+    "CONJ1.2": {"n": (0, 1, 2, 3, 20)},
     "CONJ1.3": {"p": (2, 3), "alpha": (1, 2)},
 }
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as hst
 
+from flecklab import statements
 from flecklab.cli import _AXIS_FLAGS
 from flecklab.errors import EmptyGridError, InvalidParameterError
 from flecklab.padic import padic_order
@@ -374,6 +375,40 @@ class TestDigitSearchResidues:
             assert len(seen) == 1, (t, seen)
             residues[t] = seen.pop()
         assert residues == {1: 2, 2: 1}
+
+
+class TestPowerWeights:
+    """CONJ1.3's weights i**l mod q, built from the powers at primes for a
+    window from i0 >= 0 of three or more; pow at every i is their oracle."""
+
+    @given(
+        hst.integers(-20, 60),
+        hst.integers(0, 200),
+        hst.integers(0, 40),
+        hst.sampled_from((1, 2, 3, 10, 7**5, 3**30, 2**64 + 1)),
+    )
+    def test_weights_are_the_powers(self, i0, count, l, q):
+        got = statements._power_weights(i0, count, l, q)
+        assert got == tuple(pow(i, l, q) for i in range(i0, i0 + count))
+
+    @pytest.mark.parametrize(
+        "i0, count, l, q",
+        [
+            (0, 9, 0, 7), (0, 9, 0, 1), (0, 2, 5, 9), (3, 1, 5, 9), (0, 0, 3, 9), (-4, 9, 3, 9),
+            (-1, 2, 0, 9),
+        ],  # fmt: skip
+    )
+    def test_edge_windows(self, i0, count, l, q):
+        # l = 0 (0**0 is 1), windows of fewer than three, negative i0.
+        got = statements._power_weights(i0, count, l, q)
+        assert got == tuple(pow(i, l, q) for i in range(i0, i0 + count))
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 64, 1024])
+    def test_least_factors(self, size):
+        least = statements._least_factors(size)
+        assert least[:2] == tuple(range(min(size, 2)))
+        for i in range(2, size):
+            assert least[i] == next(f for f in range(2, i + 1) if i % f == 0)
 
 
 class TestUnitValueSigns:

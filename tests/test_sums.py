@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flecklab import sums
 from flecklab.combinatorics import Polynomial, binomial
 from flecklab.errors import InvalidParameterError
 from flecklab.padic import INFINITY, PrimePowerModulus, padic_order
@@ -175,6 +176,52 @@ class TestClassResidues:
         for a in range(4):
             m = p**a
             assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+
+    # Interleaved primes, rows that grow and shrink, and precisions that
+    # rise past the table's and fall below it.
+    INTERLEAVED = [
+        (3, 2, 40, 2), (5, 1, 300, 9), (3, 0, 200, 7), (3, 2, 10, 25), (5, 2, 40, 1),
+        (3, 1, 301, 3), (7, 3, 250, 12), (5, 0, 299, 30), (2, 2, 120, 17), (7, 1, 400, 2),
+        (2, 0, 401, 40), (3, 3, 5, 1),
+    ]  # fmt: skip
+
+    def test_interleaved_calls_and_a_cleared_table(self):
+        for _ in range(2):
+            for p, a, n, k in self.INTERLEAVED:
+                m = p**a
+                assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+            sums._unit_inverse_table.cache_clear()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from((2, 3, 5, 7)),
+                st.integers(0, 3),
+                st.integers(-2, 300),
+                st.integers(0, 30),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_any_order_of_calls(self, calls, clear):
+        if clear:
+            sums._unit_inverse_table.cache_clear()
+        for p, a, n, k in calls:
+            m = p**a
+            assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_inverse_table_entries(self, p):
+        sums._unit_inverse_table.cache_clear()
+        for k, count in ((3, 50), (2, 120), (11, 80), (5, 10)):
+            inv, ords = sums._unit_inverses(p, k, count)
+            top = sums._unit_inverse_table(p)[0]
+            assert len(inv) == len(ords) >= count and top >= k
+            for i, (x, v) in enumerate(zip(inv, ords)):
+                b, rem = divmod(i + 1, p**v)
+                assert rem == 0 and b % p and b * x % p**top == 1
 
     def test_hand_values(self):
         assert _class_residues(0, 3, 3, 2) == [1, 0, 0]

@@ -5,8 +5,11 @@ import itertools
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -641,6 +644,28 @@ def raise_at(where: tuple[int, int]):
     return check
 
 
+# Modules the fan-out imports on first use, or that a process pool would:
+# none of them may load with the package, whose import every sweep pays.
+FAN_OUT_MODULES = (
+    "pickle", "signal", "traceback", "selectors", "threading", "subprocess",
+    "multiprocessing", "concurrent.futures",
+)  # fmt: skip
+
+
+def test_importing_the_package_loads_no_fan_out_module():
+    code = (
+        "import sys; before = set(sys.modules); import flecklab; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    new = set(out.stdout.split())
+    assert "flecklab.verifier" in new
+    assert not new & set(FAN_OUT_MODULES)
+
+
 class TestFanOut:
     """A parallel sweep's workers: two forked children on any machine, every
     one of them reaped by the end of each test."""
@@ -668,6 +693,19 @@ class TestFanOut:
 
         with pytest.raises(ValueError, match="^low$"):
             self.sweep(monkeypatch, check)
+
+    def test_a_worker_error_carries_the_worker_traceback(self, monkeypatch):
+        def check_that_raises(m, n):
+            if (m, n) == (9, 0):
+                raise ValueError("raised in a worker")
+            return True
+
+        with pytest.raises(ValueError, match="^raised in a worker$") as info:
+            self.sweep(monkeypatch, check_that_raises)
+        cause = info.value.__cause__
+        assert type(cause).__name__ == "_RemoteTraceback"
+        assert "check_that_raises" in str(cause)
+        assert 'raise ValueError("raised in a worker")' in str(cause)
 
     def test_a_killed_worker_is_named_with_its_block(self, monkeypatch):
         message = r"^block 0 has no result; worker exit statuses \[(-9, 0|0, -9)\]$"
