@@ -38,12 +38,10 @@ __all__ = [
     "weighted_inverse_sequence",
 ]
 
-# Term lists of this many (n, class, modulus) keys are kept; a sweep over a
-# residue window revisits the same few hundred classes for every weight.  On
-# a miss a class is sliced from its binomial row, so it holds the row's ints.
-CLASS_TERMS_MEMO = 1 << 10
 # Signed binomial rows of this many n are kept: every row a suite pass or a
-# frontier pass reads (at most about 240, the longest n = 1500).
+# frontier pass reads (at most about 240, the longest n = 1500).  Class term
+# lists are not kept: each is a slice of its row, taken again on every call,
+# which costs less than a memo of slices that a frontier pass mostly misses.
 BINOMIAL_ROW_MEMO = 1 << 8
 
 
@@ -62,10 +60,10 @@ def _binomial_row(n: int) -> tuple[int, ...]:
     return tuple(half + ([-t for t in tail] if n % 2 else tail))
 
 
-@lru_cache(maxsize=CLASS_TERMS_MEMO)
 def _class_binomials(n: int, c: int, m: int) -> tuple[int, ...]:
     """The signed binomials (-1)**k * binomial(n, k) for k = c, c+m, ... <= n
-    (c >= 0, m >= 1): the class c mod m of _binomial_row(n).
+    (c >= 0, m >= 1): the class c mod m of _binomial_row(n), sliced from the
+    memoized row on every call and holding the row's ints.
 
     This is the one class-sum kernel: every alternating sum over a residue
     class multiplies these terms by its weights.  Callers pass c = r % m; term

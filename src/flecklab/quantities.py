@@ -15,7 +15,9 @@ modulus p**alpha (alpha >= 0 for the first, alpha >= 1 for the second):
       exponent (padic._weisman): always an exact integer, and checked to be
       one on every call.  T1.7 and CONJ1.2 normalize their class sums with
       it.  fleck_sum_value is its special case N = p**(alpha-1) * n, where
-      w is Fleck's floor((n-1)/(p-1)).
+      w is Fleck's floor((n-1)/(p-1)).  A caller normalizing several sums
+      of one row (_fleck_sums, CONJ1.2's verdict) reads w once and passes
+      it.
 
 In the degenerate alpha = 0 regime the first normalization has the closed
 form (l! * p**l / (p*n)!) * (-1)**n * binomial(-r, l - n); values there are
@@ -23,7 +25,8 @@ computed from the definition and cross-checked against the closed form on
 every call.
 
 _norm_sums is the one evaluator of the first normalization: it gives the
-numerators of one (l, n) at any residues, sharing the weight lists, gives 0
+numerators of one (l, n) at any residues, sharing the weight lists (a
+single residue makes its weights term by term, with no list), gives 0
 for a residue whose class is empty (r mod m > n) without a weight list or a
 kernel call, and holds every value to both invariants.  _norm_index is
 the one definition of d, and _norm_denominator gives the denominator d!
@@ -31,7 +34,9 @@ and its order; a reader of the order alone builds no d!.  _norm_sum_value
 keeps single values (L2.4, L4.2, T4.1 and the per-instance checks), and
 _norm_sum_window whole windows, which serves L2.2's neighbouring rows; the
 row forms of T2.1, T1.5, T1.5-alpha1 and CONJ1.1 read no row twice and
-take _norm_sums past both, so they keep none of the values they read.
+take _norm_sums past both.  They keep no value past the row, but for the
+right sums of T1.5 and T1.5-alpha1, which the p rows sharing n // p read
+(statements._right_sums, one entry).
 _fleck_sums gives the Fleck sums of one (alpha, n) at a list of residues,
 mod p**(b + 1) for the bound b of the check that reads them, from one
 residue fold of the binomial row (sums._class_residues) mod p**(w + b + 1),
@@ -96,10 +101,11 @@ def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[i
     ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  The
     residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
-    same quotient r // m (three lists on a -m .. 2m-1 window).  A class
-    past n has no terms, and its sum is 0 without either.  Each value is
-    held to the two invariants of every normalized sum: the alpha = 0
-    closed form and p-integrality, ord_p(num) >= ord_p(d!).
+    same quotient r // m (three lists on a -m .. 2m-1 window).  A single
+    residue (_norm_sum_value's) builds no list: each weight is made as its
+    term is read.  A class past n has no terms, and its sum is 0 without
+    either.  Each value is held to the two invariants of every normalized
+    sum: the alpha = 0 closed form and p-integrality, ord_p(num) >= ord_p(d!).
     """
     m = prime_power_modulus(p, alpha).m
     if l < 0 or n < 0:
@@ -107,16 +113,24 @@ def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[i
     scale = math.factorial(l) * p**l
     integral = p ** _factorial_order(p, _norm_index(p, alpha, n))
     weights: dict[int, list[int]] = {}
+    one = len(rs) == 1
     nums = []
     for r in rs:
         q, c = divmod(r, m)
         if c > n:  # an empty class
             nums.append(0)
             continue
-        w = weights.get(q)
-        if w is None:
-            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
-        num = scale * sum(map(mul, _class_binomials(n, c, m), w))
+        if one:  # each weight made as its term is read
+            acc, j = 0, -q
+            for t in _class_binomials(n, c, m):
+                acc += t * (math.comb(j, l) if j >= 0 else (-1) ** l * math.comb(l - j - 1, l))
+                j += 1
+            num = scale * acc
+        else:
+            w = weights.get(q)
+            if w is None:
+                w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+            num = scale * sum(map(mul, _class_binomials(n, c, m), w))
         # At alpha == 0 the closed form has the same denominator (p*n)! as num.
         if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
             raise InternalInvariantError(
@@ -169,11 +183,15 @@ def _fleck_row(p: int, alpha: int, n: int) -> tuple[int, int]:
     return p ** (alpha - 1) * n, pm.m
 
 
-def _weisman_normalized(p: int, alpha: int, row: int, r: int, s: int) -> int:
+def _weisman_normalized(
+    p: int, alpha: int, row: int, r: int, s: int, w: "int | None" = None
+) -> int:
     """s * p**-w for the plain class sum s of row mod p**alpha at r, with w
-    Weisman's exponent for (p, alpha, row).  p**w divides s by Weisman's
-    theorem, so a remainder is an internal error."""
-    w = _weisman(p, alpha, row)
+    Weisman's exponent for (p, alpha, row), read here unless a caller that
+    normalizes several sums of the row passes it.  p**w divides s by
+    Weisman's theorem, so a remainder is an internal error."""
+    if w is None:
+        w = _weisman(p, alpha, row)
     if w <= 0:
         return s * p**-w
     q, rem = divmod(s, p**w)
@@ -204,9 +222,10 @@ def _fleck_sums(p: int, alpha: int, n: int, rs: Sequence[int], b: int) -> list[i
     with a digit to spare.  The fold is dropped once the values are read.
     """
     row, m = _fleck_row(p, alpha, n)
-    sums = _class_residues(row, m, p, _weisman(p, alpha, row) + b + 1)
+    w = _weisman(p, alpha, row)
+    sums = _class_residues(row, m, p, w + b + 1)
     q = p ** (b + 1)
-    return [_weisman_normalized(p, alpha, row, r, sums[r % m]) % q for r in rs]
+    return [_weisman_normalized(p, alpha, row, r, sums[r % m], w) % q for r in rs]
 
 
 def fleck_sum_value(p: int, alpha: int, n: int, r: int) -> int:

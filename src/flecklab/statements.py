@@ -27,14 +27,17 @@ row by Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2] (a property of
 binomial rows, not the digit congruence it checks); both hand the sums to
 _conj12_verdict.
 T1.5, T1.5-alpha1 and CONJ1.1 read the normalized sums of their two
-levels from quantities._norm_sums, the one evaluator of normalized sums,
-and keep none of them; _difference_verdict decides their "order >= bound"
-by one divisibility test.  CONJ1.3's row form reads D, od = ord_p(D) and
-the class terms mod p**(od + 1) once, steps each weight i**l from one j to
-the next by a factor i**step (both read from _power_weights, which the
-rows of one (p, alpha, n) share, and which powers only the primes of a
-window from i = 0 up and multiplies every other weight from two smaller
-ones), and decides each sum mod p**(od + 1).
+levels from quantities._norm_sums, the one evaluator of normalized sums;
+the p consecutive rows of T1.5 and T1.5-alpha1 that share n // p share
+their right sums (_right_sums, dropped once n // p moves on), and no other
+value is kept.  _difference_verdict decides their "order >= bound" by one
+divisibility test.  CONJ1.3's row form reads D and od = ord_p(D) once,
+steps each product t * i**l of a class term and its weight, mod
+p**(od + 1), from one j to the next by a factor i**step (weights and
+factors both read from _power_weights, which the rows of one
+(p, alpha, n) share, and which powers only the primes of a window from
+i = 0 up and multiplies every other weight from two smaller ones), and
+decides each sum mod p**(od + 1).
 Each of these twelve entries declares its hypothesis on a row's prefix once
 (Statement.hypothesis), and a row outside it is skipped whole, so a row
 form sees only rows inside it.  It returns one result per value, or None
@@ -76,7 +79,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import (
@@ -184,16 +186,24 @@ class Statement:
             return SKIP
         return self.check(*params)
 
-    def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
-        """The results of one row: prefix holds the values of every axis but
-        the last, values the last axis's values under it.  A row outside the
-        hypothesis is all SKIP.  The row form is the one written for this
-        entry's check (a swapped-in copy has none); a row it hands back, or
-        without one, is checked once per value."""
+    def shared_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> "list | None":
+        """The results of one row where the row shares them: all SKIP outside
+        the hypothesis, else the row form's; None for a row to be checked
+        once per value (an entry without a row form, or a row its row form
+        hands back).  The row form is the one written for this entry's check
+        (a swapped-in copy has none).  A shared result that passes is the
+        object True, as every verdict function returns it, so a sweep counts
+        a row of passes in one call (verifier._run_chunk)."""
         if self.hypothesis and not self.hypothesis(*prefix):
             return [SKIP] * len(values)
         row = _ROW_FORMS.get(self.check)
-        results = row(*prefix, values) if row else None
+        return row(*prefix, values) if row else None
+
+    def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
+        """The results of one row: prefix holds the values of every axis but
+        the last, values the last axis's values under it.  The shared
+        results, or the check's at each value."""
+        results = self.shared_row(prefix, values)
         if results is None:
             check = self.check
             return [check(*prefix, v) for v in values]
@@ -219,7 +229,8 @@ def _prime_factors(m: int) -> list[int]:
 # and (d!, ord_p(d!)) is quantities._norm_denominator, which depends on
 # (p, alpha, n) alone.  A row form reads the numerators of its row from
 # quantities._norm_sums and the denominator once (T2.1 only its order,
-# from d = quantities._norm_index, as _norm_sums does).  L2.1 evaluates its
+# from d = quantities._norm_index, as _norm_sums does); the lift verdicts
+# take the numerators alone, with their row's constants.  L2.1 evaluates its
 # own numerators over the same (p*n)!, as it checks the closed form that
 # _norm_sums holds them to.  The other rationals of the catalog (the
 # harmonic sums of L3.1, the Bernoulli values of C1.1cor, T1.4's inverse
@@ -240,33 +251,61 @@ def _reaches(p: int, x: int, k: int) -> bool:
     return x % p**k == 0
 
 
-def _difference_verdict(p: int, x: tuple, c: int, y: tuple, need: int):
+def _pair_constants(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
+    """(fa, fb, oa + ob) from the denominators x = (fa, oa) and y = (fb, ob)
+    of two normalized sums (_norm_denominator): what _difference_verdict
+    reads of a row, built once per row."""
+    (fa, oa), (fb, ob) = x, y
+    return fa, fb, oa + ob
+
+
+def _difference_verdict(p: int, a: int, c: int, b: int, k: tuple[int, int, int], need: int):
     """True when ord_p(x - c*y) = ord_p(a*fb - c*b*fa) - oa - ob reaches need
-    for normalized sums x = a / fa and y = b / fb, that is when p**(oa + ob +
+    for normalized sums x = a / fa and y = b / fb, with k = (fa, fb, oa + ob)
+    their row's constants (_pair_constants), that is when p**(oa + ob +
     need) divides a*fb - c*b*fa; else _at_least's pair, from the exact order."""
-    (a, fa, oa), (b, fb, ob) = x, y
+    fa, fb, o = k
     diff = a * fb - c * b * fa
-    if _reaches(p, diff, oa + ob + need):
+    if _reaches(p, diff, o + need):
         return True
-    return _at_least(_int_order(p, diff) - oa - ob, need, "difference order")
+    return _at_least(_int_order(p, diff) - o, need, "difference order")
 
 
-def _lucas_verdict(p: int, n: int, r: int, lhs: tuple, rhs: tuple):
-    """The result of T1.5 and T1.5-alpha1 from lhs = V(alpha+1; l, n, r) and
-    rhs = V(alpha; l, n//p, r//p): the order of
+def _lucas_constants(p: int, alpha: int, n: int) -> tuple[tuple[int, int, int], list[int]]:
+    """What _lucas_verdict reads of a row (p, alpha, l, n): the pair
+    constants of the levels alpha + 1 at n and alpha at n // p, and the
+    coefficients (-1)**t binomial({n}_p, t) for t = 0 .. p-1."""
+    pair = _pair_constants(_norm_denominator(p, alpha + 1, n), _norm_denominator(p, alpha, n // p))
+    return pair, [(-1) ** t * math.comb(n % p, t) for t in range(p)]
+
+
+def _lucas_verdict(p: int, r: int, a: int, b: int, k: tuple):
+    """The result of T1.5 and T1.5-alpha1 at r from the numerators a of
+    lhs = V(alpha+1; l, n, r) and b of rhs = V(alpha; l, n//p, r//p), with
+    k = _lucas_constants(p, alpha, n): the order of
     lhs - (-1)**{r}_p binomial({n}_p, {r}_p) rhs must reach 1."""
-    c = (-1) ** (r % p) * math.comb(n % p, r % p)
-    return _difference_verdict(p, lhs, c, rhs, 1)
+    pair, coeffs = k
+    return _difference_verdict(p, a, coeffs[r % p], b, pair, 1)
+
+
+@lru_cache(maxsize=1)
+def _right_sums(p: int, alpha: int, l: int, n: int) -> dict[int, int]:
+    """The numerators of V(alpha; l, n, q) by q, filled in by _lucas_row as
+    its rows read them: the p consecutive rows N with N // p = n share their
+    right sums.  One entry is kept, so a new n drops the last one's."""
+    return {}
 
 
 def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
     """check_lucas_reduction at each r of rs.  The right sums are read once
-    at each distinct r // p."""
+    at each distinct r // p, and once for the rows that share n // p."""
     lhs = _norm_sums(p, alpha + 1, l, n, rs)
-    qs = list(dict.fromkeys(r // p for r in rs))
-    rhs = dict(zip(qs, _norm_sums(p, alpha, l, n // p, qs)))
-    dl, dr = _norm_denominator(p, alpha + 1, n), _norm_denominator(p, alpha, n // p)
-    return [_lucas_verdict(p, n, r, (a, *dl), (rhs[r // p], *dr)) for r, a in zip(rs, lhs)]
+    rhs = _right_sums(p, alpha, l, n // p)
+    qs = [q for q in dict.fromkeys(r // p for r in rs) if q not in rhs]
+    if qs:
+        rhs.update(zip(qs, _norm_sums(p, alpha, l, n // p, qs)))
+    k = _lucas_constants(p, alpha, n)
+    return [_lucas_verdict(p, r, a, rhs[r // p], k) for r, a in zip(rs, lhs)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +324,14 @@ def _lucas_row(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> list:
 # function that the row form also calls, once per value: _at_least (T1.2,
 # T2.1), _t11_verdict, _t13_verdict, _l22_verdict, _lucas_verdict (T1.5,
 # T1.5-alpha1), _conj11_verdict (CONJ1.1), _fleck_reduction_verdict (T3.1),
-# _conj31_verdict (CONJ3.1) or _conj13_verdict (CONJ1.3).  Every skip is
+# _conj31_verdict (CONJ3.1) or _conj13_verdict (CONJ1.3).  A verdict that
+# reads what its whole row shares takes it as the row's constants, built
+# once per row by the row form and once per value by the check, through
+# the same function: _lucas_constants (the two levels' denominators d!, the
+# sum of their orders, and the coefficients (-1)**t binomial({n}_p, t)),
+# _conj11_constants, and CONJ1.3's (D, ord_p(D)) from _conj13_terms, with
+# the power q = p**(ord_p(D) + 1) its sums are read mod.  _conj12_verdict
+# reads Weisman's exponent of each of its two rows once.  Every skip is
 # the hypothesis's or the check's own (T1.3's row form also tests its series
 # window, CONJ1.3's its j >= 0).  Every pass is the verdict function's, but
 # for the values of an empty class, whose sum is 0 (r mod m > n): the row
@@ -309,8 +355,9 @@ def check_lucas_reduction(p: int, alpha: int, l: int, n: int, r: int):
     case is conjectural and lives under the search ids.
     """
     prime_power_modulus(p, alpha)
-    lhs = _norm_parts(p, alpha + 1, l, n, r)
-    return _lucas_verdict(p, n, r, lhs, _norm_parts(p, alpha, l, n // p, r // p))
+    a = _norm_sum_value(p, alpha + 1, l, n, r)
+    b = _norm_sum_value(p, alpha, l, n // p, r // p)
+    return _lucas_verdict(p, r, a, b, _lucas_constants(p, alpha, n))
 
 
 def check_digit_product_congruence(p: int, alpha: int, l: int, n: int, s: int, t: int, r: int):
@@ -837,20 +884,28 @@ def _r16(n, l):
 
 def _conj11(p, alpha, l, n, r):
     prime_power_modulus(p, alpha)
-    lhs = _norm_parts(p, alpha + 1, l, p * n, p * r)
-    return _conj11_verdict(p, lhs, _norm_parts(p, alpha, l, n, r))
+    a = _norm_sum_value(p, alpha + 1, l, p * n, p * r)
+    b = _norm_sum_value(p, alpha, l, n, r)
+    return _conj11_verdict(p, a, b, _conj11_constants(p, alpha, n))
 
 
-def _conj11_verdict(p: int, lhs: tuple, rhs: tuple):
-    """_conj11's result from V(alpha+1; l, p n, p r) and V(alpha; l, n, r)."""
-    return _difference_verdict(p, lhs, 1, rhs, 2 if p == 3 else 3)
+def _conj11_constants(p: int, alpha: int, n: int) -> tuple[int, int, int]:
+    """What _conj11_verdict reads of a row (p, alpha, l, n): the pair
+    constants of the levels alpha + 1 at p n and alpha at n."""
+    return _pair_constants(_norm_denominator(p, alpha + 1, p * n), _norm_denominator(p, alpha, n))
+
+
+def _conj11_verdict(p: int, a: int, b: int, k: tuple[int, int, int]):
+    """_conj11's result from the numerators a of V(alpha+1; l, p n, p r) and
+    b of V(alpha; l, n, r), with k = _conj11_constants(p, alpha, n)."""
+    return _difference_verdict(p, a, 1, b, k, 2 if p == 3 else 3)
 
 
 def _conj11_row(p, alpha, l, n, rs):
     lhs = _norm_sums(p, alpha + 1, l, p * n, [p * r for r in rs])
     rhs = _norm_sums(p, alpha, l, n, rs)
-    dl, dr = _norm_denominator(p, alpha + 1, p * n), _norm_denominator(p, alpha, n)
-    return [_conj11_verdict(p, (a, *dl), (b, *dr)) for a, b in zip(lhs, rhs)]
+    k = _conj11_constants(p, alpha, n)
+    return [_conj11_verdict(p, a, b, k) for a, b in zip(lhs, rhs)]
 
 
 def _conj12(p, n, s):
@@ -862,16 +917,21 @@ def _conj12(p, n, s):
 
 def _conj12_verdict(p: int, n: int, s: int, top: Sequence[int], low: Sequence[int]):
     """_conj12's result from the class sums of row p*n + s mod p**2 (top)
-    and of row n mod p (low), each normalized only where it is read."""
+    and of row n mod p (low), each normalized only where it is read, by
+    Weisman's exponent of its row, read once."""
+    big = p * n + s
+    w = _weisman(p, 2, big)
 
     def lhs_val(t: int, r: int) -> int:
-        return _weisman_normalized(p, 2, p * n + s, p * r + t, top[p * r + t])
+        return _weisman_normalized(p, 2, big, p * r + t, top[p * r + t], w)
 
     if n % p == 0 or (n - 1) % (p - 1) != 0:
+        wl = _weisman(p, 1, n)
+        coeffs = [(-1) ** t * math.comb(s, t) for t in range(p)]
         for r in range(p):
-            rhs = _weisman_normalized(p, 1, n, r, low[r])
+            rhs = _weisman_normalized(p, 1, n, r, low[r], wl)
             for t in range(p):
-                o = _int_order(p, lhs_val(t, r) - (-1) ** t * math.comb(s, t) * rhs)
+                o = _int_order(p, lhs_val(t, r) - coeffs[t] * rhs)
                 if o < 1:
                     return (f"t={t} r={r}: difference order {o}", ">= 1")
         return True
@@ -913,34 +973,44 @@ def _conj13(p, alpha, n, r, j):
     ma = prime_power_modulus(p, alpha).m
     if j < 0:
         return SKIP
-    l0, step, d, od = _conj13_terms(p, alpha, n, r)
+    l0, step, q, k = _conj13_terms(p, alpha, n, r)
     l = l0 + j * step
-    q = p ** (od + 1)
     terms = _class_binomials(n, r % ma, ma)
     s = sum(t * pow(i, l, q) for i, t in enumerate(terms, -(r // ma)))
-    return _conj13_verdict(p, alpha, n, r, l, d, od, s)
+    return _conj13_verdict(p, alpha, n, r, l, k, s)
 
 
-def _conj13_terms(p: int, alpha: int, n: int, r: int) -> tuple[int, int, int, int]:
-    """What CONJ1.3 reads of a row's prefix: the weight degree l0 at j = 0, its
-    step (l = l0 + j * step), and D = floor(n/m)! * binomial(n*, r*) with its order."""
+@lru_cache(maxsize=1 << 4)
+def _conj13_prefix(p: int, alpha: int, n: int) -> tuple[int, int, int, int]:
+    """What CONJ1.3 reads of (p, alpha, n), which its rows share: m =
+    p**alpha, n0 = floor(n/m), the step of the weight degree and n0!."""
     ma = p**alpha
     n0 = n // ma
     e = 0
     while p ** (alpha + e + 1) <= n:
         e += 1
-    step = (p - 1) * p**e
+    return ma, n0, (p - 1) * p**e, math.factorial(n0)
+
+
+def _conj13_terms(p: int, alpha: int, n: int, r: int) -> tuple[int, int, int, tuple[int, int]]:
+    """What CONJ1.3 reads of a row's prefix: the weight degree l0 at j = 0,
+    its step (l = l0 + j * step), the power q = p**(ord_p(D) + 1) its sums
+    are read mod, and the verdict's constants (D, ord_p(D)), with D =
+    floor(n/m)! * binomial(n*, r*)."""
+    ma, n0, step, f0 = _conj13_prefix(p, alpha, n)
     l0 = n0 + (r // ma + (n - r) // ma - n0) % step
     r_star = r % ma
-    d = math.factorial(n0) * math.comb(r_star + (n - r) % ma, r_star)
-    return l0, step, d, _int_order(p, d)
+    d = f0 * math.comb(r_star + (n - r) % ma, r_star)
+    od = _int_order(p, d)
+    return l0, step, p ** (od + 1), (d, od)
 
 
-def _conj13_verdict(p, alpha, n, r, l, d, od, s):
-    """_conj13's result from s == S mod p**(od + 1), od = ord_p(D): the
-    value S / D is a unit +-1 mod p when ord_p(S -+ D) - od >= 1, that is
-    when p**(od + 1) divides S -+ D, which s decides.  The exact S is
-    summed only to word a failure."""
+def _conj13_verdict(p, alpha, n, r, l, k, s):
+    """_conj13's result from s == S mod p**(od + 1), with k = (D, od) the
+    constants of its row, od = ord_p(D): the value S / D is a unit +-1 mod
+    p when ord_p(S -+ D) - od >= 1, that is when p**(od + 1) divides S -+ D,
+    which s decides.  The exact S is summed only to word a failure."""
+    d, od = k
     if _reaches(p, s - d, od + 1) or _reaches(p, s + d, od + 1):
         return True
     s = alt_sum_power(n, r, p**alpha, l)
@@ -980,22 +1050,23 @@ def _least_factors(size: int) -> tuple[int, ...]:
 
 
 def _conj13_row(p, alpha, n, r, js):
-    """_conj13 at each j of js, in any order: the terms are reduced mod q once,
-    and the weights at j + 1 are those at j times i**step."""
+    """_conj13 at each j of js, in any order, from the products t * i**l of
+    the terms and their weights, mod q: the products at j + 1 are those at
+    j times i**step.  Each sum is S mod q, not reduced, which is all the
+    verdict reads."""
     ma = prime_power_modulus(p, alpha).m
-    l0, step, d, od = _conj13_terms(p, alpha, n, r)
-    q = p ** (od + 1)
-    terms = [t % q for t in _class_binomials(n, r % ma, ma)]
+    l0, step, q, k = _conj13_terms(p, alpha, n, r)
+    terms = _class_binomials(n, r % ma, ma)
     i0 = -(r // ma)
     results, last = {}, None
     for j in sorted({j for j in js if j >= 0}):
         if j - 1 == last:
             factors = _power_weights(i0, len(terms), step, q)
-            weights = [w * f % q for w, f in zip(weights, factors)]
+            products = [x * f % q for x, f in zip(products, factors)]
         else:
             weights = _power_weights(i0, len(terms), l0 + j * step, q)
-        s = sum(map(mul, terms, weights))
-        results[j] = _conj13_verdict(p, alpha, n, r, l0 + j * step, d, od, s)
+            products = [t * w % q for t, w in zip(terms, weights)]
+        results[j] = _conj13_verdict(p, alpha, n, r, l0 + j * step, k, sum(products))
         last = j
     return [results.get(j, SKIP) for j in js]
 

@@ -192,14 +192,15 @@ class TestClassBinomials:
 
     def test_classes_share_the_row_and_past_n_are_empty(self):
         row = _binomial_row(40)
-        terms = _class_binomials.__wrapped__(40, 3, 7)  # a miss
+        terms = _class_binomials(40, 3, 7)
         assert len(terms) == 6 and all(t is row[k] for k, t in zip(range(3, 41, 7), terms))
         assert _class_binomials(40, 41, 3) == () == _class_binomials(-1, 0, 1)
         assert _class_binomials(5, 2, 9) == (math.comb(5, 2),)
 
-    def test_memos_are_bounded(self):
+    def test_rows_are_kept_and_classes_are_not(self):
         assert _binomial_row.cache_info().maxsize == combinatorics.BINOMIAL_ROW_MEMO
-        assert _class_binomials.cache_info().maxsize == combinatorics.CLASS_TERMS_MEMO
+        assert not hasattr(_class_binomials, "cache_info")
+        assert _class_binomials(40, 3, 7) is not _class_binomials(40, 3, 7)
 
 
 class TestBinomialInversion:

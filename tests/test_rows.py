@@ -17,6 +17,7 @@ breaks one.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -226,6 +227,8 @@ def test_row_form_equals_its_checks(sid, data):
     for v, res in zip(values, got):
         if excluded(sid, prefix, v):
             assert res == SKIP, (prefix, v)
+        # A pass is the object True, which a sweep counts a row at a time.
+        assert res is True or res == SKIP or type(res) is tuple, (prefix, v, res)
 
 
 @pytest.mark.parametrize("sid", ROW_IDS)
@@ -236,10 +239,10 @@ def test_hypothesis_is_the_prefix_part_of_excluded(sid, data):
     assert CATALOG[sid].hypothesis(*prefix) == (not excluded(sid, prefix, 0))
 
 
-def _sum_residue(p, alpha, n, r, l, d, od, s):
+def _sum_residue(p, alpha, n, r, l, k, s):
     """In place of CONJ1.3's verdict: the weight degree and the residue of
     the power sum it would decide."""
-    return l, s % p ** (od + 1)
+    return l, s % p ** (k[1] + 1)
 
 
 def _skewed(n, c, m):
@@ -402,6 +405,8 @@ def test_lift_sweeps_keep_no_normalized_sum():
     assert all(report.passed and report.checked for report in reports)
     assert quantities._norm_sum_value.cache_info().currsize == 0
     assert quantities._norm_sum_window.cache_info() == window
+    # The right sums of the last n // p alone are held.
+    assert statements._right_sums.cache_info().currsize == 1
 
 
 # A value whose residue class is empty (r mod m > n) sums to 0, of order
@@ -647,7 +652,8 @@ def normalized_pairs(draw):
 def test_difference_verdict_is_the_order_verdict(pair, need):
     p, x, c, y = pair
     want = statements._at_least(_norm_difference_order(p, x, c, y), need, "difference order")
-    assert statements._difference_verdict(p, x, c, y, need) == want
+    k = statements._pair_constants(x[1:], y[1:])
+    assert statements._difference_verdict(p, x[0], c, y[0], k, need) == want
 
 
 # The Lucas-reduction and lift checks read normalized sums at two levels.
@@ -1135,6 +1141,71 @@ def test_verdicts_under_lowered_orders_sweep_as_pinned(
         lambda *args: _convolution_weight_order(*args) - shift,
     )
     assert _swept({**STATEMENTS, **SEARCHES}[sid], grid) == (count, digest)
+
+
+# The verdicts that read their row's constants (the lifts' pair constants,
+# CONJ1.3's (D, ord_p(D)), CONJ1.2's Weisman exponents), row form against
+# check on rows whose values fail.  The lifts and CONJ1.2 are swept under
+# the lowered orders above, the lifts under the scaled kernel as well when
+# drawn, and CONJ1.2 with its Weisman exponent lowered too, so that its
+# residues are 0 mod p; CONJ1.3 under the skewed kernel.
+RESHAPED = ("T1.5", "CONJ1.1", "T1.5-alpha1", "CONJ1.2", "CONJ1.3")
+
+
+def _failing(sid, shift, scaled):
+    if sid == "CONJ1.3":
+        return [mock.patch.object(statements, "_class_binomials", _skewed)]
+    patches = [
+        mock.patch.object(statements, "_int_order", lambda p, x: _int_order(p, x) - shift),
+        mock.patch.object(statements, "_reaches", lambda p, x, k: _reaches(p, x, k + shift)),
+    ]
+    if sid == "CONJ1.2":
+        patches.append(
+            mock.patch.object(statements, "_weisman", lambda p, a, n: _weisman(p, a, n) - shift)
+        )
+    elif scaled:
+        patches.append(mock.patch.object(quantities, "_class_binomials", _scaled))
+    return patches
+
+
+def _outcomes_under(patches, st, prefix, values):
+    """The row form's and the checks' outcomes on one row under patches,
+    with every cache cleared before and after."""
+    _clear_caches()
+    try:
+        with contextlib.ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            return (
+                outcome(lambda: st.check_row(prefix, values)),
+                outcome(lambda: per_instance(st, prefix, values)),
+            )
+    finally:
+        _clear_caches()
+
+
+@pytest.mark.parametrize("sid", RESHAPED)
+@given(data=hst.data())
+def test_reshaped_verdicts_fail_alike_in_row_and_check(sid, data):
+    st = CATALOG[sid]
+    prefix, values = draw_row(sid, data)
+    patches = _failing(sid, data.draw(hst.integers(1, 3)), data.draw(hst.booleans()))
+    got, want = _outcomes_under(patches, st, prefix, values)
+    assert got == want
+    if isinstance(got, list):
+        assert all(res is True or res == SKIP or type(res) is tuple for res in got)
+
+
+@pytest.mark.parametrize("sid", RESHAPED)
+def test_reshaped_verdicts_fail_on_the_default_slices(sid):
+    # The patches of the property above do make values fail.
+    st = CATALOG[sid]
+    texts = []
+    for prefix, values in _rows(st.axes, _specs(st, DEFAULT_SLICES[sid])):
+        got, want = _outcomes_under(_failing(sid, 1, False), st, prefix, values)
+        assert got == want, prefix
+        texts.extend(" ".join(res) for res in got if type(res) is tuple)
+    assert texts
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,32 @@ class TestFailureHandling:
         assert report.failures[0]["observed"] == "None"
         assert report.failures[0]["expected"] == "True"
 
+    @pytest.mark.parametrize("row_form", [None, "hands back"])
+    def test_a_result_equal_to_true_is_a_failure(self, monkeypatch, row_form):
+        # 1 == True, and list.count(True) counts it: a sweep counts a row of
+        # passes at once only where a row form gave the row, and reads a
+        # check's results one by one, also on a row its row form hands back.
+        def check(n):
+            return 1
+
+        if row_form:
+            monkeypatch.setitem(statements._ROW_FORMS, check, lambda ns: None)
+        monkeypatch.setitem(STATEMENTS, "FAKE.ONE", synthetic("FAKE.ONE", "theorem", check=check))
+        report = run_statement("FAKE.ONE", grid={"n": (0, 1, 2)})
+        assert report.status == "fail" and report.checked == 3
+        assert [f["observed"] for f in report.failures] == ["1", "1", "1"]
+        assert {f["expected"] for f in report.failures} == {"True"}
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_a_row_form_returning_the_wrong_count_raises(self, monkeypatch, extra):
+        def check(n):
+            return True
+
+        monkeypatch.setitem(statements._ROW_FORMS, check, lambda ns: [True] * (len(ns) + extra))
+        monkeypatch.setitem(STATEMENTS, "FAKE.LEN", synthetic("FAKE.LEN", "theorem", check=check))
+        with pytest.raises(ValueError, match="zip"):
+            run_statement("FAKE.LEN")
+
 
 class TestSearchConjecture:
     def test_rejects_theorem_ids(self):
@@ -384,6 +410,16 @@ class TestParallelDeterminism:
         pytest.param(
             "CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}, True,
             id="CONJ1.3",
+        ),
+        # One block a row or two: the blocks cut between rows that share
+        # n // p, and so their right sums, in T1.5-alpha1.
+        pytest.param(
+            "T1.5-alpha1", {"p": (3,), "l": (1, 2), "n": tuple(range(20, 32))}, False,
+            id="T1.5-alpha1-rows-sharing-n-by-p",
+        ),
+        pytest.param(
+            "CONJ1.1", {"p": (3,), "alpha": (1,), "l": (1,), "n": tuple(range(20, 40))}, False,
+            id="CONJ1.1-rows-sharing-n-by-p",
         ),
     ]
 
@@ -664,6 +700,25 @@ def test_importing_the_package_loads_no_fan_out_module():
     new = set(out.stdout.split())
     assert "flecklab.verifier" in new
     assert not new & set(FAN_OUT_MODULES)
+
+
+def test_importing_the_package_fills_no_cache():
+    # Import time is measured on its own: no memo is filled at import.
+    code = (
+        "import sys, flecklab\n"
+        "for name, mod in sorted(sys.modules.items()):\n"
+        "    if name.startswith('flecklab'):\n"
+        "        for attr, obj in vars(mod).items():\n"
+        "            if getattr(obj, '__module__', None) == name and hasattr(obj, 'cache_info'):\n"
+        "                print(f'{name}.{attr}', obj.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(verifier.__file__).resolve().parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    sizes = dict(line.split() for line in out.stdout.splitlines())
+    assert "flecklab.combinatorics._binomial_row" in sizes
+    assert set(sizes.values()) == {"0"}, sizes
 
 
 class TestFanOut:
