@@ -25,8 +25,7 @@ computed from the definition and cross-checked against the closed form on
 every call.
 
 _norm_sums is the one evaluator of the first normalization: it gives the
-numerators of one (l, n) at any residues, sharing the weight lists (a
-single residue makes its weights term by term, with no list), gives 0
+numerators of one (l, n) at any residues, sharing the weight lists, gives 0
 for a residue whose class is empty (r mod m > n) without a weight list or a
 kernel call, and holds every value to both invariants.  _norm_index is
 the one definition of d, and _norm_denominator gives the denominator d!
@@ -101,11 +100,10 @@ def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[i
     ord_p(num) - ord_p(d!), so no Fraction (and no gcd) is ever built.  The
     residues share their weights: r's class has weight indices
     j = i - r // m, so one list of binomial(j, l) serves every r with the
-    same quotient r // m (three lists on a -m .. 2m-1 window).  A single
-    residue (_norm_sum_value's) builds no list: each weight is made as its
-    term is read.  A class past n has no terms, and its sum is 0 without
-    either.  Each value is held to the two invariants of every normalized
-    sum: the alpha = 0 closed form and p-integrality, ord_p(num) >= ord_p(d!).
+    same quotient r // m (three lists on a -m .. 2m-1 window).  A class
+    past n has no terms, and its sum is 0 without either.  Each value is
+    held to the two invariants of every normalized sum: the alpha = 0
+    closed form and p-integrality, ord_p(num) >= ord_p(d!).
     """
     m = prime_power_modulus(p, alpha).m
     if l < 0 or n < 0:
@@ -113,24 +111,16 @@ def _norm_sums(p: int, alpha: int, l: int, n: int, rs: Sequence[int]) -> tuple[i
     scale = math.factorial(l) * p**l
     integral = p ** _factorial_order(p, _norm_index(p, alpha, n))
     weights: dict[int, list[int]] = {}
-    one = len(rs) == 1
     nums = []
     for r in rs:
         q, c = divmod(r, m)
         if c > n:  # an empty class
             nums.append(0)
             continue
-        if one:  # each weight made as its term is read
-            acc, j = 0, -q
-            for t in _class_binomials(n, c, m):
-                acc += t * (math.comb(j, l) if j >= 0 else (-1) ** l * math.comb(l - j - 1, l))
-                j += 1
-            num = scale * acc
-        else:
-            w = weights.get(q)
-            if w is None:
-                w = weights[q] = _binomial_weights(-q, n // m + 1, l)
-            num = scale * sum(map(mul, _class_binomials(n, c, m), w))
+        w = weights.get(q)
+        if w is None:
+            w = weights[q] = _binomial_weights(-q, n // m + 1, l)
+        num = scale * sum(map(mul, _class_binomials(n, c, m), w))
         # At alpha == 0 the closed form has the same denominator (p*n)! as num.
         if alpha == 0 and num != scale * (-1) ** n * binomial(-r, l - n):
             raise InternalInvariantError(

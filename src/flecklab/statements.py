@@ -186,24 +186,16 @@ class Statement:
             return SKIP
         return self.check(*params)
 
-    def shared_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> "list | None":
-        """The results of one row where the row shares them: all SKIP outside
-        the hypothesis, else the row form's; None for a row to be checked
-        once per value (an entry without a row form, or a row its row form
-        hands back).  The row form is the one written for this entry's check
-        (a swapped-in copy has none).  A shared result that passes is the
-        object True, as every verdict function returns it, so a sweep counts
-        a row of passes in one call (verifier._run_chunk)."""
+    def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
+        """The results of one row: prefix holds the values of every axis but
+        the last, values the last axis's values under it.  A row outside the
+        hypothesis is all SKIP.  The row form is the one written for this
+        entry's check (a swapped-in copy has none); a row it hands back, or
+        without one, is checked once per value."""
         if self.hypothesis and not self.hypothesis(*prefix):
             return [SKIP] * len(values)
         row = _ROW_FORMS.get(self.check)
-        return row(*prefix, values) if row else None
-
-    def check_row(self, prefix: tuple[int, ...], values: Sequence[int]) -> list:
-        """The results of one row: prefix holds the values of every axis but
-        the last, values the last axis's values under it.  The shared
-        results, or the check's at each value."""
-        results = self.shared_row(prefix, values)
+        results = row(*prefix, values) if row else None
         if results is None:
             check = self.check
             return [check(*prefix, v) for v in values]
@@ -251,18 +243,11 @@ def _reaches(p: int, x: int, k: int) -> bool:
     return x % p**k == 0
 
 
-def _pair_constants(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int, int]:
-    """(fa, fb, oa + ob) from the denominators x = (fa, oa) and y = (fb, ob)
-    of two normalized sums (_norm_denominator): what _difference_verdict
-    reads of a row, built once per row."""
-    (fa, oa), (fb, ob) = x, y
-    return fa, fb, oa + ob
-
-
 def _difference_verdict(p: int, a: int, c: int, b: int, k: tuple[int, int, int], need: int):
     """True when ord_p(x - c*y) = ord_p(a*fb - c*b*fa) - oa - ob reaches need
     for normalized sums x = a / fa and y = b / fb, with k = (fa, fb, oa + ob)
-    their row's constants (_pair_constants), that is when p**(oa + ob +
+    their row's constants, built once per row from the two denominators
+    (fa, oa) and (fb, ob) (_norm_denominator), that is when p**(oa + ob +
     need) divides a*fb - c*b*fa; else _at_least's pair, from the exact order."""
     fa, fb, o = k
     diff = a * fb - c * b * fa
@@ -272,11 +257,11 @@ def _difference_verdict(p: int, a: int, c: int, b: int, k: tuple[int, int, int],
 
 
 def _lucas_constants(p: int, alpha: int, n: int) -> tuple[tuple[int, int, int], list[int]]:
-    """What _lucas_verdict reads of a row (p, alpha, l, n): the pair
+    """What _lucas_verdict reads of a row (p, alpha, l, n): _difference_verdict's
     constants of the levels alpha + 1 at n and alpha at n // p, and the
     coefficients (-1)**t binomial({n}_p, t) for t = 0 .. p-1."""
-    pair = _pair_constants(_norm_denominator(p, alpha + 1, n), _norm_denominator(p, alpha, n // p))
-    return pair, [(-1) ** t * math.comb(n % p, t) for t in range(p)]
+    (fa, oa), (fb, ob) = _norm_denominator(p, alpha + 1, n), _norm_denominator(p, alpha, n // p)
+    return (fa, fb, oa + ob), [(-1) ** t * math.comb(n % p, t) for t in range(p)]
 
 
 def _lucas_verdict(p: int, r: int, a: int, b: int, k: tuple):
@@ -890,9 +875,10 @@ def _conj11(p, alpha, l, n, r):
 
 
 def _conj11_constants(p: int, alpha: int, n: int) -> tuple[int, int, int]:
-    """What _conj11_verdict reads of a row (p, alpha, l, n): the pair
+    """What _conj11_verdict reads of a row (p, alpha, l, n): _difference_verdict's
     constants of the levels alpha + 1 at p n and alpha at n."""
-    return _pair_constants(_norm_denominator(p, alpha + 1, p * n), _norm_denominator(p, alpha, n))
+    (fa, oa), (fb, ob) = _norm_denominator(p, alpha + 1, p * n), _norm_denominator(p, alpha, n)
+    return fa, fb, oa + ob
 
 
 def _conj11_verdict(p: int, a: int, b: int, k: tuple[int, int, int]):

@@ -9,11 +9,10 @@ worker processes are used.
 The sweep walks the grid by rows: a row is a prefix (values of every axis
 but the last) with the last axis's values under it, fixed or derived.  One
 walker, _rows, is the only code that reads axis values, so the sweep order
-is defined once.  Each row is checked as Statement.check_row checks it: a
-row outside the statement's hypothesis is skipped, a row form runs, or
+is defined once.  Each row goes to Statement.check_row in one call, which
+skips a row outside the statement's hypothesis, or runs its row form, or
 the check once per value for a row handed back or without a row form.  A
-row form's row of passes, each the object True, is counted in one call;
-a check's results are read one by one.
+row whose results are all the object True is counted in one call.
 iter_instances is the flattening of the rows.  An InternalInvariantError
 raised in a row is named by its instance: the row is run again one check
 at a time, and the first check that raises names it.  A row form reads
@@ -46,6 +45,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from operator import is_
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -229,22 +229,16 @@ def _run_chunk(
 ) -> tuple[int, int, list[dict]]:
     checked = skipped = 0
     failures: list[dict] = []
-    check = st.check
     for prefix, values in rows:
-        # Statement.check_row, with the check's results kept apart: a shared
-        # row passes with the object True alone, so a row of passes is
-        # counted in one call.  A check's results are read one by one, since
-        # list.count counts a result equal to True (1, 1.0) as True, and any
-        # result but True itself is a failure.
         try:
-            results = st.shared_row(prefix, values)
-            if results is None:
-                results = [check(*prefix, v) for v in values]
-            elif results.count(True) == len(values) == len(results):
-                checked += len(values)
-                continue
+            results = st.check_row(prefix, values)
         except InternalInvariantError as exc:
             raise _named(st, prefix, values, exc) from exc
+        # A row of passes, each the object True, is counted in one call: by
+        # identity, as below, since 1 and 1.0 equal True and are failures.
+        if len(results) == len(values) and all(map(is_, results, itertools.repeat(True))):
+            checked += len(values)
+            continue
         for v, res in zip(values, results, strict=True):
             if res is True:
                 checked += 1

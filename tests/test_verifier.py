@@ -290,16 +290,16 @@ class TestFailureHandling:
         assert report.failures[0]["observed"] == "None"
         assert report.failures[0]["expected"] == "True"
 
-    @pytest.mark.parametrize("row_form", [None, "hands back"])
+    @pytest.mark.parametrize("row_form", [None, "hands back", "returns 1"])
     def test_a_result_equal_to_true_is_a_failure(self, monkeypatch, row_form):
-        # 1 == True, and list.count(True) counts it: a sweep counts a row of
-        # passes at once only where a row form gave the row, and reads a
-        # check's results one by one, also on a row its row form hands back.
+        # 1 == True: a sweep counts a row of passes in one call only where
+        # every result is the object True, from a check or a row form alike.
         def check(n):
             return 1
 
         if row_form:
-            monkeypatch.setitem(statements._ROW_FORMS, check, lambda ns: None)
+            form = (lambda ns: None) if row_form == "hands back" else (lambda ns: [1] * len(ns))
+            monkeypatch.setitem(statements._ROW_FORMS, check, form)
         monkeypatch.setitem(STATEMENTS, "FAKE.ONE", synthetic("FAKE.ONE", "theorem", check=check))
         report = run_statement("FAKE.ONE", grid={"n": (0, 1, 2)})
         assert report.status == "fail" and report.checked == 3
