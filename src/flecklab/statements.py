@@ -20,12 +20,15 @@ CONJ1.3 have one.  T3.1 and CONJ3.1 read every Fleck sum of a row from
 quantities._fleck_sums, one residue fold of each binomial row they need,
 mod p to one power past the bound their verdict holds the sums to
 (_fleck_reduction_bound, _conj31_bound); their per-instance checks read
-the exact sums.  CONJ1.2's check folds its two rows, p*n + s mod p**2 and
-n mod p, once per instance, exactly; its row form folds row n once and row
-p*n + s once, at the row's least digit s, and reaches each next digit's
-row by Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2] (a property of
-binomial rows, not the digit congruence it checks); both hand the sums to
-_conj12_verdict.
+the exact sums.  CONJ1.2's verdict reads each normalized sum only mod p,
+so its row form reads row n's class sums mod p, and row p*n + s's mod
+p**2, from one residue fold each, to one power of p past Weisman's
+exponent: row p*n + s once, at the row's least digit s, to the precision
+of its greatest (the exponent does not fall as s grows), and each next
+digit's row by Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2] (a property
+of binomial rows, not the digit congruence it checks).  Its check reads
+the exact class sums from the kernel, one plain_alt_sum per class; both
+hand the sums to _conj12_verdict.
 T1.5, T1.5-alpha1 and CONJ1.1 read the normalized sums of their two
 levels from quantities._norm_sums, the one evaluator of normalized sums;
 the p consecutive rows of T1.5 and T1.5-alpha1 that share n // p share
@@ -58,7 +61,8 @@ quantities._weisman_normalized, which raises InternalInvariantError if
 the division is not exact, and C1.2cor reads the same exponent from
 padic._weisman.  Fleck's exponent floor((n-1)/(p-1)) is its special case
 at row p**(alpha-1) * n.  Every normalized value is an exact integer, or,
-in the Fleck row forms, its exact residue mod p**(b + 1).
+in the Fleck row forms, its exact residue mod p**(b + 1), and in CONJ1.2's
+row form a residue mod p.
 
 Every check in the catalog runs in integers: a rational is carried as an
 integer numerator and denominator, neither reduced, and its order is
@@ -116,7 +120,7 @@ from .quantities import (
 from .sums import (
     _binomial_sums,
     _bound_terms,
-    _class_sums,
+    _class_residues,
     _power_sums,
     _series_sums,
     alt_sum_binom,
@@ -898,13 +902,16 @@ def _conj12(p, n, s):
     prime_power_modulus(p, 2)
     if n < 0 or not 0 <= s < p:
         return SKIP
-    return _conj12_verdict(p, n, s, _class_sums(p * n + s, p * p), _class_sums(n, p))
+    top = [plain_alt_sum(p * n + s, c, p * p) for c in range(p * p)]
+    return _conj12_verdict(p, n, s, top, [plain_alt_sum(n, c, p) for c in range(p)])
 
 
 def _conj12_verdict(p: int, n: int, s: int, top: Sequence[int], low: Sequence[int]):
     """_conj12's result from the class sums of row p*n + s mod p**2 (top)
     and of row n mod p (low), each normalized only where it is read, by
-    Weisman's exponent of its row, read once."""
+    Weisman's exponent w of its row, read once.  A sum need only be right
+    mod p**(w + 1): each normalized value is read only mod p, and p**w
+    divides a sum exactly when it divides any residue of it mod p**(w + 1)."""
     big = p * n + s
     w = _weisman(p, 2, big)
 
@@ -937,17 +944,20 @@ def _conj12_verdict(p: int, n: int, s: int, top: Sequence[int], low: Sequence[in
 
 
 def _conj12_row(p, n, ss):
-    """_conj12 at each s of ss, in any order: row p*n + s is folded once, at
-    the least s in 0 .. p-1, and each next row from the one before by
-    Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2]; row n is folded once."""
+    """_conj12 at each s of ss, in any order, from the class sums of row n
+    mod p**(w + 1) and of row p*n + s mod p**(w' + 1), w and w' Weisman's
+    exponents of row n and of the greatest wanted s: row p*n + s is folded
+    once, at the least s in 0 .. p-1, and each next row stepped from the
+    one before by Pascal's rule, S'[c] = S[c] - S[c - 1 mod p**2], which
+    holds mod any power."""
     prime_power_modulus(p, 2)
     wanted = {s for s in ss if 0 <= s < p}
     results = {}
     if wanted:
-        low = _class_sums(n, p)
-        lo = min(wanted)
-        top = _class_sums(p * n + lo, p * p)
-        for s in range(lo, max(wanted) + 1):
+        low = _class_residues(n, p, p, _weisman(p, 1, n) + 1)
+        lo, hi = min(wanted), max(wanted)
+        top = _class_residues(p * n + lo, p * p, p, _weisman(p, 2, p * n + hi) + 1)
+        for s in range(lo, hi + 1):
             if s > lo:
                 top = [a - b for a, b in zip(top, [top[-1], *top[:-1]])]
             if s in wanted:

@@ -23,20 +23,19 @@ integer-valued bound covers rational-coefficient f of degree <= l taking
 integer values on the integers, binomial(x, l) being the motivating case.
 
 Every per-value evaluator sums one class's terms from the class-sum kernel
-combinatorics._class_binomials.  A caller that needs the plain alternating
-sum of every class of one row folds the row instead: _class_sums(n, m) walks
-row n once by the recurrence binomial(n, k+1) = binomial(n, k) (n-k) / (k+1)
-and adds each signed term to its class k mod m, with no math.comb call.  The
-fold is made per call and never kept; plain_alt_sum stays its oracle.
-A caller that needs those sums only mod p**k takes _class_residues(n, m,
-p, k), the same walk in units mod p**k and exact orders, which keeps m
-residues of k digits instead of m sums of up to n bits; _class_sums,
-reduced mod p**k, is its oracle.  Every such walk at p divides by the same
-denominators 1, 2, 3, ..., so it reads their p-free parts' inverses and
-orders from one table per prime (_unit_inverses), kept through an
-lru_cache: grown in place to the longest half-row walked so far, and
-Newton-lifted when a walk asks for more digits than it holds.  A walk
-inverts nothing the table already covers.
+combinatorics._class_binomials, a slice of the one memoized binomial row.
+A caller that needs the plain alternating sum of every class of one row
+only mod p**k folds the row instead: _class_residues(n, m, p, k) walks row
+n once by the recurrence binomial(n, k+1) = binomial(n, k) (n-k) / (k+1),
+in units mod p**k and exact orders, and adds each signed term to its class
+k mod m, keeping m residues of k digits instead of m sums of up to n bits.
+The fold is made per call and never kept; plain_alt_sum, reduced mod p**k,
+is its oracle.  Every such walk at p divides by the same denominators 1,
+2, 3, ..., so it reads their p-free parts' inverses and orders from one
+table per prime (_unit_inverses), kept through an lru_cache: grown in
+place to the longest half-row walked so far, and Newton-lifted when a walk
+asks for more digits than it holds.  A walk inverts nothing the table
+already covers.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Sequence
 
 from .combinatorics import Polynomial, _class_binomials
@@ -193,8 +191,9 @@ def _binomial_weights(j0: int, count: int, l: int) -> list[int]:
     """binomial(j, l) for j = j0 .. j0 + count - 1, l >= 0, extended to j < 0
     as combinatorics.binomial extends it."""
     sign = (-1) ** l
-    neg = [sign * math.comb(l - j - 1, l) for j in range(j0, min(j0 + count, 0))]
-    return neg + list(map(math.comb, range(max(j0, 0), j0 + count), repeat(l)))
+    return [
+        math.comb(j, l) if j >= 0 else sign * math.comb(l - j - 1, l) for j in range(j0, j0 + count)
+    ]
 
 
 def plain_alt_sum(n: int, r: int, m: int) -> int:
@@ -209,32 +208,6 @@ def unsigned_class_sum(n: int, r: int, m: int) -> int:
     if m < 1:
         raise _modulus_error(m)
     return sum(map(abs, _class_binomials(n, r % m, m)))
-
-
-def _class_sums(n: int, m: int) -> list[int]:
-    """plain_alt_sum(n, c, m) for every class c = 0 .. m-1, from one pass
-    over row n (all zero for n < 0).
-
-    Only half the row is walked: the term at n - k is (-1)**n times the
-    term at k.  The sums are kept in one list of m exact integers, of up to
-    n bits each; _class_residues keeps them mod a power of p instead.
-    """
-    if m < 1:
-        raise _modulus_error(m)
-    out = [0] * m
-    t = 1  # (-1)**k * binomial(n, k)
-    half = (n + 1) // 2
-    odd = n % 2
-    for k in range(half):
-        out[k % m] += t
-        if odd:
-            out[(n - k) % m] -= t
-        else:
-            out[(n - k) % m] += t
-        t = -t * (n - k) // (k + 1)
-    if n >= 0 and not odd:
-        out[half % m] += t  # the middle term, k = n/2
-    return out
 
 
 @lru_cache(maxsize=1 << 4)
@@ -273,17 +246,17 @@ def _unit_inverses(p: int, k: int, count: int) -> tuple[list[int], bytearray]:
 
 
 def _class_residues(n: int, m: int, p: int, k: int) -> list[int]:
-    """_class_sums(n, m) mod p**k, each in 0 .. p**k - 1, for a prime p;
-    all zero for n < 0 or k <= 0.
+    """plain_alt_sum(n, c, m) mod p**k for every class c = 0 .. m-1, each
+    in 0 .. p**k - 1, for a prime p; all zero for n < 0 or k <= 0.
 
-    The walk is _class_sums' over half the row, with (-1)**i *
-    binomial(n, i) carried as u * p**v: u a unit mod p**k and v its exact
-    p-adic order.  Each step strips the p-part of n - i into v, multiplies
-    u by the rest, and divides by i + 1 through the table of
-    _unit_inverses: its order comes off v and u is multiplied by its
-    p-free part's inverse.  A term with v >= k is 0 mod p**k.  The walk
-    keeps m partial sums, each at most p**k times its class's number of
-    terms in size, and no term once it is added.
+    Only half the row is walked: the term at n - i is (-1)**n times the
+    term at i.  Each term (-1)**i * binomial(n, i) is carried as u * p**v:
+    u a unit mod p**k and v its exact p-adic order.  Each step strips the
+    p-part of n - i into v, multiplies u by the rest, and divides by i + 1
+    through the table of _unit_inverses: its order comes off v and u is
+    multiplied by its p-free part's inverse.  A term with v >= k is 0 mod
+    p**k.  The walk keeps m partial sums, each at most p**k times its
+    class's number of terms in size, and no term once it is added.
     """
     if m < 1:
         raise _modulus_error(m)

@@ -1,10 +1,11 @@
 """The frontier sweeps, pinned by digest.
 
-CONJ1.2 reads every class sum of its binomial rows from exact folds
-(sums._class_sums): one of row n and one of row p*n + s at the least digit
-s, each next digit's row stepped from it by Pascal's rule.  CONJ3.1 reads
-its Fleck sums from one residue fold of each row (sums._class_residues), mod
-p to one power past its bound, its inverses read from one table per p, and
+CONJ1.2 reads every class sum of its binomial rows from residue folds
+(sums._class_residues) mod p to one power past Weisman's exponent: one of
+row n and one of row p*n + s at the least digit s, each next digit's row
+stepped from it by Pascal's rule.  CONJ3.1 reads its Fleck sums from one
+residue fold of each row, mod p to one power past its bound and Weisman's
+exponent, its inverses read from one table per p, and
 CONJ1.3 decides each instance from its power sum mod p**(ord_p(D) + 1), a
 row of j at a time.  CONJ1.1 and T1.5-alpha1 read the normalized sums of
 two levels and decide their lift congruences by one divisibility test.

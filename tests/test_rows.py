@@ -193,16 +193,26 @@ def unit_value_rows(draw):
 
 @hst.composite
 def digit_rows(draw):
-    """(p, n) with n from -2, and a list of digits s: scattered, unordered
-    and repeated, some outside 0 .. p-1, or the default 0 .. p-1."""
-    p = draw(hst.sampled_from(PRIMES))
+    """(p, n) with p up to 11 and n from -2 to the frontier's 200: any n,
+    n = 0 or 1, a multiple of p, or n == 1 (mod p - 1), the exceptional
+    rows; and a list of digits s: scattered, unordered and repeated, some
+    outside 0 .. p-1, or the default 0 .. p-1."""
+    p = draw(hst.sampled_from((*PRIMES, 11)))
+    n = draw(
+        hst.one_of(
+            hst.integers(-2, 200),
+            hst.sampled_from((0, 1)),
+            hst.integers(0, 200 // p).map(lambda i: i * p),
+            hst.integers(0, 199 // (p - 1)).map(lambda i: 1 + i * (p - 1)),
+        )
+    )
     ss = draw(
         hst.one_of(
             hst.lists(hst.integers(-2, p + 1), min_size=1, max_size=10),
             hst.just(list(range(p))),
         )
     )
-    return (p, draw(hst.integers(-2, 60))), ss
+    return (p, n), ss
 
 
 def draw_row(sid, data):
@@ -259,6 +269,21 @@ def test_conj13_row_reads_the_sums_of_its_check(row):
         statements, "_class_binomials", _skewed
     ):
         assert st.check_row(prefix, js) == per_instance(st, prefix, js)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_conj12_residues_need_their_precision(monkeypatch, level):
+    # Row n's residues (level 1) or row p*n + s's (level 2), read to one
+    # power of p less than the row form asks for, make some row of the
+    # default slice disagree with its check.
+    monkeypatch.setattr(
+        statements,
+        "_class_residues",
+        lambda n, m, p, k: _class_residues(n, m, p, k - (m == p**level)),
+    )
+    st = SEARCHES["CONJ1.2"]
+    rows = list(_rows(st.axes, _specs(st, DEFAULT_SLICES["CONJ1.2"])))
+    assert any(st.check_row(prefix, values) != per_instance(st, prefix, values) for prefix, values in rows)
 
 
 OUTSIDE = [
@@ -462,7 +487,6 @@ def test_l22_computes_each_window_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 _class_binomials = combinatorics._class_binomials
-_class_sums = sums._class_sums
 _class_residues = sums._class_residues
 
 
@@ -473,23 +497,11 @@ def _bumped(n, c, m):
     return tuple([terms[0] + 1, *terms[1:]]) if terms else ()
 
 
-def _bumped_fold(n, m):
-    """_bumped on every class of the row: each class with a term, c <= n."""
-    out = _class_sums(n, m)
-    for c in range(min(m, n + 1)):
-        out[c] += 1
-    return out
-
-
 def _scaled(n, c, m):
     """The kernel times n + 1: orders only rise, so every normalized sum
     stays p-integral, but the contiguous recurrences between n - 1 and n
     break, and so do the congruences between two levels' Fleck sums."""
     return tuple((n + 1) * t for t in _class_binomials(n, c, m))
-
-
-def _scaled_fold(n, m):
-    return [(n + 1) * s for s in _class_sums(n, m)]
 
 
 def _clear_caches():
@@ -500,33 +512,25 @@ def _clear_caches():
                     obj.cache_clear()
 
 
-def _residues_of(fold):
-    """The residue fold that reduces fold's exact sums mod p**k."""
-
-    def residues(n, m, p, k):
-        return [s % p**k for s in fold(n, m)]
-
-    return residues
-
-
 @pytest.fixture
 def kernel(monkeypatch):
-    """Install a perturbed class-sum kernel, and the same perturbation of the
-    row fold if one is given, in every flecklab module that imported the
-    real ones, with every cache cleared before and after.  A perturbed fold
-    is installed as the residue fold too, reduced mod p**k."""
+    """Install a perturbed class-sum kernel, and the residue fold derived
+    from it (its class sums, reduced mod p**k), in every flecklab module
+    that imported the real ones, with every cache cleared before and
+    after."""
 
-    def install(fn, fold=_class_sums):
+    def install(fn):
+        def residues(n, m, p, k):
+            return [sum(fn(n, c, m)) % p**k for c in range(m)]
+
         _clear_caches()
         for name, mod in list(sys.modules.items()):
             if mod is None or not name.startswith("flecklab"):
                 continue
             if vars(mod).get("_class_binomials") is _class_binomials:
                 monkeypatch.setattr(mod, "_class_binomials", fn)
-            if vars(mod).get("_class_sums") is _class_sums:
-                monkeypatch.setattr(mod, "_class_sums", fold)
-            if fold is not _class_sums and vars(mod).get("_class_residues") is _class_residues:
-                monkeypatch.setattr(mod, "_class_residues", _residues_of(fold))
+            if vars(mod).get("_class_residues") is _class_residues:
+                monkeypatch.setattr(mod, "_class_residues", residues)
 
     yield install
     monkeypatch.undo()
@@ -581,28 +585,28 @@ def test_perturbed_kernel_fails_alike_in_row_and_check(kernel, sid, fn, branches
         assert any(branch in text for text in seen), branch
 
 
-# The Fleck row forms read their sums from the row fold, the checks from
-# the kernel: both are perturbed alike.  A perturbed Fleck sum that is no
+# The Fleck row forms read their sums from the residue fold, the checks
+# from the kernel: both are perturbed alike.  A perturbed Fleck sum that is no
 # longer an integer raises.  A row form reads its whole row before any
 # verdict, so it need not raise where its first raising check would: that
 # row and check raise the same error here is checked, not given by
 # construction.
 NOT_INTEGER = "Weisman-normalized sum is not an integer"
 FOLD_PERTURBED = [
-    ("T3.1", _bumped, _bumped_fold, ["order 0", NOT_INTEGER]),
-    ("T3.1", _scaled, _scaled_fold, ["difference order"]),
-    ("CONJ3.1", _bumped, _bumped_fold, [NOT_INTEGER]),
-    ("CONJ3.1", _scaled, _scaled_fold, ["difference order"]),
+    ("T3.1", _bumped, ["order 0", NOT_INTEGER]),
+    ("T3.1", _scaled, ["difference order"]),
+    ("CONJ3.1", _bumped, [NOT_INTEGER]),
+    ("CONJ3.1", _scaled, ["difference order"]),
 ]
 
 
 @pytest.mark.parametrize(
-    "sid, fn, fold, branches",
+    "sid, fn, branches",
     FOLD_PERTURBED,
     ids=[f"{c[0]}-{c[1].__name__.strip('_')}" for c in FOLD_PERTURBED],
 )
-def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, fold, branches):
-    kernel(fn, fold)
+def test_perturbed_fold_fails_alike_in_row_and_check(kernel, sid, fn, branches):
+    kernel(fn)
     st = STATEMENTS[sid]
     seen = []
     for prefix, values in _perturbed_rows(sid):
@@ -709,13 +713,13 @@ def test_perturbed_lifts_fail_alike_in_row_and_check(kernel, sid, fn, branches):
 # grid with its residues out of order.
 NAMED_IN_A_ROW = [
     (
-        "T1.5", _bumped, _class_sums,
+        "T1.5", _bumped,
         {"p": (2,), "alpha": (2,), "l": (0,), "n": (8,), "r": (5, -2, 3)},
         "T1.5 at {'p': 2, 'alpha': 2, 'l': 0, 'n': 8, 'r': 5}: "
         "normalized sum is not p-integral at (p=2, alpha=3, l=0, n=8, r=5)",
     ),
     (
-        "T3.1", _bumped, _bumped_fold,
+        "T3.1", _bumped,
         {"p": (3,), "alpha": (2,), "n": (5,), "r": (4, 0, -2)},
         "T3.1 at {'p': 3, 'alpha': 2, 'n': 5, 'r': 4}: "
         "Weisman-normalized sum is not an integer at (p=3, alpha=2, N=15, r=4)",
@@ -724,9 +728,9 @@ NAMED_IN_A_ROW = [
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("sid, fn, fold, grid, message", NAMED_IN_A_ROW, ids=["T1.5", "T3.1"])
-def test_perturbed_row_errors_are_named_in_a_sweep(kernel, sid, fn, fold, grid, message, jobs):
-    kernel(fn, fold)
+@pytest.mark.parametrize("sid, fn, grid, message", NAMED_IN_A_ROW, ids=["T1.5", "T3.1"])
+def test_perturbed_row_errors_are_named_in_a_sweep(kernel, sid, fn, grid, message, jobs):
+    kernel(fn)
     st = STATEMENTS[sid]
     prefix, values = next(_rows(st.axes, _specs(st, grid)))
     assert outcome(lambda: st.check_row(prefix, values))[0] == "raised"
@@ -745,7 +749,8 @@ def test_perturbed_row_errors_are_named_in_a_sweep(kernel, sid, fn, fold, grid, 
 # division stays exact and each check fails through its own branches.  Their
 # failures are pinned by count and by a digest of every (instance, result)
 # pair in sweep order.  C3.1cor stands for the Fleck checks that have no row
-# form.
+# form.  CONJ1.2's checks read the perturbed kernel; the sweeps that name
+# an error run its row form, on the residue fold derived from that kernel.
 
 
 def _prime_of(m):
@@ -755,18 +760,19 @@ def _prime_of(m):
     return d
 
 
-def _class_scaled_fold(n, m):
-    """Class c's sum times c + 1: at level p**2 the scale of class p*r + t
-    is t + 1 mod p, so the residues of one t stay constant in r but no
-    longer run over 1 .. p-1."""
-    return [(c + 1) * s for c, s in enumerate(_class_sums(n, m))]
+def _class_scaled(n, c, m):
+    """The kernel with class c's terms times c + 1: at level p**2 the scale
+    of class p*r + t is t + 1 mod p, so the residues of one t stay constant
+    in r but no longer run over 1 .. p-1."""
+    return tuple((c + 1) * t for t in _class_binomials(n, c, m))
 
 
-def _quotient_scaled_fold(n, m):
-    """Class c's sum times 1 + floor(c/p), p the prime of m: level p is
-    untouched, and at level p**2 the residues of one t vary with r."""
-    p = _prime_of(m)
-    return [(1 + c // p) * s for c, s in enumerate(_class_sums(n, m))]
+def _quotient_scaled(n, c, m):
+    """The kernel with class c's terms times 1 + floor(c/p), p the prime of
+    m: level p is untouched, and at level p**2 the residues of one t vary
+    with r."""
+    scale = 1 + c // _prime_of(m)
+    return tuple(scale * t for t in _class_binomials(n, c, m))
 
 
 def _failures(st, grid=None):
@@ -786,32 +792,32 @@ def _digest(failures):
 T17_GRID = {"p": (2, 3), "n": tuple(range(6))}
 WEISMAN_PERTURBED = [
     (
-        "T1.7", _scaled, _class_sums, T17_GRID, ["difference order 0"], 380,
+        "T1.7", _scaled, T17_GRID, ["difference order 0"], 380,
         "df6d6bc8bd6f583cbd832abd67e71d2b683704a735c2c47218aeff03cbd9acc9",
     ),
     (
-        "CONJ1.2", _class_binomials, _class_scaled_fold, None,
+        "CONJ1.2", _class_scaled, None,
         ["difference order 0", "a permutation of 1..4"], 157,
         "243a18f5612644dd5d9ca6e885ddc824b259845201c2d86a8c98454e224517d3",
     ),
     (
-        "CONJ1.2", _class_binomials, _quotient_scaled_fold, None,
+        "CONJ1.2", _quotient_scaled, None,
         ["difference order 0", "vary with r"], 172,
         "9664564dd2d9cb25f32ad4d99474409caf2448e3d91b25ef0fb248705da25c35",
     ),
     (
-        "C3.1cor", _scaled, _class_sums, None, ["difference order"], 242,
+        "C3.1cor", _scaled, None, ["difference order"], 242,
         "bd4480659b3efcea9943c5c7414292ec4d5b4b15443df25543780359e5af010c",
     ),
     (
-        "C3.1cor", _bumped, _class_sums, {"p": (3, 5), "n": (0, 1, 2)}, ["order 0"], 84,
+        "C3.1cor", _bumped, {"p": (3, 5), "n": (0, 1, 2)}, ["order 0"], 84,
         "2aa403eac3006fe3df1f685b1f221c13f8767585fce599ef79ca5b623ecde05b",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "sid, fn, fold, grid, branches, count, digest",
+    "sid, fn, grid, branches, count, digest",
     WEISMAN_PERTURBED,
     ids=[
         "T1.7-scaled",
@@ -821,10 +827,8 @@ WEISMAN_PERTURBED = [
         "C3.1cor-bumped",
     ],
 )
-def test_weisman_normalized_checks_fail_as_pinned(
-    kernel, sid, fn, fold, grid, branches, count, digest
-):
-    kernel(fn, fold)
+def test_weisman_normalized_checks_fail_as_pinned(kernel, sid, fn, grid, branches, count, digest):
+    kernel(fn)
     got = _failures(STATEMENTS[sid], grid)
     texts = [" ".join(res) for _, res in got]
     for branch in branches:
@@ -839,17 +843,17 @@ def test_weisman_normalized_checks_fail_as_pinned(
 # as "not p-integral"; it raises like every other.
 WEISMAN_BROKEN = [
     (
-        "T1.7", _bumped, _class_sums, T17_GRID,
+        "T1.7", _bumped, T17_GRID,
         "T1.7 at {'p': 2, 'alpha': 2, 'n': 4, 's': 0, 't': 0, 'r': -1}: "
         "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=4, r=-1)",
     ),
     (
-        "CONJ1.2", _class_binomials, _bumped_fold, None,
+        "CONJ1.2", _bumped, None,
         "CONJ1.2 at {'p': 2, 'n': 2, 's': 0}: "
         "Weisman-normalized sum is not an integer at (p=2, alpha=1, N=2, r=0)",
     ),
     (
-        "CONJ1.2", _class_binomials, _bumped_fold, {"p": (2,), "n": (3,)},
+        "CONJ1.2", _bumped, {"p": (2,), "n": (3,)},
         "CONJ1.2 at {'p': 2, 'n': 3, 's': 0}: "
         "Weisman-normalized sum is not an integer at (p=2, alpha=2, N=6, r=1)",
     ),
@@ -857,12 +861,12 @@ WEISMAN_BROKEN = [
 
 
 @pytest.mark.parametrize(
-    "sid, fn, fold, grid, message",
+    "sid, fn, grid, message",
     WEISMAN_BROKEN,
     ids=["T1.7", "CONJ1.2", "CONJ1.2-exceptional"],
 )
-def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, grid, message):
-    kernel(fn, fold)
+def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, grid, message):
+    kernel(fn)
     with pytest.raises(InternalInvariantError) as info:
         run_statement(sid, grid)
     assert str(info.value) == message
@@ -875,8 +879,9 @@ def test_broken_weisman_divisibility_is_named_in_a_sweep(kernel, sid, fn, fold, 
 # compares an order with the exponent.  Each id's report on a small slice is
 # pinned by status, failure count and the digest of its JSON, or by the
 # InternalInvariantError that named the first instance reading such a sum.
-# The residue folds of T3.1's and CONJ3.1's row forms take their modulus
-# from the same exponent, so these pins hold them to it as well.
+# The residue folds of the row forms of T3.1, CONJ3.1 and CONJ1.2 take
+# their modulus from the same exponent, so these pins hold them to it as
+# well.
 
 _weisman = padic._weisman
 
@@ -1229,6 +1234,74 @@ def test_bounds_under_raised_carry_counts_sweep_as_pinned(monkeypatch, sid, coun
     for mod in (statements, sums):
         monkeypatch.setattr(mod, "_carries", lambda p, a, b: carries(p, a, b) + 1)
     assert _swept(STATEMENTS[sid], DEFAULT_SLICES[sid]) == (count, digest)
+
+
+# ---------------------------------------------------------------------------
+# failure wordings that no kernel perturbation reaches
+# ---------------------------------------------------------------------------
+#
+# T1.3's coefficient and its shifted class sum are one linear form in the
+# class terms, and so are the two sides of R1.6's identity, so a perturbed
+# kernel moves both alike.  Each wording gets its own perturbation: T1.3's
+# coefficient doubled (its check's series_coefficient and its row form's
+# _series_sums), which only raises its order; L4.2's normalized sums under
+# the scaled kernel, which make the sum at n = 1 even; and both sides of
+# R1.6's identity doubled (alt_sum_power and stirling2), so that it holds
+# while every stirling2 it reads is even.  Each sweep is pinned by its
+# failure count and digest, T1.3's through its row form, held to its check.
+
+_series_coefficient = statements.series_coefficient
+_series_sums = statements._series_sums
+_alt_sum_power = statements.alt_sum_power
+_stirling2 = statements.stirling2
+
+WORDINGS = [
+    (
+        "T1.3", DEFAULT_SLICES["T1.3"],
+        [
+            (statements, "series_coefficient", lambda *args: 2 * _series_coefficient(*args)),
+            (statements, "_series_sums", lambda *args: [2 * x for x in _series_sums(*args)]),
+        ],
+        "shifted class sum", 2667,
+        "5dc8e86ea3a71dc25613aff627b46c4896358103d2b31432f825364c758545aa",
+    ),
+    (
+        "L4.2", None, [(quantities, "_class_binomials", _scaled)],
+        "odd exactly when n is a power of two", 6,
+        "c6358ae98259a0cf58bd0ab0f8b34f2565cae6a9ce05cdab6911b029ce76afff",
+    ),
+    (
+        "R1.6", None,
+        [
+            (statements, "alt_sum_power", lambda *args: 2 * _alt_sum_power(*args)),
+            (statements, "stirling2", lambda l, n: 2 * _stirling2(l, n)),
+        ],
+        ") is even", 41,
+        "97671d485c368e670eeaf33d34df3e527ed6752312defaf7950ff418036e8c22",
+    ),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "sid, grid, patches, wording, count, digest", WORDINGS, ids=[c[0] for c in WORDINGS]
+)
+def test_unreached_wordings_fail_as_pinned(monkeypatch, sid, grid, patches, wording, count, digest):
+    st = STATEMENTS[sid]
+    _clear_caches()
+    try:
+        for mod, name, fn in patches:
+            monkeypatch.setattr(mod, name, fn)
+        texts = []
+        for prefix, values in _rows(st.axes, _specs(st, grid)):
+            got = st.check_row(prefix, values)
+            if not st.hypothesis or st.hypothesis(*prefix):
+                assert got == per_instance(st, prefix, values), prefix
+            texts.extend(" ".join(res) for res in got if type(res) is tuple)
+        assert texts and all(wording in text for text in texts)
+        assert _swept(st, grid) == (count, digest)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
 
 
 L22_SLICE = {"p": (2, 3), "alpha": (1, 2), "l": (0, 1, 2), "n": tuple(range(1, 8))}

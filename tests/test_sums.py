@@ -15,7 +15,6 @@ from flecklab.padic import INFINITY, PrimePowerModulus, padic_order
 from flecklab.sums import (
     RestrictedSumSpec,
     _class_residues,
-    _class_sums,
     alt_sum_binom,
     alt_sum_f,
     alt_sum_power,
@@ -91,6 +90,10 @@ class TestSumEvaluators:
         unsigned = sum(math.comb(n, k) for k in range(n + 1) if k % m == r % m)
         assert unsigned_class_sum(n, r, m) == unsigned
 
+    @given(st.integers(-40, 40), st.integers(0, 30), st.integers(0, 12))
+    def test_binomial_weights_extend_binomial_to_negative_j(self, j0, count, l):
+        assert sums._binomial_weights(j0, count, l) == [binomial(j, l) for j in range(j0, j0 + count)]
+
     def test_offsets_sharing_a_class_keep_their_own_weights(self):
         # r, r + m and r - m share one cached term list; every weight index
         # must still be taken relative to its own r.
@@ -114,7 +117,6 @@ class TestSumEvaluators:
             lambda: alt_sum_binom(5, 0, m, 1),
             lambda: alt_sum_binom(5, 0, m, -1),
             lambda: alt_sum_f(5, 0, m, lambda x: x),
-            lambda: _class_sums(5, m),
             lambda: _class_residues(5, m, 2, 3),
         ]
         for evaluate in evaluators:
@@ -122,40 +124,15 @@ class TestSumEvaluators:
                 evaluate()
 
 
-class TestClassSumFold:
-    """_class_sums folds a whole row; the per-class kernel and the brute
-    force loop are its oracles.  Half the row is walked and mirrored, so odd
-    and even rows take different paths."""
-
-    @given(
-        st.one_of(st.integers(0, 80), st.just(0), st.integers(0, 40).map(lambda h: 2 * h)),
-        st.one_of(st.integers(1, 30), st.just(1), st.integers(82, 120)),
-    )
-    def test_every_class_matches_the_per_class_sums(self, n, m):
-        folded = _class_sums(n, m)
-        assert len(folded) == m
-        for c in range(m):
-            assert folded[c] == plain_alt_sum(n, c, m) == brute_sum(n, c, m, lambda x: 1)
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
-    def test_small_rows_of_both_parities(self, n):
-        for m in (1, 2, 3, n + 1, n + 2, n + 5):
-            assert _class_sums(n, m) == [plain_alt_sum(n, c, m) for c in range(m)]
-
-    def test_hand_values(self):
-        assert _class_sums(0, 1) == [1]
-        assert _class_sums(0, 3) == [1, 0, 0]
-        assert _class_sums(6, 1) == [0]
-        assert _class_sums(4, 2) == [8, -8]
-        assert _class_sums(3, 5) == [1, -3, 3, -1, 0]
-
-    def test_negative_row_is_empty(self):
-        assert _class_sums(-1, 3) == [0, 0, 0] == [plain_alt_sum(-1, c, 3) for c in range(3)]
+def exact_residues(n, m, p, k):
+    """plain_alt_sum of each class of row n mod m, reduced mod p**k."""
+    return [plain_alt_sum(n, c, m) % p**k for c in range(m)]
 
 
 class TestClassResidues:
     """_class_residues walks the row in units mod p**k and exact orders;
-    the exact fold, reduced mod p**k, is its oracle."""
+    plain_alt_sum per class, reduced mod p**k, is its oracle.  Half the row
+    is walked and mirrored, so odd and even rows take different paths."""
 
     @given(
         st.sampled_from((2, 3, 5, 7)),
@@ -165,7 +142,15 @@ class TestClassResidues:
     )
     def test_residues_are_the_exact_sums_mod_p_to_k(self, p, a, n, k):
         m = p**a
-        assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+        assert _class_residues(n, m, p, k) == exact_residues(n, m, p, k)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8])
+    def test_small_rows_of_both_parities(self, n):
+        # k = 20 holds every sum of these rows, so the residues are the
+        # exact sums mod p**k, negative ones included.
+        for p in (2, 3):
+            for m in (1, 2, 3, n + 1, n + 2, n + 5):
+                assert _class_residues(n, m, p, 20) == exact_residues(n, m, p, 20)
 
     @pytest.mark.parametrize("p, n, k", [(2, 64, 3), (3, 81, 2), (5, 250, 2), (7, 98, 1)])
     def test_terms_of_order_k_and_above_vanish(self, p, n, k):
@@ -175,7 +160,7 @@ class TestClassResidues:
         assert 2 * vanishing > n + 1
         for a in range(4):
             m = p**a
-            assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+            assert _class_residues(n, m, p, k) == exact_residues(n, m, p, k)
 
     # Interleaved primes, rows that grow and shrink, and precisions that
     # rise past the table's and fall below it.
@@ -189,7 +174,7 @@ class TestClassResidues:
         for _ in range(2):
             for p, a, n, k in self.INTERLEAVED:
                 m = p**a
-                assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+                assert _class_residues(n, m, p, k) == exact_residues(n, m, p, k)
             sums._unit_inverse_table.cache_clear()
 
     @given(
@@ -210,7 +195,7 @@ class TestClassResidues:
             sums._unit_inverse_table.cache_clear()
         for p, a, n, k in calls:
             m = p**a
-            assert _class_residues(n, m, p, k) == [s % p**k for s in _class_sums(n, m)]
+            assert _class_residues(n, m, p, k) == exact_residues(n, m, p, k)
 
     @pytest.mark.parametrize("p", [2, 3, 7])
     def test_inverse_table_entries(self, p):

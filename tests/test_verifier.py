@@ -411,6 +411,11 @@ class TestParallelDeterminism:
             "CONJ1.3", {"p": (3,), "alpha": (1, 2), "n": (3, 4, 9, 16, 17, 20), "j": (2, -1, 0)}, True,
             id="CONJ1.3",
         ),
+        # Frontier-sized rows, digits out of order and one outside 0 .. p-1.
+        pytest.param(
+            "CONJ1.2", {"p": (7,), "n": (96, 0, 1, 90), "s": (6, 0, 9, 3)}, True,
+            id="CONJ1.2-frontier-rows",
+        ),
         # One block a row or two: the blocks cut between rows that share
         # n // p, and so their right sums, in T1.5-alpha1.
         pytest.param(
